@@ -1,89 +1,84 @@
-"""Exact integer/rational linear algebra for kernel bases.
+"""Exact integer linear algebra for kernel bases.
 
-Kernel bases of integer matrices are computed without floating point:
-fraction-free (Bareiss) forward elimination, rational back-substitution,
-and a final reduction to a canonical form so that identical matrices
-always yield byte-identical bases.
+One fraction-free Gauss-Jordan elimination (Bareiss's integer-preserving
+step, applied above each pivot as well as below) runs on the matrix with
+its columns reversed, so every pivot ends equal to one determinant d.
+Each free column f then gives the kernel vector with d at f and minus the
+pivot rows' column-f entries at their pivot columns. Pivots were taken
+from the right, so f is that vector's leading column and the other
+vectors vanish there: together they already are the kernel's reduced
+echelon form, which is unique. Dividing by the gcd and making the lead
+positive gives a canonical basis, byte-identical for identical matrices.
+No floats or rationals are used; a basis entry outside int64 raises
+ValueError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
+_INT64 = np.iinfo(np.int64)
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
 
-    Returns the nonzero echelon rows and the pivot column indices.
-    Intermediate entries stay integers (Bareiss one-step division).
+def _rescaled(row: list[int], num: int, den: int) -> list[int]:
+    return [x * num // den if x else 0 for x in row]
+
+
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced echelon form, in place: (pivot rows, pivot columns, d).
+
+    Each step sets every other row to (p * row - row[c] * pivot_row) / prev,
+    an exact division, so entries stay integer minors of the input. Rows
+    with row[c] == 0 are only scaled by p / prev; those factors telescope,
+    so such rows keep the pivot they are current at and are rescaled only
+    when next used.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
+    current_at = [1] * n
     pivot_cols: list[int] = []
     prev = 1
     r = 0
     for c in range(m):
-        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        for i in range(r + 1, n):
-            for k in range(c + 1, m):
-                rows[i][k] = (rows[r][c] * rows[i][k] - rows[i][c] * rows[r][k]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
+        current_at[r], current_at[p] = current_at[p], current_at[r]
+        if current_at[r] != prev:
+            rows[r] = _rescaled(rows[r], prev, current_at[r])
+        pivot_row = rows[r]
+        piv = pivot_row[c]
+        support = [k for k in range(m) if pivot_row[k]]
+        for i in range(n):
+            if i == r or not rows[i][c]:
+                continue
+            row = rows[i] if current_at[i] == prev else _rescaled(rows[i], prev, current_at[i])
+            a = row[c]
+            row = [x * piv for x in row]
+            for k in support:
+                row[k] -= a * pivot_row[k]
+            rows[i] = [x // prev if x else 0 for x in row]
+            current_at[i] = piv
+        current_at[r] = piv
+        prev = piv
         pivot_cols.append(c)
         r += 1
         if r == n:
             break
-    return rows[:r], pivot_cols
-
-
-def _primitive(row: list[Fraction]) -> list[int]:
-    # clear denominators, divide by content, make the leading entry positive
-    denom = 1
-    for v in row:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
-def _reduced_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan reduced form (unit leading entries, zeros above and below)."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        lead = rows[r][c]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
-        r += 1
-        if r == n:
-            break
-    return [row for row in rows if any(v != 0 for v in row)]
+    for i in range(r):
+        if current_at[i] != prev:
+            rows[i] = _rescaled(rows[i], prev, current_at[i])
+    return rows[:r], pivot_cols, prev
 
 
 def kernel_basis(mat) -> np.ndarray:
     """Canonical primitive-integer basis of {v : mat @ v = 0}.
+
+    Read off one fraction-free Gauss-Jordan elimination of `mat` with its
+    columns reversed (see the module docstring).
 
     Args:
         mat: integer matrix (anything `np.asarray` accepts), shape (n, m).
@@ -95,34 +90,33 @@ def kernel_basis(mat) -> np.ndarray:
         coprime integers with positive leading entry, ordered by leading
         column. The zero-rank cases degrade gracefully: an all-zero or
         empty matrix yields the identity basis.
+
+    Raises:
+        ValueError: `mat` is not 2-d, or a basis entry does not fit in int64.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    n, m = a.shape
-    work = [[int(v) for v in row] for row in a.tolist()]
-    echelon, pivot_cols = _bareiss_echelon(work)
-    free_cols = [c for c in range(m) if c not in pivot_cols]
-    vectors: list[list[Fraction]] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for i in reversed(range(len(pivot_cols))):
-            c = pivot_cols[i]
-            s = sum((Fraction(echelon[i][k]) * v[k] for k in range(c + 1, m)), Fraction(0))
-            v[c] = -s / echelon[i][c]
-        vectors.append(v)
-    reduced = _reduced_rows(vectors)
-    basis = [_primitive(row) for row in reduced]
-    if not basis:
-        return np.zeros((0, m), dtype=np.int64)
-    # np raises OverflowError here if entries exceed int64; fine for our scale
-    return np.array(basis, dtype=np.int64)
+    m = a.shape[1]
+    rows, pivot_cols, d = _gauss_jordan([[int(v) for v in reversed(row)] for row in a.tolist()])
+    pivots = set(pivot_cols)
+    basis = []
+    for f in reversed(range(m)):
+        if f in pivots:
+            continue
+        v = [0] * m
+        v[f] = d
+        for row, c in zip(rows, pivot_cols):
+            v[c] = -row[f]
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append([x // g for x in reversed(v)])
+    if any(not _INT64.min <= x <= _INT64.max for row in basis for x in row):
+        raise ValueError("kernel basis entries exceed the int64 range")
+    return np.array(basis, dtype=np.int64).reshape(len(basis), m)
 
 
 def integer_rank(mat) -> int:
     """Exact rank of an integer matrix."""
     a = np.asarray(mat)
-    work = [[int(v) for v in row] for row in a.tolist()]
-    _, pivot_cols = _bareiss_echelon(work)
+    _, pivot_cols, _ = _gauss_jordan([[int(v) for v in row] for row in a.tolist()])
     return len(pivot_cols)
