@@ -29,6 +29,7 @@ from .dynamics import Trajectory, energy_dissipation_balance, lyapunov_monitor, 
 from .fileio import (
     NetworkParseError,
     ScenarioConfig,
+    _format_float,
     emit_report_json,
     emit_schedule_csv,
     emit_trajectory_csv,
@@ -69,12 +70,8 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt(float(x)) for x in np.asarray(v, dtype=float)) + "]"
+    return "[" + ", ".join(_format_float(float(x)) for x in np.asarray(v, dtype=float)) + "]"
 
 
 def _write(outdir: pathlib.Path, name: str, text: str) -> pathlib.Path:
@@ -95,14 +92,8 @@ def _meta(scenario: ScenarioConfig, seed: int) -> dict:
 
 
 def _run_simulation(scenario: ScenarioConfig) -> Trajectory:
-    net = scenario.network
-    kwargs = dict(
-        grid=scenario.grid,
-        x_ref=scenario.x_ref,
-        rtol=scenario.rtol,
-        atol=scenario.atol,
-        positivity_floor=scenario.positivity_floor,
-    )
+    net, sc = scenario.network, scenario
+    kwargs = dict(grid=sc.grid, x_ref=sc.x_ref, rtol=sc.rtol, atol=sc.atol, positivity_floor=sc.positivity_floor)
     if scenario.schedule is not None:
         return simulate_timedep(net, scenario.x0, scenario.t_span, scenario.schedule, **kwargs)
     return simulate(net, scenario.x0, scenario.t_span, **kwargs)
@@ -122,7 +113,7 @@ def _cmd_info(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
         print(f"  {col}")
     verdict = "equilibrium" if wc["is_equilibrium"] else "nonequilibrium"
     print(f"rate constants: {verdict} (max cycle affinity "
-          f"{_fmt(float(np.max(np.abs(wc['cycle_affinity']), initial=0.0)))})")
+          f"{_format_float(float(np.max(np.abs(wc['cycle_affinity']), initial=0.0)))})")
     return 0
 
 
@@ -162,7 +153,7 @@ def _cmd_equilibrium(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int
     path = _write(outdir, f"equilibrium{suffix}.json", emit_report_json(report))
     print(f"wrote {path}")
     print(f"x_eq: {_fmt_vec(x_eq)}")
-    print(f"pythagoras gap: {_fmt(cert['gap'])}")
+    print(f"pythagoras gap: {_format_float(cert['gap'])}")
     return 0
 
 
@@ -197,8 +188,8 @@ def _cmd_decompose(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
     }
     path = _write(outdir, f"decompose{suffix}.json", emit_report_json(report))
     print(f"wrote {path}")
-    print(f"velocity residual: {_fmt(fsplit['velocity_residual'])}")
-    print(f"divergence residual: {_fmt(gsplit['divergence_residual'])}")
+    print(f"velocity residual: {_format_float(fsplit['velocity_residual'])}")
+    print(f"divergence residual: {_format_float(gsplit['divergence_residual'])}")
     return 0
 
 
@@ -219,44 +210,33 @@ def _closed_loop_deviation(net: ReactionNetwork, scenario: ScenarioConfig, traj,
     return float(np.max(np.abs(mirror - base)) / scale)
 
 
-def _cmd_effective_eq(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _effective(scenario: ScenarioConfig, outdir, seed, suffix, name: str, rates, closed_loop: bool) -> dict:
     net = scenario.network
     traj = _run_simulation(scenario)
     times = scenario.grid if scenario.grid is not None else traj.times
-    schedule, cert = geometry.effective_equilibrium_rates(net, traj, times=times)
-    deviation = _closed_loop_deviation(net, scenario, traj, schedule)
-    report = {
-        "meta": _meta(scenario, seed),
-        "certificates": cert,
-        "max_zeta_residual": float(cert["zeta_residual"].max()),
-        "max_velocity_residual": float(cert["velocity_residual"].max()),
-        "closed_loop_deviation": deviation,
-        "kappa": np.sqrt(net.kplus * net.kminus),
-    }
-    _write(outdir, f"effective_eq_schedule{suffix}.csv", emit_schedule_csv(schedule, net.edge_labels))
-    path = _write(outdir, f"effective_eq{suffix}.json", emit_report_json(report))
+    schedule, cert = rates(net, traj, times=times)
+    report = {"meta": _meta(scenario, seed), "certificates": cert, "kappa": np.sqrt(net.kplus * net.kminus)}
+    report.update((f"max_{k}", float(v.max())) for k, v in cert.items() if k.endswith("_residual"))
+    if closed_loop:
+        report["closed_loop_deviation"] = _closed_loop_deviation(net, scenario, traj, schedule)
+    _write(outdir, f"{name}_schedule{suffix}.csv", emit_schedule_csv(schedule, net.edge_labels))
+    path = _write(outdir, f"{name}{suffix}.json", emit_report_json(report))
     print(f"wrote {path}")
-    print(f"closed-loop deviation (relative sup-norm): {_fmt(deviation)}")
-    print(f"max zeta residual: {_fmt(report['max_zeta_residual'])}")
+    return report
+
+
+def _cmd_effective_eq(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+    rates = geometry.effective_equilibrium_rates
+    report = _effective(scenario, outdir, seed, suffix, "effective_eq", rates, closed_loop=True)
+    print(f"closed-loop deviation (relative sup-norm): {_format_float(report['closed_loop_deviation'])}")
+    print(f"max zeta residual: {_format_float(report['max_zeta_residual'])}")
     return 0
 
 
 def _cmd_effective_cycle(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
-    net = scenario.network
-    traj = _run_simulation(scenario)
-    times = scenario.grid if scenario.grid is not None else traj.times
-    schedule, cert = geometry.effective_steady_rates(net, traj, times=times)
-    report = {
-        "meta": _meta(scenario, seed),
-        "certificates": cert,
-        "max_steady_residual": float(cert["steady_residual"].max()),
-        "max_affinity_residual": float(cert["affinity_residual"].max()),
-        "kappa": np.sqrt(net.kplus * net.kminus),
-    }
-    _write(outdir, f"effective_cycle_schedule{suffix}.csv", emit_schedule_csv(schedule, net.edge_labels))
-    path = _write(outdir, f"effective_cycle{suffix}.json", emit_report_json(report))
-    print(f"wrote {path}")
-    print(f"max steadiness residual: {_fmt(report['max_steady_residual'])}")
+    rates = geometry.effective_steady_rates
+    report = _effective(scenario, outdir, seed, suffix, "effective_cycle", rates, closed_loop=False)
+    print(f"max steadiness residual: {_format_float(report['max_steady_residual'])}")
     return 0
 
 
@@ -295,9 +275,9 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
     path = _write(outdir, f"ledger{suffix}.json", emit_report_json(report))
     print(f"wrote {path}")
     print(f"lyapunov nonincreasing: {monitor['nonincreasing']} "
-          f"(max derivative {_fmt(monitor['max_derivative'])})")
+          f"(max derivative {_format_float(monitor['max_derivative'])})")
     if "energy_balance" in report:
-        print(f"energy balance gap: {_fmt(report['energy_balance']['gap'])}")
+        print(f"energy balance gap: {_format_float(report['energy_balance']['gap'])}")
     if traj.halted:
         print(f"halted: {traj.halt_reason}")
         return 3
@@ -389,7 +369,7 @@ def main(argv=None) -> int:
 
             sc = copy.copy(scenario)
             sc.network = _apply_sweep_value(scenario.network, label, which, float(v))
-            runs.append((sc, f"__{label}.{which}={_fmt(float(v))}"))
+            runs.append((sc, f"__{label}.{which}={_format_float(float(v))}"))
 
     summary = []
     first_bad = 0

@@ -9,7 +9,9 @@ quadratic dissipation, duals of flux and force coordinates).
 
 All vector inputs are 1-d float arrays; Hessians are returned as their
 diagonals since every member of these families is separable except the
-quadratic potential, which returns a full matrix.
+quadratic potential, which returns a full matrix. The values of the cosh
+dissipation and the relative entropy also take (T, n) batches, one
+vector per row, and then return one value per row.
 """
 
 from __future__ import annotations
@@ -17,18 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def _vec(x, name: str) -> np.ndarray:
+def _vec(x, name: str, batch: bool = False) -> np.ndarray:
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
+    if v.ndim != 1 and not (batch and v.ndim == 2):
         raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
     return v
 
 
-def _positive(x, name: str) -> np.ndarray:
-    v = _vec(x, name)
+def _positive(x, name: str, batch: bool = False) -> np.ndarray:
+    v = _vec(x, name, batch)
     if not np.all(v > 0):
         raise ValueError(f"{name} must be strictly positive")
     return v
+
+
+def _total(sums):
+    """A sum over the last axis: a float for one vector, else one per row."""
+    return float(sums) if np.ndim(sums) == 0 else sums
 
 
 def stable_asinh(u) -> np.ndarray:
@@ -110,11 +117,11 @@ class KLPotential:
     def dual_hessian_diag(self, y) -> np.ndarray:
         return self.dual_grad(y)
 
-    def bregman(self, x, x_ref) -> float:
+    def bregman(self, x, x_ref):
         """Relative entropy D[x | x_ref] >= 0, zero iff x == x_ref."""
-        x = _positive(x, "x")
+        x = _positive(x, "x", batch=True)
         x_ref = _positive(x_ref, "x_ref")
-        return float(np.sum(x * np.log(x / x_ref)) - np.sum(x - x_ref))
+        return _total(np.sum(x * np.log(x / x_ref), axis=-1) - np.sum(x - x_ref, axis=-1))
 
 
 class QuadraticPotential:
@@ -171,20 +178,22 @@ class CoshDissipation:
     grad(j)       = 2 asinh(j / w)                    (flux -> force)
 
     The pair is strictly convex and superlinear on both sides, so the
-    gradient maps are mutually inverse bijections of R^n_edges.
+    gradient maps are mutually inverse bijections of R^n_edges. Weights
+    of shape (T, n_edges) hold one dissipation per row; value and
+    dual_value then take (T, n_edges) arguments and return (T,) arrays.
     """
 
     def __init__(self, weights):
-        self.weights = _positive(weights, "weights")
-        self.n = self.weights.size
+        self.weights = _positive(weights, "weights", batch=True)
+        self.n = self.weights.shape[-1]
 
-    def value(self, j) -> float:
-        u = _vec(j, "j") / self.weights
-        return float(2.0 * np.sum(self.weights * (u * stable_asinh(u) - _sqrt1p_sq_minus_1(u))))
+    def value(self, j):
+        u = _vec(j, "j", batch=True) / self.weights
+        return _total(2.0 * np.sum(self.weights * (u * stable_asinh(u) - _sqrt1p_sq_minus_1(u)), axis=-1))
 
-    def dual_value(self, f) -> float:
-        f = _vec(f, "f")
-        return float(2.0 * np.sum(self.weights * (np.cosh(0.5 * f) - 1.0)))
+    def dual_value(self, f):
+        f = _vec(f, "f", batch=True)
+        return _total(2.0 * np.sum(self.weights * (np.cosh(0.5 * f) - 1.0), axis=-1))
 
     def grad(self, j) -> np.ndarray:
         return 2.0 * stable_asinh(_vec(j, "j") / self.weights)

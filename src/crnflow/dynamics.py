@@ -6,7 +6,9 @@ terminal event that halts integration before any component crosses a
 positivity floor. Alongside the states, each trajectory carries a ledger
 of scalar observables per sample time: relative entropy to an optional
 reference, entropy production rate and its quadratic lower bound, and
-the primal/dual dissipation values whose sum equals the EPR.
+the primal/dual dissipation values whose sum equals the EPR. The ledger,
+the Lyapunov monitor and the energy balance evaluate all their samples
+in one batched pass (kinetics.mass_action_batch).
 """
 
 from __future__ import annotations
@@ -16,15 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from .convex import CoshDissipation, KLPotential
-from .kinetics import (
-    ConvergenceError,
-    entropy_production,
-    mass_action_flux,
-    net_flux_raw,
-    pseudo_entropy_production,
-    wegscheider_check,
-)
+from .convex import KLPotential
+from .kinetics import ConvergenceError, mass_action_batch, net_flux_raw, wegscheider_check
 from .network import ReactionNetwork
 
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
@@ -59,25 +54,40 @@ class RateSchedule:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "kplus", kp)
         object.__setattr__(self, "kminus", km)
+        table = np.hstack([kp, km])
+        slopes = np.diff(table, axis=0) / np.diff(t)[:, None]
+        for arr in (table, slopes):
+            arr.flags.writeable = False  # __call__ hands out views of their rows
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_slopes", slopes)
 
     @property
     def n_edges(self) -> int:
         return self.kplus.shape[1]
 
-    def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        kp = np.array([np.interp(t, self.times, col) for col in self.kplus.T])
-        km = np.array([np.interp(t, self.times, col) for col in self.kminus.T])
-        return kp, km
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Rates at time t, or (n_times, n_edges) tables at an array of times.
+
+        Matches np.interp on every edge bit for bit: the end values outside
+        the knots, the knot value on a knot, else slope_j * (t - t_j) + k_j.
+        """
+        knots, table, slopes, n = self.times, self._table, self._slopes, self.n_edges
+        if np.ndim(t) == 0:
+            j = int(np.searchsorted(knots, t, side="right")) - 1
+            hit = j < 0 or j == knots.size - 1 or knots[j] == t
+            row = table[max(j, 0)] if hit else slopes[j] * (t - knots[j]) + table[j]
+            return row[:n], row[n:]
+        ts = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
+        dt = (ts - knots[j])[:, None]
+        rows = np.where(dt > 0, slopes[j] * dt + table[j], table[j])
+        rows[ts >= knots[-1]] = table[-1]
+        return rows[:, :n], rows[:, n:]
 
     @classmethod
     def constant(cls, kplus, kminus, t0: float, t1: float) -> "RateSchedule":
-        kp = np.asarray(kplus, dtype=float)
-        km = np.asarray(kminus, dtype=float)
-        return cls(
-            times=np.array([t0, t1]),
-            kplus=np.vstack([kp, kp]),
-            kminus=np.vstack([km, km]),
-        )
+        kp, km = np.asarray(kplus, dtype=float), np.asarray(kminus, dtype=float)
+        return cls(times=np.array([t0, t1]), kplus=np.vstack([kp, kp]), kminus=np.vstack([km, km]))
 
 
 @dataclass
@@ -113,34 +123,12 @@ class Trajectory:
 
 
 def _ledger_rows(
-    net: ReactionNetwork,
-    times: np.ndarray,
-    states: np.ndarray,
-    x_ref,
-    schedule: RateSchedule | None,
+    net: ReactionNetwork, times, states, x_ref, schedule: RateSchedule | None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    n = times.size
-    cols = {k: np.full(n, np.nan) for k in LEDGER_KEYS}
+    rates = (None, None) if schedule is None else schedule(times)
+    cols = mass_action_batch(net, states, *rates, x_ref=x_ref, ledger=True)
     eta = states @ net.cons_basis.astype(float).T
-    pot = KLPotential(n=net.n_species)
-    ref = None if x_ref is None else np.asarray(x_ref, dtype=float)
-    for i in range(n):
-        x = states[i]
-        if not np.all(x > 0):
-            continue
-        if schedule is None:
-            pair = mass_action_flux(net, x)
-        else:
-            kp, km = schedule(times[i])
-            pair = mass_action_flux(net, x, kp, km)
-        diss = CoshDissipation(pair.activity)
-        cols["epr"][i] = entropy_production(pair)
-        cols["pepr"][i] = pseudo_entropy_production(pair)
-        cols["psi"][i] = diss.value(pair.flux)
-        cols["psistar"][i] = diss.dual_value(pair.force)
-        if ref is not None:
-            cols["divergence"][i] = pot.bregman(x, ref)
-    return cols, eta
+    return {k: cols[k] for k in LEDGER_KEYS}, eta
 
 
 def _integrate(
@@ -293,11 +281,10 @@ def energy_dissipation_balance(
     else:
         ts = traj.times
         xs = traj.states
-    integrand = np.empty(ts.size)
-    for i, x in enumerate(xs):
-        pair = mass_action_flux(net, x)
-        diss = CoshDissipation(pair.activity)
-        integrand[i] = diss.value(pair.flux) + diss.dual_value(pair.force)
+    if not np.all(xs > 0):
+        raise ValueError("state must be strictly positive")
+    cols = mass_action_batch(net, xs, ledger=True)
+    integrand = cols["psi"] + cols["psistar"]
     rhs = float(simpson(integrand, x=ts))
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "reference": x_eq}
 
@@ -317,12 +304,12 @@ def lyapunov_monitor(
     x_ref = np.asarray(x_ref, dtype=float)
     if not np.all(x_ref > 0):
         raise ValueError("reference state must be strictly positive")
+    cols = mass_action_batch(net, traj.states)
+    rows = cols["rows"]
+    force = net.grad(np.log(traj.states[rows] / x_ref))
     deriv = np.full(traj.times.size, np.nan)
-    for i, x in enumerate(traj.states):
-        if not np.all(x > 0):
-            continue
-        pair = mass_action_flux(net, x)
-        deriv[i] = -float(pair.flux @ (net.stoich.T @ np.log(x / x_ref)))
+    # stacked (1, E) @ (E, 1) products: the same dot per row as the 1-d code
+    deriv[rows] = -(cols["flux"][rows][:, None, :] @ force[:, :, None])[:, 0, 0]
     finite = deriv[np.isfinite(deriv)]
     max_deriv = float(np.max(finite, initial=-np.inf))
     return {

@@ -19,7 +19,6 @@ Trajectory CSV uses 17 significant digits, locale-independent.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from dataclasses import dataclass
@@ -343,25 +342,16 @@ class ScenarioConfig:
 
 def emit_trajectory_csv(traj: Trajectory) -> str:
     """CSV text: t, x_<name>..., D, epr, pepr, psi, psistar, eta_<i>..."""
-    n_eta = traj.eta.shape[1]
-    header = (
-        ["t"]
-        + [f"x_{name}" for name in traj.species]
-        + ["D", "epr", "pepr", "psi", "psistar"]
-        + [f"eta_{i}" for i in range(n_eta)]
-    )
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    led = traj.ledger
-    for i in range(traj.times.size):
-        row = (
-            [traj.times[i]]
-            + list(traj.states[i])
-            + [led["divergence"][i], led["epr"][i], led["pepr"][i], led["psi"][i], led["psistar"][i]]
-            + list(traj.eta[i])
-        )
-        buf.write(",".join(_format_float(v) for v in row) + "\n")
-    return buf.getvalue()
+    keys = ("divergence", "epr", "pepr", "psi", "psistar")
+    header = ["t"] + [f"x_{name}" for name in traj.species] + ["D", *keys[1:]]
+    header += [f"eta_{i}" for i in range(traj.eta.shape[1])]
+    ledger = [traj.ledger[k][:, None] for k in keys]
+    return _csv(header, np.hstack([traj.times[:, None], traj.states, *ledger, traj.eta]))
+
+
+def _csv(header: list[str], table: np.ndarray) -> str:
+    lines = [",".join(header)] + [",".join(_format_float(v) for v in row) for row in table]
+    return "\n".join(lines) + "\n"
 
 
 def _json_ready(obj):
@@ -386,9 +376,4 @@ def emit_report_json(report: dict) -> str:
 def emit_schedule_csv(schedule: RateSchedule, edge_labels) -> str:
     """CSV text for a rate schedule: t, kf_<label>..., kr_<label>..."""
     header = ["t"] + [f"kf_{l}" for l in edge_labels] + [f"kr_{l}" for l in edge_labels]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for i in range(schedule.times.size):
-        row = [schedule.times[i]] + list(schedule.kplus[i]) + list(schedule.kminus[i])
-        buf.write(",".join(_format_float(v) for v in row) + "\n")
-    return buf.getvalue()
+    return _csv(header, np.hstack([schedule.times[:, None], schedule.kplus, schedule.kminus]))

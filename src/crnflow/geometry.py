@@ -23,7 +23,10 @@ objective posed in one of these subspaces:
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model.
+    model. Both share one driver: only the warm-started per-sample
+    projections run one by one; the kinetics before and after them, the
+    rate tables and the certificates are evaluated for all samples at
+    once.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -34,18 +37,8 @@ import numpy as np
 
 from .convex import CoshDissipation, KLPotential
 from .dynamics import RateSchedule, Trajectory
-from .kinetics import ConvergenceError, KineticSplit, mass_action_flux
-from .network import ReactionNetwork
-
-
-def _orthonormal_image(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space, via SVD."""
-    m = np.asarray(mat, dtype=float)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0))
-    r = int(np.sum(s > max(m.shape) * np.finfo(float).eps * s[0]))
-    return u[:, :r]
+from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
+from .network import ReactionNetwork, matvec_rows
 
 
 def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
@@ -223,12 +216,11 @@ def velocity_dual(
     """
     v = np.asarray(v, dtype=float)
     s = net.stoich.astype(float)
-    q = _orthonormal_image(s)
+    q, qs = net.stoich_image, net.reduced_stoich
     resid = v - q @ (q.T @ v)
     vnorm = float(np.max(np.abs(v), initial=0.0))
     if float(np.max(np.abs(resid), initial=0.0)) > 1e-9 * (1.0 + vnorm):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-    qs = q.T @ s  # reduced stoichiometry, shape (rank, n_edges)
 
     def force_of(mu):
         return -qs.T @ mu
@@ -302,8 +294,7 @@ def force_split(
     """
     f = np.asarray(f, dtype=float)
     s = net.stoich.astype(float)
-    q = _orthonormal_image(s)
-    qs = q.T @ s
+    q, qs = net.stoich_image, net.reduced_stoich
 
     def force_of(mu):
         return f + qs.T @ mu
@@ -470,12 +461,36 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
     return ts, xs
 
 
+def _effective_rates(net, traj, times, solver, inputs_of, certify, tol, max_iter):
+    """Shared driver: solver (velocity_dual or force_split) projects
+    inputs_of(base)[i] at each sample, warm-started from the previous one;
+    kappa is kept and the equilibrium constants replaced to realize the
+    returned force. certify(base, inputs, new) reads the kinetics batches
+    before and after into the certificate columns.
+    """
+    ts, xs = _trajectory_samples(traj, times)
+    base = mass_action_batch(net, xs)
+    inputs = inputs_of(base)
+    forces = np.empty_like(base["force"])
+    iters = np.zeros(ts.size, dtype=int)
+    mu = None
+    for i in range(ts.size):
+        out = solver(net, CoshDissipation(base["activity"][i]), inputs[i], mu0=mu, tol=tol, max_iter=max_iter)
+        mu, iters[i], forces[i] = out["mu"], out["iterations"], out["force"]
+    root = np.sqrt(np.exp(forces - matvec_rows(net.stoich.T.astype(float), np.log(xs))))
+    kappa = KineticSplit.from_rates(net.kplus, net.kminus).kappa
+    kp_tab, km_tab = kappa * root, kappa / root
+    certificates = certify(base, inputs, mass_action_batch(net, xs, kp_tab, km_tab))
+    certificates["iterations"] = iters
+    return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), certificates
+
+
+def _sup(a: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(a), axis=-1, initial=0.0)
+
+
 def effective_equilibrium_rates(
-    net: ReactionNetwork,
-    traj: Trajectory,
-    times=None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    net: ReactionNetwork, traj: Trajectory, times=None, tol: float = 1e-10, max_iter: int = 100
 ) -> tuple[RateSchedule, dict]:
     """Equilibrium-model rate constants reproducing a trajectory's motion.
 
@@ -486,49 +501,20 @@ def effective_equilibrium_rates(
     equals that gradient. Certificates per sample: the new force's
     cycle affinities (zeta_residual) and the relative velocity mismatch.
     """
-    ts, xs = _trajectory_samples(traj, times)
-    split = KineticSplit.from_rates(net.kplus, net.kminus)
-    st = net.stoich.T.astype(float)
-    vt = net.cycle_basis.T.astype(float)
-    kp_tab = np.empty((ts.size, net.n_edges))
-    km_tab = np.empty_like(kp_tab)
-    zeta_res = np.empty(ts.size)
-    vel_res = np.empty(ts.size)
-    iters = np.zeros(ts.size, dtype=int)
-    mu = None
-    for i, (t, x) in enumerate(zip(ts, xs)):
-        pair = mass_action_flux(net, x)
-        dissip = CoshDissipation(pair.activity)
-        velocity = -net.stoich.astype(float) @ pair.flux
-        out = velocity_dual(net, dissip, velocity, mu0=mu, tol=tol, max_iter=max_iter)
-        mu = out["mu"]
-        iters[i] = out["iterations"]
-        keq = np.exp(-st @ out["u"] - st @ np.log(x))
-        root = np.sqrt(keq)
-        kp_tab[i] = split.kappa * root
-        km_tab[i] = split.kappa / root
-        new_pair = mass_action_flux(net, x, kp_tab[i], km_tab[i])
-        zeta_res[i] = float(np.max(np.abs(vt @ new_pair.force), initial=0.0))
-        new_velocity = -net.stoich.astype(float) @ new_pair.flux
-        vel_res[i] = float(
-            np.max(np.abs(new_velocity - velocity), initial=0.0)
-            / (1.0 + np.max(np.abs(velocity), initial=0.0))
-        )
-    schedule = RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab)
-    certificates = {
-        "zeta_residual": zeta_res,
-        "velocity_residual": vel_res,
-        "iterations": iters,
-    }
-    return schedule, certificates
+    def velocity(cols):
+        return -net.div(cols["flux"])
+
+    def certify(base, v, new):
+        return {
+            "zeta_residual": _sup(net.curl(new["force"])),
+            "velocity_residual": _sup(velocity(new) - v) / (1.0 + _sup(v)),
+        }
+
+    return _effective_rates(net, traj, times, velocity_dual, velocity, certify, tol, max_iter)
 
 
 def effective_steady_rates(
-    net: ReactionNetwork,
-    traj: Trajectory,
-    times=None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    net: ReactionNetwork, traj: Trajectory, times=None, tol: float = 1e-10, max_iter: int = 100
 ) -> tuple[RateSchedule, dict]:
     """Steady-model rate constants reproducing a trajectory's affinities.
 
@@ -539,35 +525,10 @@ def effective_steady_rates(
     Certificates per sample: the new flux's divergence
     (steady_residual) and the affinity drift (affinity_residual).
     """
-    ts, xs = _trajectory_samples(traj, times)
-    split = KineticSplit.from_rates(net.kplus, net.kminus)
-    st = net.stoich.T.astype(float)
-    vt = net.cycle_basis.T.astype(float)
-    kp_tab = np.empty((ts.size, net.n_edges))
-    km_tab = np.empty_like(kp_tab)
-    steady_res = np.empty(ts.size)
-    affinity_res = np.empty(ts.size)
-    iters = np.zeros(ts.size, dtype=int)
-    mu = None
-    for i, (t, x) in enumerate(zip(ts, xs)):
-        pair = mass_action_flux(net, x)
-        dissip = CoshDissipation(pair.activity)
-        out = force_split(net, dissip, pair.force, mu0=mu, tol=tol, max_iter=max_iter)
-        mu = out["mu"]
-        iters[i] = out["iterations"]
-        keq = np.exp(out["force"] - st @ np.log(x))
-        root = np.sqrt(keq)
-        kp_tab[i] = split.kappa * root
-        km_tab[i] = split.kappa / root
-        new_pair = mass_action_flux(net, x, kp_tab[i], km_tab[i])
-        steady_res[i] = float(np.max(np.abs(net.stoich @ new_pair.flux), initial=0.0))
-        affinity_res[i] = float(
-            np.max(np.abs(vt @ new_pair.force - vt @ pair.force), initial=0.0)
-        )
-    schedule = RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab)
-    certificates = {
-        "steady_residual": steady_res,
-        "affinity_residual": affinity_res,
-        "iterations": iters,
-    }
-    return schedule, certificates
+    def certify(base, f, new):
+        return {
+            "steady_residual": _sup(net.div(new["flux"])),
+            "affinity_residual": _sup(net.curl(new["force"]) - net.curl(f)),
+        }
+
+    return _effective_rates(net, traj, times, force_split, lambda cols: cols["force"], certify, tol, max_iter)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convex import CoshDissipation, KLPotential, _total
 from .network import ReactionNetwork
 
 
@@ -39,7 +40,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EdgePair:
-    """One-way flux pair on the edges, with derived coordinates."""
+    """One-way flux pair on the edges, with derived coordinates.
+
+    jplus and jminus are 1-d vectors, or (T, n_edges) batches, one state per row.
+    """
 
     jplus: np.ndarray
     jminus: np.ndarray
@@ -47,8 +51,8 @@ class EdgePair:
     def __post_init__(self):
         jp = np.asarray(self.jplus, dtype=float)
         jm = np.asarray(self.jminus, dtype=float)
-        if jp.shape != jm.shape or jp.ndim != 1:
-            raise ValueError("jplus and jminus must be 1-d vectors of equal length")
+        if jp.shape != jm.shape or jp.ndim not in (1, 2):
+            raise ValueError("jplus and jminus must be 1-d vectors (or 2-d batches) of equal length")
         if not (np.all(jp > 0) and np.all(jm > 0)):
             raise ValueError("one-way fluxes must be strictly positive")
         object.__setattr__(self, "jplus", jp)
@@ -92,13 +96,25 @@ class KineticSplit:
         return self.kappa * root, self.kappa / root
 
 
-def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Columnwise monomials prod_i x_i^E[i, e] for integer E >= 0.
+def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
+    """Forward then backward monomials prod_i x_i^E[i, e], (T, 2 n_edges), per row of x.
 
-    Uses integer powers, so it stays finite (and smooth) when trial
-    states dip to zero or slightly below during ODE stepping.
+    The sparse net.factors multiply in ascending species order with
+    integer powers: bit-equal to the dense product over all species,
+    finite for trial states at or below zero, and O(T * nnz) memory.
     """
-    return np.prod(x[:, None] ** exponents, axis=0)
+    species, powers, starts = net.factors
+    # tiled powers: numpy squares a zero-stride exponent of 2 as x * x,
+    # which is not bit-equal to its pow
+    factors = np.power(x[:, species], np.tile(powers, (len(x), 1)))
+    return np.multiply.reduceat(factors, starts, axis=1)
+
+
+def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.ndarray, np.ndarray]:
+    kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
+    km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
+    mono = _monomials(net, x)
+    return kp * mono[:, : net.n_edges], km * mono[:, net.n_edges :]
 
 
 def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePair:
@@ -112,11 +128,8 @@ def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePa
         raise ValueError(f"state must have length {net.n_species}")
     if not np.all(x > 0):
         raise ValueError("state must be strictly positive")
-    kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
-    km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
-    jp = kp * _monomials(x, net.head_compositions)
-    jm = km * _monomials(x, net.tail_compositions)
-    return EdgePair(jplus=jp, jminus=jm)
+    jp, jm = _one_way(net, x[None], kplus, kminus)
+    return EdgePair(jplus=jp[0], jminus=jm[0])
 
 
 def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray:
@@ -125,10 +138,42 @@ def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray
     Equals mass_action_flux(...).flux on the positive orthant but does
     not require positivity, which keeps ODE right-hand sides total.
     """
-    x = np.asarray(x, dtype=float)
-    kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
-    km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
-    return kp * _monomials(x, net.head_compositions) - km * _monomials(x, net.tail_compositions)
+    jp, jm = _one_way(net, np.asarray(x, dtype=float)[None], kplus, kminus)
+    return (jp - jm)[0]
+
+
+def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_ref=None, ledger=False) -> dict:
+    """Edge coordinates at every row of a (T, n_species) state array at once.
+
+    Rows with a component at or below zero are skipped: NaN in every
+    output, and "rows" marks the others. kplus/kminus may be (T, n_edges)
+    tables. Gives flux, force and activity, (T, n_edges); ledger=True adds
+    the (T,) columns epr, pepr, psi, psistar (the cosh dissipation of flux
+    and force weighted by the activity) and divergence (relative entropy
+    to x_ref, NaN without one). Rows are bit-identical to the per-state
+    functions, with the same ValueError on non-positive fluxes or weights.
+    """
+    x = np.asarray(states, dtype=float)
+    if x.ndim != 2 or x.shape[1] != net.n_species:
+        raise ValueError(f"states must have shape (T, {net.n_species})")
+    rows = np.all(x > 0, axis=1)
+    x = x[rows]
+    rates = [k if np.ndim(k) < 2 else np.asarray(k, dtype=float)[rows] for k in (kplus, kminus)]
+    pair = EdgePair(*_one_way(net, x, *rates))
+    cols = {"flux": pair.flux, "force": pair.force, "activity": pair.activity}
+    if ledger:
+        diss = CoshDissipation(cols["activity"])
+        cols["epr"] = entropy_production(pair)
+        cols["pepr"] = pseudo_entropy_production(pair)
+        cols["psi"] = diss.value(cols["flux"])
+        cols["psistar"] = diss.dual_value(cols["force"])
+        kl = KLPotential(n=net.n_species)
+        cols["divergence"] = np.full(len(x), np.nan) if x_ref is None else kl.bregman(x, x_ref)
+    out = {"rows": rows}
+    for key, val in cols.items():
+        out[key] = np.full(rows.shape + val.shape[1:], np.nan)
+        out[key][rows] = val
+    return out
 
 
 def mass_action_force_activity(net: ReactionNetwork, x) -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +192,15 @@ def mass_action_force_activity(net: ReactionNetwork, x) -> tuple[np.ndarray, np.
     return f, w
 
 
-def entropy_production(pair: EdgePair) -> float:
-    """EPR <j, f> = sum (jplus - jminus) log(jplus / jminus) >= 0."""
-    return float(np.sum(pair.flux * pair.force))
+def entropy_production(pair: EdgePair):
+    """EPR <j, f> = sum (jplus - jminus) log(jplus / jminus) >= 0 (per row of a batch)."""
+    return _total(np.sum(pair.flux * pair.force, axis=-1))
 
 
-def pseudo_entropy_production(pair: EdgePair) -> float:
+def pseudo_entropy_production(pair: EdgePair):
     """Quadratic lower bound 2 sum (jplus - jminus)^2 / (jplus + jminus)."""
     d = pair.flux
-    return float(2.0 * np.sum(d * d / (pair.jplus + pair.jminus)))
+    return _total(2.0 * np.sum(d * d / (pair.jplus + pair.jminus), axis=-1))
 
 
 def wegscheider_check(net: ReactionNetwork, tol: float = 1e-10) -> dict:

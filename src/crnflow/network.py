@@ -14,16 +14,19 @@ side, and the state equation is xdot = -stoich @ flux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exact import kernel_basis
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True, eq=False)
 class ReactionNetwork:
-    """Immutable network with precomputed structure matrices.
+    """Immutable network; build_network precomputes every structure field
+    once and with_rates shares them.
 
     Attributes:
         species: species names, length n_species.
@@ -38,6 +41,12 @@ class ReactionNetwork:
             the left kernel of stoich (conserved quantities).
         cycle_basis: (n_edges, n_cycles) primitive-integer columns spanning
             the kernel of stoich (stoichiometric cycles).
+        head_compositions, tail_compositions: (n_species, n_edges) int
+            reactant/product composition per edge (monomial exponents).
+        factors: the sparse (species, power) form of [head | tail] that
+            the kinetics evaluate (see _factors).
+        stoich_image: (n_species, rank) orthonormal basis of im(stoich);
+            reduced_stoich = stoich_image.T @ stoich.
     """
 
     species: tuple[str, ...]
@@ -51,6 +60,11 @@ class ReactionNetwork:
     stoich: np.ndarray
     cons_basis: np.ndarray
     cycle_basis: np.ndarray
+    head_compositions: np.ndarray
+    tail_compositions: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    stoich_image: np.ndarray
+    reduced_stoich: np.ndarray
 
     @property
     def n_species(self) -> int:
@@ -83,16 +97,6 @@ class ReactionNetwork:
         return np.maximum(-self.incidence, 0)
 
     @property
-    def head_compositions(self) -> np.ndarray:
-        """(n_species, n_edges) reactant composition per edge."""
-        return self.composition @ self.incidence_pos
-
-    @property
-    def tail_compositions(self) -> np.ndarray:
-        """(n_species, n_edges) product composition per edge."""
-        return self.composition @ self.incidence_neg
-
-    @property
     def is_graph(self) -> bool:
         """True when every hypervertex is one unit of one species."""
         n = self.n_species
@@ -104,64 +108,79 @@ class ReactionNetwork:
         """Values of the conserved quantities at state x."""
         return self.cons_basis @ np.asarray(x, dtype=float)
 
-    # -- discrete differential operators ------------------------------
+    # -- discrete differential operators --------------------------------
+    # each takes one vector or a (T, n) batch of them, one per row
 
     def grad(self, y) -> np.ndarray:
         """Species potential -> edge force: stoich.T @ y."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_species,):
-            raise ValueError(f"expected length-{self.n_species} vector, got {y.shape}")
-        return self.stoich.T @ y
+        return matvec_rows(self.stoich.T, y)
 
     def div(self, j) -> np.ndarray:
         """Edge flux -> species production: stoich @ j (xdot = -div(j))."""
-        j = np.asarray(j, dtype=float)
-        if j.shape != (self.n_edges,):
-            raise ValueError(f"expected length-{self.n_edges} vector, got {j.shape}")
-        return self.stoich @ j
+        return matvec_rows(self.stoich, j)
 
     def curl(self, f) -> np.ndarray:
         """Edge force -> cycle affinities: cycle_basis.T @ f."""
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_edges,):
-            raise ValueError(f"expected length-{self.n_edges} vector, got {f.shape}")
-        return self.cycle_basis.T @ f
+        return matvec_rows(self.cycle_basis.T, f)
 
     def curl_adjoint(self, z) -> np.ndarray:
         """Cycle coordinates -> edge flux: cycle_basis @ z."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.n_cycles,):
-            raise ValueError(f"expected length-{self.n_cycles} vector, got {z.shape}")
-        return self.cycle_basis @ z
+        return matvec_rows(self.cycle_basis, z)
 
     def with_rates(self, kplus, kminus) -> "ReactionNetwork":
         """Same topology with new rate constants."""
         kp, km = _check_rates(kplus, kminus, self.n_edges)
-        return ReactionNetwork(
-            species=self.species,
-            hypervertices=self.hypervertices,
-            edges=self.edges,
-            kplus=kp,
-            kminus=km,
-            edge_labels=self.edge_labels,
-            composition=self.composition,
-            incidence=self.incidence,
-            stoich=self.stoich,
-            cons_basis=self.cons_basis,
-            cycle_basis=self.cycle_basis,
-        )
+        return replace(self, kplus=kp, kminus=km)
+
+
+def matvec_rows(mat: np.ndarray, v) -> np.ndarray:
+    """mat @ v for one vector v, or for each row of a (T, n) batch: a
+    stacked matmul over C-ordered rows runs the same matrix-vector product
+    once per row, so each row is bit-identical to the call on a contiguous
+    vector (a matrix product, or strided rows, can round differently).
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != mat.shape[1]:
+        raise ValueError(f"expected length-{mat.shape[1]} vector, got {v.shape}")
+    return mat @ v if v.ndim == 1 else (mat @ np.ascontiguousarray(v)[:, :, None])[:, :, 0]
 
 
 def _check_rates(kplus, kminus, n_edges: int) -> tuple[np.ndarray, np.ndarray]:
     kp = np.asarray(kplus, dtype=float).reshape(-1)
     km = np.asarray(kminus, dtype=float).reshape(-1)
     if kp.shape != (n_edges,) or km.shape != (n_edges,):
-        raise ValueError(
-            f"rate vectors must have length {n_edges}, got {kp.shape} and {km.shape}"
-        )
+        raise ValueError(f"rate vectors must have length {n_edges}, got {kp.shape} and {km.shape}")
     if not (np.all(kp > 0) and np.all(km > 0) and np.all(np.isfinite(kp)) and np.all(np.isfinite(km))):
         raise ValueError("rate constants must be finite and strictly positive")
     return kp, km
+
+
+def _orthonormal_image(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space, via SVD."""
+    m = np.asarray(mat, dtype=float)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((m.shape[0], 0))
+    r = int(np.sum(s > max(m.shape) * np.finfo(float).eps * s[0]))
+    return u[:, :r]
+
+
+def _factors(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse form of [head | tail]: species, float powers, column starts.
+
+    Each column lists its nonzero (species, power) pairs in ascending
+    species order, an empty complex the factor x_0 ** 0 = 1. A column's
+    product then equals the dense product over all species bit for bit.
+    """
+    factors, starts = [], []
+    for col in np.hstack([head, tail]).T:
+        starts.append(len(factors))
+        if head.size == 1 and col[0] == 2:  # numpy takes x ** E for a 1x1 E as x * x, not pow
+            factors += [(0, 1), (0, 1)]
+        else:
+            factors += [(i, col[i]) for i in np.flatnonzero(col)] or [(0, 0)]
+    species, powers = np.array(factors, dtype=int).reshape(-1, 2).T
+    return species, powers.astype(float), np.array(starts, dtype=int)
 
 
 def build_network(
@@ -185,7 +204,8 @@ def build_network(
 
     Raises:
         ValueError: on any structural defect (duplicates, bad indices,
-            self-loops, non-positive rates, shape mismatches).
+            self-loops, non-positive rates, shape mismatches, entries
+            beyond the int64 range).
     """
     names = tuple(str(s) for s in species)
     if len(names) == 0:
@@ -204,6 +224,8 @@ def build_network(
             )
         if any(c < 0 for c in row):
             raise ValueError(f"hypervertex {idx} has negative stoichiometry")
+        if any(c > _INT64_MAX for c in row):
+            raise ValueError(f"hypervertex {idx} has an entry beyond the int64 range")
         verts.append(row)
     if len(set(verts)) != len(verts):
         raise ValueError("duplicate hypervertices (identical compositions)")
@@ -236,9 +258,9 @@ def build_network(
         incidence[h, e] = 1
         incidence[t, e] = -1
     stoich = composition @ incidence
-
-    cons = kernel_basis(stoich.T)
-    cycles = kernel_basis(stoich).T
+    head = composition[:, [h for h, _ in pairs]]
+    tail = composition[:, [t for _, t in pairs]]
+    image = _orthonormal_image(stoich.astype(float))
 
     return ReactionNetwork(
         species=names,
@@ -250,8 +272,13 @@ def build_network(
         composition=composition,
         incidence=incidence,
         stoich=stoich,
-        cons_basis=cons,
-        cycle_basis=cycles,
+        cons_basis=kernel_basis(stoich.T),
+        cycle_basis=kernel_basis(stoich).T,
+        head_compositions=head,
+        tail_compositions=tail,
+        factors=_factors(head, tail),
+        stoich_image=image,
+        reduced_stoich=image.T @ stoich.astype(float),
     )
 
 

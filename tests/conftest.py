@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from crnflow import build_network
+
+# CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # populated by the release-gate tests, replayed after the run so the
 # one-line verdicts survive output capture

@@ -276,3 +276,11 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "species (2): A B" in proc.stdout
+
+
+def test_coefficient_beyond_int64_is_an_invalid_scenario(tmp_path, capsys):
+    scen = _scenario(tmp_path, network_text="species A B\nreaction r1: 99999999999999999999 A <-> B ; kf=1 kr=1\n")
+    code, _ = _run(tmp_path, "info", scen)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario:") and "int64 range" in err

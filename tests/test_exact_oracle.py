@@ -2,7 +2,6 @@
 guard, and its speed at scale."""
 
 import json
-import random
 import time
 
 import numpy as np
@@ -11,6 +10,7 @@ from exact_oracle import integer_rank as oracle_rank
 from exact_oracle import kernel_basis as oracle_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypergraphs import chain_hypergraph
 
 from crnflow import build_network
 from crnflow.cli import main
@@ -34,28 +34,6 @@ def _int_matrices(draw):
     return mat
 
 
-def _chain_hypergraph(n_species, n_edges, seed):
-    """Chain of edges between random 1-2 species complexes (coefficients 1-2)."""
-    rng = random.Random(seed)
-
-    def comp():
-        c = [0] * n_species
-        for s in rng.sample(range(n_species), rng.choice((1, 2))):
-            c[s] = rng.choice((1, 2))
-        return tuple(c)
-
-    chain = [comp()]
-    while len(chain) <= n_edges:
-        nxt = comp()
-        if nxt != chain[-1]:
-            chain.append(nxt)
-    verts = list(dict.fromkeys(chain))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[h], index[t]) for h, t in zip(chain, chain[1:])]
-    stoich = np.array([np.subtract(h, t) for h, t in zip(chain, chain[1:])], dtype=np.int64).T
-    return verts, edges, stoich
-
-
 @settings(max_examples=300, deadline=None)
 @given(_int_matrices())
 def test_random_matrices_match_oracle(m):
@@ -66,13 +44,13 @@ def test_random_matrices_match_oracle(m):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 30), st.integers(1, 60), st.integers(0, 2**32))
 def test_hypergraph_stoichiometry_matches_oracle(n_species, n_edges, seed):
-    _, _, stoich = _chain_hypergraph(n_species, n_edges, seed)
+    _, _, stoich = chain_hypergraph(n_species, n_edges, seed)
     _assert_matches_oracle(stoich)
     _assert_matches_oracle(stoich.T)
 
 
 def test_benchmark_sized_hypergraph_matches_oracle():
-    _, _, stoich = _chain_hypergraph(40, 80, 3)
+    _, _, stoich = chain_hypergraph(40, 80, 3)
     _assert_matches_oracle(stoich)
     _assert_matches_oracle(stoich.T)
 
@@ -98,7 +76,7 @@ def test_cli_reports_int64_overflow_as_invalid_scenario(tmp_path, capsys):
 
 
 def test_build_network_100x200_within_budget():
-    verts, edges, stoich = _chain_hypergraph(100, 200, 3)
+    verts, edges, stoich = chain_hypergraph(100, 200, 3)
     ones = np.ones(len(edges))
     start = time.perf_counter()
     net = build_network([f"S{s}" for s in range(100)], verts, edges, ones, ones)

@@ -119,3 +119,12 @@ def test_network_from_reactions_dedupes_hypervertices():
     assert net.edges == ((0, 1), (1, 2), (3, 4))
     with pytest.raises(ValueError, match="unknown species"):
         network_from_reactions(["X1"], [({"Y": 1}, {"X1": 1}, 1.0, 1.0)])
+
+
+def test_hypervertex_entry_beyond_int64_is_rejected():
+    big = 2**63
+    with pytest.raises(ValueError, match="hypervertex 0 has an entry beyond the int64 range"):
+        build_network(["A", "B"], [(big, 0), (0, 1)], [(0, 1)], [1.0], [1.0])
+    # the largest int64 itself is accepted
+    net = build_network(["A", "B"], [(big - 1, 0), (0, 1)], [(0, 1)], [1.0], [1.0])
+    assert net.head_compositions.tolist() == [[big - 1], [0]]
