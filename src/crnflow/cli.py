@@ -1,12 +1,15 @@
 """Command-line interface.
 
     crnflow <command> --scenario path/to/scenario.json [--out DIR]
-                      [--tol FLOAT] [--seed INT] [--sweep SPEC]
+                      [--tol FLOAT] [--sweep SPEC]
 
 Commands: info, simulate, equilibrium, decompose, effective-eq,
 effective-cycle, ledger, classify. Exit codes: 0 success, 1 usage or
 validation error, 2 solver failure, 3 integration halted at the
 positivity floor (partial artifacts are still written).
+
+--tol overrides the scenario's `tol`, the tolerance `classify` labels
+the state with (default 1e-8).
 
 --sweep runs the command once per value of one rate constant:
 `<label>.<kf|kr>=v1,v2,...` or `<label>.<kf|kr>=lo:hi:n` (n linearly
@@ -20,6 +23,7 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,23 +34,13 @@ from .fileio import (
     NetworkParseError,
     ScenarioConfig,
     _format_float,
+    _positive,
     emit_report_json,
     emit_schedule_csv,
     emit_trajectory_csv,
 )
 from .kinetics import ConvergenceError, classify_state, mass_action_flux, wegscheider_check
 from .network import ReactionNetwork
-
-COMMANDS = (
-    "info",
-    "simulate",
-    "equilibrium",
-    "decompose",
-    "effective-eq",
-    "effective-cycle",
-    "ledger",
-    "classify",
-)
 
 
 class _UsageError(Exception):
@@ -59,13 +53,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return _positive(text, "tol")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="crnflow", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", choices=_DISPATCH)
     p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--tol", type=float, default=None, help="override the scenario's check tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in reports (default 0)")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override the scenario's classify tolerance")
     p.add_argument("--sweep", default=None, help="rate sweep: <label>.<kf|kr>=v1,v2,... or lo:hi:n")
     return p
 
@@ -82,24 +82,35 @@ def _write(outdir: pathlib.Path, name: str, text: str) -> pathlib.Path:
     return path
 
 
-def _meta(scenario: ScenarioConfig, seed: int) -> dict:
-    return {
-        "seed": seed,
+def _report(scenario: ScenarioConfig, outdir: pathlib.Path, name: str, report: dict) -> None:
+    report["meta"] = {
         "network": scenario.network_path or "<inline>",
         "species": list(scenario.network.species),
         "edge_labels": list(scenario.network.edge_labels),
     }
+    print(f"wrote {_write(outdir, name, emit_report_json(report))}")
 
 
-def _run_simulation(scenario: ScenarioConfig) -> Trajectory:
-    net, sc = scenario.network, scenario
+def _reference(scenario: ScenarioConfig, wc: dict, command: str) -> np.ndarray:
+    """The scenario's x_ref, else the equilibrium state the rate constants admit."""
+    if scenario.x_ref is not None:
+        return scenario.x_ref
+    if not wc["is_equilibrium"]:
+        raise ValueError(
+            f"{command} needs an equilibrium-class network or an explicit x_ref: the rate constants "
+            "carry cycle affinity, so there is no equilibrium reference"
+        )
+    return np.exp(wc["potential"])
+
+
+def _run_simulation(sc: ScenarioConfig) -> Trajectory:
     kwargs = dict(grid=sc.grid, x_ref=sc.x_ref, rtol=sc.rtol, atol=sc.atol, positivity_floor=sc.positivity_floor)
-    if scenario.schedule is not None:
-        return simulate_timedep(net, scenario.x0, scenario.t_span, scenario.schedule, **kwargs)
-    return simulate(net, scenario.x0, scenario.t_span, **kwargs)
+    if sc.schedule is not None:
+        return simulate_timedep(sc.network, sc.x0, sc.t_span, sc.schedule, **kwargs)
+    return simulate(sc.network, sc.x0, sc.t_span, **kwargs)
 
 
-def _cmd_info(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_info(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
     wc = wegscheider_check(net)
     print(f"species ({net.n_species}): {' '.join(net.species)}")
@@ -117,7 +128,7 @@ def _cmd_info(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
     return 0
 
 
-def _cmd_simulate(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_simulate(scenario: ScenarioConfig, outdir, suffix) -> int:
     traj = _run_simulation(scenario)
     path = _write(outdir, f"trajectory{suffix}.csv", emit_trajectory_csv(traj))
     print(f"wrote {path} ({traj.times.size} rows)")
@@ -128,44 +139,31 @@ def _cmd_simulate(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
     return 0
 
 
-def _cmd_equilibrium(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_equilibrium(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
-    if scenario.x_ref is not None:
-        x_ref = scenario.x_ref
-    else:
-        wc = wegscheider_check(net)
-        if not wc["is_equilibrium"]:
-            raise ValueError(
-                "rate constants carry cycle affinity and no x_ref was given; "
-                "there is no equilibrium reference to project onto"
-            )
-        x_ref = np.exp(wc["potential"])
+    x_ref = _reference(scenario, wegscheider_check(net), "equilibrium")
     x_eq = geometry.equilibrium_point(net, scenario.x0, x_ref)
     cert = geometry.pythagoras_gap(net, scenario.x0, x_eq, x_ref)
-    report = {
-        "meta": _meta(scenario, seed),
+    _report(scenario, outdir, f"equilibrium{suffix}.json", {
         "x0": scenario.x0,
         "x_ref": x_ref,
         "x_eq": x_eq,
         "conserved_residual": float(np.max(np.abs(net.conserved(x_eq) - net.conserved(scenario.x0)), initial=0.0)),
         "pythagoras": cert,
-    }
-    path = _write(outdir, f"equilibrium{suffix}.json", emit_report_json(report))
-    print(f"wrote {path}")
+    })
     print(f"x_eq: {_fmt_vec(x_eq)}")
     print(f"pythagoras gap: {_format_float(cert['gap'])}")
     return 0
 
 
-def _cmd_decompose(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_decompose(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
     x = scenario.state if scenario.state is not None else scenario.x0
     pair = mass_action_flux(net, x)
     dissip = CoshDissipation(pair.activity)
     fsplit = geometry.flux_split(net, dissip, pair.flux)
     gsplit = geometry.force_split(net, dissip, pair.force)
-    report = {
-        "meta": _meta(scenario, seed),
+    _report(scenario, outdir, f"decompose{suffix}.json", {
         "state": np.asarray(x, dtype=float),
         "flux": pair.flux,
         "force": pair.force,
@@ -185,79 +183,60 @@ def _cmd_decompose(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
             "divergence_residual": gsplit["divergence_residual"],
             "iterations": gsplit["iterations"],
         },
-    }
-    path = _write(outdir, f"decompose{suffix}.json", emit_report_json(report))
-    print(f"wrote {path}")
+    })
     print(f"velocity residual: {_format_float(fsplit['velocity_residual'])}")
     print(f"divergence residual: {_format_float(gsplit['divergence_residual'])}")
     return 0
 
 
-def _closed_loop_deviation(net: ReactionNetwork, scenario: ScenarioConfig, traj, schedule) -> float:
-    redo = simulate_timedep(
-        net,
-        scenario.x0,
-        (float(schedule.times[0]), float(schedule.times[-1])),
-        schedule,
-        grid=schedule.times,
-        rtol=scenario.rtol,
-        atol=scenario.atol,
-        positivity_floor=scenario.positivity_floor,
+def _closed_loop_deviation(scenario: ScenarioConfig, traj, schedule) -> float:
+    t = schedule.times
+    redo = _run_simulation(
+        replace(scenario, t_span=(float(t[0]), float(t[-1])), grid=t, x_ref=None, schedule=schedule)
     )
-    base = traj.interpolate(schedule.times)
-    mirror = redo.interpolate(schedule.times)
+    base = traj.interpolate(t)
+    mirror = redo.interpolate(t)
     scale = float(np.max(np.abs(base)))
     return float(np.max(np.abs(mirror - base)) / scale)
 
 
-def _effective(scenario: ScenarioConfig, outdir, seed, suffix, name: str, rates, closed_loop: bool) -> dict:
+def _effective(scenario: ScenarioConfig, outdir, suffix, name: str, rates, closed_loop: bool) -> dict:
     net = scenario.network
     traj = _run_simulation(scenario)
     times = scenario.grid if scenario.grid is not None else traj.times
     schedule, cert = rates(net, traj, times=times)
-    report = {"meta": _meta(scenario, seed), "certificates": cert, "kappa": np.sqrt(net.kplus * net.kminus)}
+    report = {"certificates": cert, "kappa": np.sqrt(net.kplus * net.kminus)}
     report.update((f"max_{k}", float(v.max())) for k, v in cert.items() if k.endswith("_residual"))
     if closed_loop:
-        report["closed_loop_deviation"] = _closed_loop_deviation(net, scenario, traj, schedule)
+        report["closed_loop_deviation"] = _closed_loop_deviation(scenario, traj, schedule)
     _write(outdir, f"{name}_schedule{suffix}.csv", emit_schedule_csv(schedule, net.edge_labels))
-    path = _write(outdir, f"{name}{suffix}.json", emit_report_json(report))
-    print(f"wrote {path}")
+    _report(scenario, outdir, f"{name}{suffix}.json", report)
     return report
 
 
-def _cmd_effective_eq(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_effective_eq(scenario: ScenarioConfig, outdir, suffix) -> int:
     rates = geometry.effective_equilibrium_rates
-    report = _effective(scenario, outdir, seed, suffix, "effective_eq", rates, closed_loop=True)
+    report = _effective(scenario, outdir, suffix, "effective_eq", rates, closed_loop=True)
     print(f"closed-loop deviation (relative sup-norm): {_format_float(report['closed_loop_deviation'])}")
     print(f"max zeta residual: {_format_float(report['max_zeta_residual'])}")
     return 0
 
 
-def _cmd_effective_cycle(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_effective_cycle(scenario: ScenarioConfig, outdir, suffix) -> int:
     rates = geometry.effective_steady_rates
-    report = _effective(scenario, outdir, seed, suffix, "effective_cycle", rates, closed_loop=False)
+    report = _effective(scenario, outdir, suffix, "effective_cycle", rates, closed_loop=False)
     print(f"max steadiness residual: {_format_float(report['max_steady_residual'])}")
     return 0
 
 
-def _cmd_ledger(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
+def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
     wc = wegscheider_check(net)
-    if scenario.x_ref is not None:
-        x_ref = scenario.x_ref
-    elif wc["is_equilibrium"]:
-        x_ref = np.exp(wc["potential"])
-    else:
-        raise ValueError(
-            "ledger needs an equilibrium-class network or an explicit x_ref "
-            "(complex-balanced) reference state"
-        )
-    scenario.x_ref = x_ref
+    scenario = replace(scenario, x_ref=_reference(scenario, wc, "ledger"))
     traj = _run_simulation(scenario)
-    monitor = lyapunov_monitor(net, traj, x_ref)
+    monitor = lyapunov_monitor(net, traj, scenario.x_ref)
     report = {
-        "meta": _meta(scenario, seed),
-        "reference": x_ref,
+        "reference": scenario.x_ref,
         "lyapunov": {
             "max_derivative": monitor["max_derivative"],
             "nonincreasing": monitor["nonincreasing"],
@@ -272,8 +251,7 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
             "reference": balance["reference"],
         }
     _write(outdir, f"ledger_trajectory{suffix}.csv", emit_trajectory_csv(traj))
-    path = _write(outdir, f"ledger{suffix}.json", emit_report_json(report))
-    print(f"wrote {path}")
+    _report(scenario, outdir, f"ledger{suffix}.json", report)
     print(f"lyapunov nonincreasing: {monitor['nonincreasing']} "
           f"(max derivative {_format_float(monitor['max_derivative'])})")
     if "energy_balance" in report:
@@ -284,13 +262,10 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
     return 0
 
 
-def _cmd_classify(scenario: ScenarioConfig, outdir, tol, seed, suffix) -> int:
-    net = scenario.network
+def _cmd_classify(scenario: ScenarioConfig, outdir, suffix) -> int:
     x = scenario.state if scenario.state is not None else scenario.x0
-    result = classify_state(net, x, tol=tol if tol is not None else 1e-8)
-    report = {"meta": _meta(scenario, seed), "state": np.asarray(x, dtype=float), **result}
-    path = _write(outdir, f"classify{suffix}.json", emit_report_json(report))
-    print(f"wrote {path}")
+    result = classify_state(scenario.network, x, tol=scenario.tol if scenario.tol is not None else 1e-8)
+    _report(scenario, outdir, f"classify{suffix}.json", {"state": np.asarray(x, dtype=float), **result})
     print(f"label: {result['label']}")
     return 0
 
@@ -324,8 +299,8 @@ def _parse_sweep(spec: str, net: ReactionNetwork) -> tuple[str, str, np.ndarray]
         values = np.linspace(lo, hi, num)
     else:
         values = np.array([float(v) for v in tail.split(",") if v])
-    if values.size == 0 or not np.all(values > 0):
-        raise ValueError("sweep values must be positive and non-empty")
+    if values.size == 0 or not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("sweep values must be finite, positive and non-empty")
     return label, which, values
 
 
@@ -350,9 +325,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, NetworkParseError, ValueError) as e:
         print(f"error: invalid scenario: {e}", file=sys.stderr)
         return 1
+    if args.tol is not None:
+        scenario = replace(scenario, tol=args.tol)
 
     outdir = pathlib.Path(args.out)
-    tol = args.tol if args.tol is not None else scenario.tol
     handler = _DISPATCH[args.command]
 
     if args.sweep is None:
@@ -363,19 +339,17 @@ def main(argv=None) -> int:
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-        runs = []
-        for v in values:
-            import copy
-
-            sc = copy.copy(scenario)
-            sc.network = _apply_sweep_value(scenario.network, label, which, float(v))
-            runs.append((sc, f"__{label}.{which}={_format_float(float(v))}"))
+        runs = [
+            (replace(scenario, network=_apply_sweep_value(scenario.network, label, which, float(v))),
+             f"__{label}.{which}={_format_float(float(v))}")
+            for v in values
+        ]
 
     summary = []
     first_bad = 0
     for sc, suffix in runs:
         try:
-            code = handler(sc, outdir, tol, args.seed, suffix)
+            code = handler(sc, outdir, suffix)
         except ConvergenceError as e:
             print(f"error: solver failure: {e}", file=sys.stderr)
             code = 2

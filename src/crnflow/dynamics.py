@@ -45,12 +45,12 @@ class RateSchedule:
         t = np.asarray(self.times, dtype=float)
         kp = np.asarray(self.kplus, dtype=float)
         km = np.asarray(self.kminus, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-            raise ValueError("schedule times must be strictly increasing, length >= 2")
+        if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise ValueError("schedule times must be finite and strictly increasing, length >= 2")
         if kp.ndim != 2 or kp.shape[0] != t.size or km.shape != kp.shape:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
-        if not (np.all(kp > 0) and np.all(km > 0)):
-            raise ValueError("scheduled rates must be strictly positive")
+        if not np.all((kp > 0) & (km > 0) & np.isfinite(kp) & np.isfinite(km)):
+            raise ValueError("scheduled rates must be finite and strictly positive")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "kplus", kp)
         object.__setattr__(self, "kminus", km)
@@ -149,8 +149,8 @@ def _integrate(
         t0, t1 = 0.0, float(t_span)
     else:
         t0, t1 = (float(v) for v in t_span)
-    if not t1 > t0:
-        raise ValueError("time span must have t1 > t0")
+    if not -np.inf < t0 < t1 < np.inf:  # False for NaN too
+        raise ValueError("time span must be finite with t1 > t0")
 
     if schedule is None:
         def rhs(t, x):

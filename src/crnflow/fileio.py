@@ -20,12 +20,13 @@ Trajectory CSV uses 17 significant digits, locale-independent.
 from __future__ import annotations
 
 import json
+import pathlib
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RateSchedule, Trajectory
+from .dynamics import LEDGER_KEYS, RateSchedule, Trajectory
 from .network import ReactionNetwork, network_from_reactions
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
@@ -206,6 +207,25 @@ def load_network(path) -> ReactionNetwork:
 # -- scenario configs ---------------------------------------------------
 
 
+def _floats(value, what: str, ndim: int):
+    """value as a float array of ndim dimensions with finite entries."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        kind = ("a finite number", "a list of finite numbers", "a table of finite numbers")[ndim]
+        raise ValueError(f"{what} must be {kind}")
+    return arr
+
+
+def _positive(value, what: str) -> float:
+    value = float(_floats(value, what, 0))
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
 def _vector_from(value, net: ReactionNetwork, what: str) -> np.ndarray:
     if isinstance(value, dict):
         unknown = set(value) - set(net.species)
@@ -214,9 +234,8 @@ def _vector_from(value, net: ReactionNetwork, what: str) -> np.ndarray:
         missing = set(net.species) - set(value)
         if missing:
             raise ValueError(f"{what}: missing species {sorted(missing)}")
-        vec = np.array([float(value[s]) for s in net.species])
-    else:
-        vec = np.asarray(value, dtype=float)
+        value = [value[s] for s in net.species]
+    vec = _floats(value, what, 1)
     if vec.shape != (net.n_species,):
         raise ValueError(f"{what} must have length {net.n_species}")
     return vec
@@ -235,7 +254,11 @@ class ScenarioConfig:
         x_ref:    optional reference state (list or dict)
         state:    optional state for pointwise commands (defaults to x0)
         schedule: optional {times, kplus, kminus} rate tables
-        rtol, atol, positivity_floor, tol: optional positive floats
+        rtol, atol, positivity_floor: optional positive floats
+        tol:      optional positive float, the classify tolerance
+
+    Every number must be finite; a malformed field raises ValueError
+    naming it.
     """
 
     network: ReactionNetwork
@@ -253,16 +276,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=None) -> "ScenarioConfig":
-        import pathlib
-
         if not isinstance(data, dict):
             raise ValueError("scenario must be a JSON object")
         if "network_text" in data:
+            if not isinstance(data["network_text"], str):
+                raise ValueError("network_text must be a string")
             net = parse_network(data["network_text"])
             net_path = None
         elif "network" in data:
-            base = pathlib.Path(base_dir) if base_dir is not None else pathlib.Path(".")
-            net_path = str(base / data["network"])
+            if not isinstance(data["network"], str):
+                raise ValueError("network must be a path string")
+            net_path = str(pathlib.Path(base_dir if base_dir is not None else ".") / data["network"])
             net = load_network(net_path)
         else:
             raise ValueError("scenario needs 'network' (path) or 'network_text'")
@@ -274,9 +298,12 @@ class ScenarioConfig:
             raise ValueError("x0 must be strictly positive")
 
         if "t_span" in data:
-            t0, t1 = (float(v) for v in data["t_span"])
+            span = _floats(data["t_span"], "t_span", 1)
+            if span.size != 2:
+                raise ValueError("t_span must be [t0, t1]")
+            t0, t1 = (float(v) for v in span)
         else:
-            t0, t1 = 0.0, float(data.get("t_end", 10.0))
+            t0, t1 = 0.0, float(_floats(data.get("t_end", 10.0), "t_end", 0))
         if not t1 > t0:
             raise ValueError("time span must have t1 > t0")
 
@@ -284,9 +311,12 @@ class ScenarioConfig:
         if "grid" in data:
             g = data["grid"]
             if isinstance(g, dict):
-                grid = np.linspace(float(g["start"]), float(g["stop"]), int(g["num"]))
+                start, stop, num = (float(_floats(g.get(k), f"grid.{k}", 0)) for k in ("start", "stop", "num"))
+                if num < 0 or num != int(num):
+                    raise ValueError("grid.num must be a non-negative integer")
+                grid = np.linspace(start, stop, int(num))
             else:
-                grid = np.asarray(g, dtype=float)
+                grid = _floats(g, "grid", 1)
 
         x_ref = _vector_from(data["x_ref"], net, "x_ref") if "x_ref" in data else None
         state = _vector_from(data["state"], net, "state") if "state" in data else None
@@ -294,25 +324,18 @@ class ScenarioConfig:
         schedule = None
         if "schedule" in data:
             s = data["schedule"]
-            schedule = RateSchedule(
-                times=np.asarray(s["times"], dtype=float),
-                kplus=np.asarray(s["kplus"], dtype=float),
-                kminus=np.asarray(s["kminus"], dtype=float),
-            )
+            if not isinstance(s, dict):
+                raise ValueError("schedule must be an object with times, kplus and kminus")
+            ndims = {"times": 1, "kplus": 2, "kminus": 2}
+            schedule = RateSchedule(**{k: _floats(s.get(k), f"schedule.{k}", n) for k, n in ndims.items()})
             if schedule.n_edges != net.n_edges:
                 raise ValueError("schedule edge count does not match network")
 
         kwargs = {}
-        for key, default in (("rtol", 1e-8), ("atol", 1e-10), ("positivity_floor", 1e-12)):
-            val = float(data.get(key, default))
-            if val <= 0:
-                raise ValueError(f"{key} must be positive")
-            kwargs[key] = val
-        tol = data.get("tol")
-        if tol is not None:
-            tol = float(tol)
-            if tol <= 0:
-                raise ValueError("tol must be positive")
+        for key in ("rtol", "atol", "positivity_floor", "tol"):
+            value = data.get(key, getattr(cls, key))  # the class holds the defaults
+            if value is not None:
+                kwargs[key] = _positive(value, key)
 
         return cls(
             network=net,
@@ -322,15 +345,12 @@ class ScenarioConfig:
             x_ref=x_ref,
             state=state,
             schedule=schedule,
-            tol=tol,
             network_path=net_path,
             **kwargs,
         )
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        import pathlib
-
         p = pathlib.Path(path)
         with open(p, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -342,10 +362,9 @@ class ScenarioConfig:
 
 def emit_trajectory_csv(traj: Trajectory) -> str:
     """CSV text: t, x_<name>..., D, epr, pepr, psi, psistar, eta_<i>..."""
-    keys = ("divergence", "epr", "pepr", "psi", "psistar")
-    header = ["t"] + [f"x_{name}" for name in traj.species] + ["D", *keys[1:]]
+    header = ["t"] + [f"x_{name}" for name in traj.species] + ["D", *LEDGER_KEYS[1:]]
     header += [f"eta_{i}" for i in range(traj.eta.shape[1])]
-    ledger = [traj.ledger[k][:, None] for k in keys]
+    ledger = [traj.ledger[k][:, None] for k in LEDGER_KEYS]
     return _csv(header, np.hstack([traj.times[:, None], traj.states, *ledger, traj.eta]))
 
 

@@ -453,6 +453,8 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
         xs = np.asarray(traj.states, dtype=float)
     else:
         ts = np.asarray(times, dtype=float)
+        if not np.all((ts >= traj.times[0]) & (ts <= traj.times[-1])):  # no extrapolated states
+            raise ValueError("schedule sample times must lie within the trajectory's time span")
         xs = traj.interpolate(ts)
     if ts.size < 2:
         raise ValueError("need at least two sample times to build a schedule")

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_sweep_isolates_failures(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["r1=1,2", "r1.kq=1", "zz.kf=1", "r1.kf=", "r1.kf=0,-1", "r1.kf=1:2"],
+    ["r1=1,2", "r1.kq=1", "zz.kf=1", "r1.kf=", "r1.kf=0,-1", "r1.kf=1:2", "r1.kf=inf"],
 )
 def test_invalid_sweep_specs(tmp_path, capsys, spec):
     scen = _scenario(tmp_path)
@@ -284,3 +285,55 @@ def test_coefficient_beyond_int64_is_an_invalid_scenario(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid scenario:") and "int64 range" in err
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        ("info", {"grid": {"start": 0}}),
+        ("info", {"schedule": {"times": [0, 1], "kminus": [[1], [1]]}}),
+        ("info", {"t_end": [1]}),
+        ("info", {"x0": {"A": [1], "B": 1.0}}),
+        ("info", {"network_text": 5}),
+        ("simulate", {"t_end": float("inf")}),
+        ("simulate", {"rtol": float("nan")}),
+        ("classify", {"tol": float("nan")}),
+        ("classify", {"state": [float("inf"), 1.0]}),
+        ("simulate", {"schedule": {"times": [0, float("nan"), 2], "kplus": [[1]] * 3, "kminus": [[1]] * 3}}),
+        ("simulate", {"schedule": {"times": [0, 2], "kplus": [[1], [float("inf")]], "kminus": [[1], [1]]}}),
+    ],
+)
+def test_malformed_scenario_values_exit_one(tmp_path, capsys, command, data):
+    scen = _scenario(tmp_path, **data)  # json writes NaN and Infinity literals
+    start = time.perf_counter()
+    code, _ = _run(tmp_path, command, scen)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: invalid scenario:")
+
+
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys):
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
+    for bad in ("nan", "0", "-1", "x"):
+        code, out = _run(tmp_path, "classify", scen, "--tol", bad)
+        assert code == 1
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_seed_flag_is_gone(tmp_path, capsys):
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
+    code, _ = _run(tmp_path, "classify", scen, "--seed", "3")
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
+    code, out = _run(tmp_path, "classify", scen)
+    assert code == 0
+    assert "seed" not in json.loads((out / "classify.json").read_text())["meta"]
+
+
+def test_effective_schedule_past_the_trajectory_exits_one(tmp_path, capsys):
+    scen = _scenario(tmp_path, t_end=1.0, grid={"start": 0, "stop": 3, "num": 31})
+    code, out = _run(tmp_path, "effective-eq", scen)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: schedule sample times must lie within")
+    assert not (out / "effective_eq.json").exists()

@@ -80,6 +80,8 @@ def test_invalid_inputs(ab):
         simulate(ab, [1.0, -1.0], 1.0)
     with pytest.raises(ValueError, match="t1 > t0"):
         simulate(ab, [1.0, 1.0], (2.0, 1.0))
+    with pytest.raises(ValueError, match="t1 > t0"):
+        simulate(ab, [1.0, 1.0], np.inf)
 
 
 def test_rate_schedule_interpolation():
@@ -97,6 +99,12 @@ def test_rate_schedule_interpolation():
         RateSchedule(np.array([0.0, 0.0]), np.ones((2, 1)), np.ones((2, 1)))
     with pytest.raises(ValueError, match="positive"):
         RateSchedule(np.array([0.0, 1.0]), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="increasing"):
+        RateSchedule(np.array([0.0, np.nan, 2.0]), np.ones((3, 1)), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="increasing"):
+        RateSchedule(np.array([0.0, np.inf]), np.ones((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="positive"):
+        RateSchedule(np.array([0.0, 1.0]), np.ones((2, 1)), np.array([[1.0], [np.inf]]))
 
 
 def test_constant_schedule_reproduces_autonomous_run(brusselator):

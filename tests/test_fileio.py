@@ -293,6 +293,30 @@ def test_scenario_schedule():
             {"schedule": {"times": [0, 1], "kplus": [[1, 2], [1, 2]], "kminus": [[1, 2], [1, 2]]}},
             "edge count",
         ),
+        ({"grid": {"start": 0}}, "grid.stop"),
+        ({"grid": {"start": 0, "stop": 1, "num": 2.5}}, "grid.num"),
+        ({"grid": [0.0, float("nan")]}, "grid"),
+        ({"schedule": {"times": [0, 1], "kminus": [[1, 1, 1], [1, 1, 1]]}}, "schedule.kplus"),
+        ({"schedule": [0, 1]}, "schedule"),
+        ({"t_end": [1]}, "t_end"),
+        ({"t_span": [0.0, 1.0, 2.0]}, "t_span"),
+        ({"x0": {"X1": [1], "X2": 1.0}}, "x0"),
+        ({"network_text": 5}, "network_text"),
+        ({"t_end": float("inf")}, "t_end"),
+        ({"t_span": [float("-inf"), 1.0]}, "t_span"),
+        ({"rtol": float("nan")}, "rtol"),
+        ({"atol": [1e-10]}, "atol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"state": [float("inf"), 1.0]}, "state"),
+        ({"x_ref": [1.0, float("nan")]}, "x_ref"),
+        (
+            {"schedule": {"times": [0, float("nan"), 2], "kplus": [[1, 3, 1]] * 3, "kminus": [[1, 1, 1]] * 3}},
+            "schedule.times",
+        ),
+        (
+            {"schedule": {"times": [0, 2], "kplus": [[1, 3, 1], [1, float("inf"), 1]], "kminus": [[1, 1, 1]] * 2}},
+            "schedule.kplus",
+        ),
     ],
 )
 def test_scenario_validation(mutate, fragment):
@@ -307,6 +331,16 @@ def test_scenario_validation(mutate, fragment):
 def test_scenario_needs_network():
     with pytest.raises(ValueError, match="network"):
         ScenarioConfig.from_dict({"x0": [1.0], "t_end": 1.0})
+
+
+def test_scenario_network_must_be_a_path():
+    with pytest.raises(ValueError, match="network must be a path"):
+        ScenarioConfig.from_dict({"network": 5, "x0": [1.0], "t_end": 1.0})
+
+
+def test_scenario_null_tolerances_keep_the_defaults():
+    sc = ScenarioConfig.from_dict(_scenario_dict(rtol=None, tol=None))
+    assert (sc.rtol, sc.atol, sc.positivity_floor, sc.tol) == (1e-8, 1e-10, 1e-12, None)
 
 
 # -- report JSON and schedule CSV ------------------------------------------

@@ -290,3 +290,11 @@ def test_effective_schedule_closed_loop_short(brusselator):
     redo = simulate_timedep(brusselator, [1.0, 4.0], 2.0, schedule, grid=grid)
     dev = np.max(np.abs(redo.interpolate(grid) - traj.interpolate(grid)))
     assert dev / np.max(np.abs(traj.interpolate(grid))) < 1e-4
+
+
+@pytest.mark.parametrize("rates", [effective_equilibrium_rates, effective_steady_rates])
+@pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 31), np.linspace(-0.5, 1.0, 16)])
+def test_effective_schedules_refuse_to_extrapolate(brusselator, rates, times):
+    traj = simulate(brusselator, [1.0, 4.0], 1.0)
+    with pytest.raises(ValueError, match="time span"):
+        rates(brusselator, traj, times=times)
