@@ -151,6 +151,10 @@ def _integrate(
         t0, t1 = (float(v) for v in t_span)
     if not -np.inf < t0 < t1 < np.inf:  # False for NaN too
         raise ValueError("time span must be finite with t1 > t0")
+    if not 0.0 < rtol < np.inf:
+        raise ValueError("rtol must be finite and positive")
+    if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
+        raise ValueError("atol and positivity_floor must be finite and non-negative")
 
     if schedule is None:
         def rhs(t, x):
@@ -224,8 +228,10 @@ def simulate(
         grid: optional extra sample times; the ledger is evaluated at the
             union of the integrator's accepted steps and this grid.
         x_ref: optional reference state for the divergence column.
+        rtol, atol: integrator tolerances; rtol finite and positive,
+            atol finite and non-negative.
         positivity_floor: integration halts (Trajectory.halted = True)
-            when any component decays to this floor.
+            when any component decays to this floor (finite, >= 0).
     """
     return _integrate(net, x0, t_span, None, grid, x_ref, rtol, atol, positivity_floor)
 

@@ -3,8 +3,12 @@
 Species space splits into the image of the stoichiometric matrix and
 its orthogonal complement (spanned by the conserved quantities); edge
 space splits into the image of stoich.T and the cycle space. Every
-solver here is a small damped Newton iteration on a strictly convex
-objective posed in one of these subspaces:
+solver here runs one Bregman projection onto an affine subspace, in
+dual coordinates (_dual_projection): a damped Newton minimization of
+fn.dual_value(y0 + a.T @ lam) - <b, lam>. The solvers differ only in
+(a, b, y0): equilibrium_point passes (cons_basis, cons_basis @ x0,
+grad(x_ref)), velocity_dual (-reduced_stoich, stoich_image.T @ v, none)
+and force_split (reduced_stoich, 0, f).
 
   * equilibrium_point: Bregman projection of a reference state onto the
     stoichiometric leaf through x0 (the unique equilibrium sharing x0's
@@ -41,61 +45,74 @@ from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_ac
 from .network import ReactionNetwork, matvec_rows
 
 
-def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
-    """Damped Newton for smooth strictly convex objectives.
+def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
+    """Bregman projection onto an affine subspace, in dual coordinates.
 
-    Stops when the gradient's max norm falls below tol * scale. A full
-    step that contracts the gradient norm is accepted outright (near the
-    optimum the true objective decrease underflows double precision, so
-    a value-based test alone stalls); otherwise the step is Armijo
-    backtracked (halving, c = 1e-4) on the objective value, with an
-    eps-level slack absorbing rounding of the value itself.
+    Minimizes fn.dual_value(y) - <b, lam> over lam, where
+    y = y0 + a.T @ lam (a.T @ lam when y0 is None); the gradient
+    a @ fn.dual_grad(y) - b is the constraint mismatch. Damped Newton
+    from lam0 (zeros when None), stopping when the gradient's max norm
+    falls below tol. A full step that contracts the gradient norm is
+    accepted outright (near the optimum the true objective decrease
+    underflows double precision, so a value-based test alone stalls);
+    otherwise the step is Armijo backtracked (halving, c = 1e-4) on the
+    objective value, with an eps-level slack absorbing rounding of the
+    value itself. Returns (lam, y, iterations).
     """
-    z = np.asarray(z0, dtype=float).copy()
-    g = grad(z)
+    lam = np.zeros(a.shape[0]) if lam0 is None else np.asarray(lam0, dtype=float).copy()
+    if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
+        raise ValueError(f"{what}: input must be finite")
+
+    def y_of(lam):
+        return a.T @ lam if y0 is None else y0 + a.T @ lam
+
+    def grad(y):
+        return a @ fn.dual_grad(y) - b
+
+    y = y_of(lam)
+    g = grad(y)
     for it in range(max_iter + 1):
         gnorm = float(np.max(np.abs(g), initial=0.0))
-        if gnorm < tol * scale:
-            return z, it
+        if gnorm < tol:
+            return lam, y, it
         if it == max_iter:
             break
-        h = hess(z)
+        if hasattr(fn, "dual_hessian_diag"):
+            h = a @ (fn.dual_hessian_diag(y)[:, None] * a.T)
+        else:
+            h = a @ fn.dual_hessian(y) @ a.T
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(h, -g, rcond=None)
-        trial = z + step
-        g_trial = grad(trial)
+        trial = lam + step
+        y_trial = y_of(trial)
+        g_trial = grad(y_trial)
         if float(np.max(np.abs(g_trial), initial=0.0)) <= 0.9 * gnorm:
-            z, g = trial, g_trial
+            lam, y, g = trial, y_trial, g_trial
             continue
-        v0 = value(z)
+        v0 = fn.dual_value(y) - float(b @ lam)
         slope = float(g @ step)
         slack = 4.0 * np.finfo(float).eps * abs(v0)
         alpha = 1.0
         while alpha >= 1e-14:
-            trial = z + alpha * step
-            if value(trial) <= v0 + 1e-4 * alpha * slope + slack:
-                z = trial
+            trial = lam + alpha * step
+            y_trial = y_of(trial)
+            if fn.dual_value(y_trial) - float(b @ trial) <= v0 + 1e-4 * alpha * slope + slack:
+                lam, y = trial, y_trial
                 break
             alpha *= 0.5
         else:
             raise ConvergenceError(
-                f"{what}: line search stalled", best=z, residual=gnorm, iterations=it
+                f"{what}: line search stalled", best=lam, residual=gnorm, iterations=it
             )
-        g = grad(z)
+        g = grad(y)
     raise ConvergenceError(
         f"{what}: no convergence in {max_iter} iterations",
-        best=z,
+        best=lam,
         residual=float(np.max(np.abs(g), initial=0.0)),
         iterations=max_iter,
     )
-
-
-def _dual_hessian_matrix(potential, y: np.ndarray) -> np.ndarray:
-    if hasattr(potential, "dual_hessian_diag"):
-        return np.diag(potential.dual_hessian_diag(y))
-    return potential.dual_hessian(y)
 
 
 def equilibrium_point(
@@ -122,28 +139,9 @@ def equilibrium_point(
     x0 = np.asarray(x0, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     pot = KLPotential(n=net.n_species) if potential is None else potential
-    if net.n_conserved == 0:
-        return pot.dual_grad(pot.grad(x_ref))
     u = net.cons_basis.astype(float)
-    y_ref = pot.grad(x_ref)
-    target = u @ x0
-
-    def y_of(lam):
-        return y_ref + u.T @ lam
-
-    def value(lam):
-        return pot.dual_value(y_of(lam)) - float(target @ lam)
-
-    def grad(lam):
-        return u @ pot.dual_grad(y_of(lam)) - target
-
-    def hess(lam):
-        return u @ _dual_hessian_matrix(pot, y_of(lam)) @ u.T
-
-    lam, _ = _newton_minimize(
-        value, grad, hess, np.zeros(net.n_conserved), tol, 1.0, max_iter, "equilibrium_point"
-    )
-    return pot.dual_grad(y_of(lam))
+    _, y, _ = _dual_projection(pot, u, u @ x0, pot.grad(x_ref), None, tol, max_iter, "equilibrium_point")
+    return pot.dual_grad(y)
 
 
 def pythagoras_gap(
@@ -221,23 +219,7 @@ def velocity_dual(
     vnorm = float(np.max(np.abs(v), initial=0.0))
     if float(np.max(np.abs(resid), initial=0.0)) > 1e-9 * (1.0 + vnorm):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-
-    def force_of(mu):
-        return -qs.T @ mu
-
-    def value(mu):
-        return dissip.dual_value(force_of(mu)) - float((q.T @ v) @ mu)
-
-    def grad(mu):
-        return -qs @ dissip.dual_grad(force_of(mu)) - q.T @ v
-
-    def hess(mu):
-        return qs @ (dissip.dual_hessian_diag(force_of(mu))[:, None] * qs.T)
-
-    mu_init = np.zeros(q.shape[1]) if mu0 is None else np.asarray(mu0, dtype=float)
-    mu, iters = _newton_minimize(
-        value, grad, hess, mu_init, tol, 1.0, max_iter, "velocity_dual"
-    )
+    mu, _, iters = _dual_projection(dissip, -qs, q.T @ v, None, mu0, tol, max_iter, "velocity_dual")
     u = q @ mu
     force = -s.T @ u
     flux = dissip.dual_grad(force)
@@ -295,22 +277,7 @@ def force_split(
     f = np.asarray(f, dtype=float)
     s = net.stoich.astype(float)
     q, qs = net.stoich_image, net.reduced_stoich
-
-    def force_of(mu):
-        return f + qs.T @ mu
-
-    def value(mu):
-        return dissip.dual_value(force_of(mu))
-
-    def grad(mu):
-        return qs @ dissip.dual_grad(force_of(mu))
-
-    def hess(mu):
-        return qs @ (dissip.dual_hessian_diag(force_of(mu))[:, None] * qs.T)
-
-    mu_init = np.zeros(q.shape[1]) if mu0 is None else np.asarray(mu0, dtype=float)
-    mu, iters = _newton_minimize(value, grad, hess, mu_init, tol, 1.0, max_iter, "force_split")
-    force = force_of(mu)
+    mu, force, iters = _dual_projection(dissip, qs, np.zeros(len(qs)), f, mu0, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     y = q @ mu
     return {

@@ -6,6 +6,10 @@ from the network changes form: head/tail compositions are recomputed
 from the incidence matrix on every call, as the old properties did, and
 velocity_dual / force_split redo their SVD on every call. The effective
 loops return their (times, kplus, kminus) tables instead of a schedule.
+
+The geometry solvers keep their own generic Newton loop (_newton_minimize)
+with per-solver closures. KLPotential here is the ledger's subset, so
+callers of equilibrium_point pass the potential explicitly.
 """
 
 from dataclasses import dataclass
@@ -14,8 +18,9 @@ import numpy as np
 from scipy.integrate import simpson
 
 from crnflow.convex import _positive, _sqrt1p_sq_minus_1, _vec, stable_asinh
-from crnflow.geometry import _newton_minimize, _trajectory_samples
-from crnflow.kinetics import KineticSplit, wegscheider_check
+from crnflow.geometry import _trajectory_samples
+from crnflow.kinetics import ConvergenceError, KineticSplit, wegscheider_check
+from crnflow.network import ReactionNetwork
 
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
 
@@ -240,6 +245,111 @@ def lyapunov_monitor(net, traj, x_ref, tol: float = 1e-10) -> dict:
 
 
 # -- geometry -------------------------------------------------------------
+
+
+def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
+    """Damped Newton for smooth strictly convex objectives.
+
+    Stops when the gradient's max norm falls below tol * scale. A full
+    step that contracts the gradient norm is accepted outright (near the
+    optimum the true objective decrease underflows double precision, so
+    a value-based test alone stalls); otherwise the step is Armijo
+    backtracked (halving, c = 1e-4) on the objective value, with an
+    eps-level slack absorbing rounding of the value itself.
+    """
+    z = np.asarray(z0, dtype=float).copy()
+    g = grad(z)
+    for it in range(max_iter + 1):
+        gnorm = float(np.max(np.abs(g), initial=0.0))
+        if gnorm < tol * scale:
+            return z, it
+        if it == max_iter:
+            break
+        h = hess(z)
+        try:
+            step = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(h, -g, rcond=None)
+        trial = z + step
+        g_trial = grad(trial)
+        if float(np.max(np.abs(g_trial), initial=0.0)) <= 0.9 * gnorm:
+            z, g = trial, g_trial
+            continue
+        v0 = value(z)
+        slope = float(g @ step)
+        slack = 4.0 * np.finfo(float).eps * abs(v0)
+        alpha = 1.0
+        while alpha >= 1e-14:
+            trial = z + alpha * step
+            if value(trial) <= v0 + 1e-4 * alpha * slope + slack:
+                z = trial
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError(
+                f"{what}: line search stalled", best=z, residual=gnorm, iterations=it
+            )
+        g = grad(z)
+    raise ConvergenceError(
+        f"{what}: no convergence in {max_iter} iterations",
+        best=z,
+        residual=float(np.max(np.abs(g), initial=0.0)),
+        iterations=max_iter,
+    )
+
+
+def _dual_hessian_matrix(potential, y: np.ndarray) -> np.ndarray:
+    if hasattr(potential, "dual_hessian_diag"):
+        return np.diag(potential.dual_hessian_diag(y))
+    return potential.dual_hessian(y)
+
+
+def equilibrium_point(
+    net: ReactionNetwork,
+    x0,
+    x_ref,
+    potential=None,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """Bregman projection of x_ref onto the leaf through x0.
+
+    Minimizes the potential's divergence to x_ref subject to matching
+    x0's conserved quantities. Solved by Newton in the dual coordinates
+    y = grad(x_ref) + cons_basis.T @ lam, where the objective reduces to
+    dual_value(y) - <conserved(x0), lam>; its gradient is exactly the
+    conserved-quantity mismatch, so the returned state satisfies
+    |conserved(x) - conserved(x0)|_inf < tol. By construction
+    grad(x) - grad(x_ref) lies in the span of the conserved rows.
+
+    With no conserved quantities the leaf is the whole orthant and the
+    projection is x_ref itself.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    x_ref = np.asarray(x_ref, dtype=float)
+    pot = KLPotential(n=net.n_species) if potential is None else potential
+    if net.n_conserved == 0:
+        return pot.dual_grad(pot.grad(x_ref))
+    u = net.cons_basis.astype(float)
+    y_ref = pot.grad(x_ref)
+    target = u @ x0
+
+    def y_of(lam):
+        return y_ref + u.T @ lam
+
+    def value(lam):
+        return pot.dual_value(y_of(lam)) - float(target @ lam)
+
+    def grad(lam):
+        return u @ pot.dual_grad(y_of(lam)) - target
+
+    def hess(lam):
+        return u @ _dual_hessian_matrix(pot, y_of(lam)) @ u.T
+
+    lam, _ = _newton_minimize(
+        value, grad, hess, np.zeros(net.n_conserved), tol, 1.0, max_iter, "equilibrium_point"
+    )
+    return pot.dual_grad(y_of(lam))
 
 
 def _orthonormal_image(mat: np.ndarray) -> np.ndarray:

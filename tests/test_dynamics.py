@@ -82,6 +82,13 @@ def test_invalid_inputs(ab):
         simulate(ab, [1.0, 1.0], (2.0, 1.0))
     with pytest.raises(ValueError, match="t1 > t0"):
         simulate(ab, [1.0, 1.0], np.inf)
+    for rtol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="rtol"):
+            simulate(ab, [1.0, 1.0], 1.0, rtol=rtol)
+    for bad in (np.nan, np.inf, -1.0):
+        for key in ("atol", "positivity_floor"):
+            with pytest.raises(ValueError, match="atol and positivity_floor"):
+                simulate(ab, [1.0, 1.0], 1.0, **{key: bad})
 
 
 def test_rate_schedule_interpolation():

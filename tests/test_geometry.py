@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from crnflow import (
+    ConvergenceError,
     CoshDissipation,
     KLPotential,
     QuadraticPotential,
@@ -298,3 +299,54 @@ def test_effective_schedules_refuse_to_extrapolate(brusselator, rates, times):
     traj = simulate(brusselator, [1.0, 4.0], 1.0)
     with pytest.raises(ValueError, match="time span"):
         rates(brusselator, traj, times=times)
+
+
+# -- caller errors and solver failures -------------------------------------
+
+
+def _projection_calls(brusselator, abc, bad):
+    """One call per entry point, each with `bad` in its main input."""
+    diss = _mass_action_dissipation(brusselator, np.array([1.0, 4.0]))
+    return {
+        "equilibrium_point": lambda: equilibrium_point(abc, [1.0, bad, 1.0], [1.0, 1.0, 1.0]),
+        "velocity_dual": lambda: velocity_dual(brusselator, diss, [bad, 0.0]),
+        "flux_split": lambda: flux_split(brusselator, diss, [1.0, bad, 0.0]),
+        "force_split": lambda: force_split(brusselator, diss, [0.0, bad, 1.0]),
+        "cycle_dual": lambda: cycle_dual(brusselator, diss, [bad]),
+        "warm start": lambda: force_split(brusselator, diss, [0.0, 1.0, 1.0], mu0=[0.0, bad]),
+    }
+
+
+# an infinite input meets a zero in a matmul (inf * 0) before the check
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, projection",
+    [
+        ("equilibrium_point", "equilibrium_point"),
+        ("velocity_dual", "velocity_dual"),
+        ("flux_split", "velocity_dual"),
+        ("force_split", "force_split"),
+        ("cycle_dual", "force_split"),
+        ("warm start", "force_split"),
+    ],
+)
+def test_non_finite_input_is_a_value_error(brusselator, abc, name, projection, bad):
+    with pytest.raises(ValueError, match=f"^{projection}: input must be finite$"):
+        _projection_calls(brusselator, abc, bad)[name]()
+
+
+def test_solver_failure_reports_the_last_iterate(brusselator, abc):
+    diss = _mass_action_dissipation(brusselator, np.array([1.0, 4.0]))
+    far = {
+        "equilibrium_point": (lambda: equilibrium_point(abc, [50.0, 0.02, 7.0], [1.0, 1.0, 1.0], max_iter=1), abc.n_conserved),
+        "velocity_dual": (lambda: velocity_dual(brusselator, diss, [40.0, -25.0], max_iter=1), len(brusselator.reduced_stoich)),
+        "force_split": (lambda: force_split(brusselator, diss, [12.0, -9.0, 15.0], max_iter=1), len(brusselator.reduced_stoich)),
+    }
+    for name, (call, n_reduced) in far.items():
+        with pytest.raises(ConvergenceError) as err:
+            call()
+        assert str(err.value).startswith(f"{name}: no convergence in 1 iterations")
+        assert err.value.iterations == 1
+        assert err.value.best.shape == (n_reduced,)
+        assert err.value.residual > 1e-10

@@ -2,14 +2,19 @@
 
 tests/kinetics_oracle.py keeps the previous per-row implementations of the
 fluxes, the ledger, the Lyapunov monitor, the energy balance, the rate
-schedule (np.interp) and the effective-schedule loops. Every comparison
-here is exact: same shapes, same bytes, NaN rows and signed zeros
-included. Also times one flux evaluation on a 200x400 hypergraph.
+schedule (np.interp) and the effective-schedule loops, and the previous
+geometry solvers: one generic Newton loop fed per-solver closures. Every
+comparison here is exact (same shapes, same bytes, NaN rows and signed
+zeros included) except equilibrium_point under a diagonal-Hessian
+potential with two or more conserved quantities, whose Hessian rounds
+differently (test_projection_kl_hessian_rounding). Also times one flux
+evaluation on a 200x400 hypergraph.
 """
 
 import dataclasses
 import re
 import time
+from unittest import mock
 
 import kinetics_oracle as oracle
 import numpy as np
@@ -20,6 +25,10 @@ from hypothesis import strategies as st
 
 from crnflow import (
     ConvergenceError,
+    CoshDissipation,
+    KLPotential,
+    QuadraticDissipation,
+    QuadraticPotential,
     RateSchedule,
     Trajectory,
     build_network,
@@ -32,6 +41,7 @@ from crnflow import (
     simulate,
     simulate_timedep,
 )
+from crnflow import geometry
 from crnflow.dynamics import LEDGER_KEYS, _ledger_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -196,6 +206,95 @@ def test_long_runs_match_oracle(brusselator, brusselator_eq):
     eq = simulate(brusselator_eq, [1.0, 4.0], 5.0)
     got, want = energy_dissipation_balance(brusselator_eq, eq), oracle.energy_dissipation_balance(brusselator_eq, eq)
     _same(got["rhs"], want["rhs"])
+
+
+def _outcome(name, *args):
+    try:
+        return getattr(geometry, name)(*args)
+    except ConvergenceError as err:
+        return err
+
+
+def _same_outcome(got, want):
+    if isinstance(want, ConvergenceError):
+        assert isinstance(got, ConvergenceError) and str(got) == str(want)
+        assert got.iterations == want.iterations
+        _same(got.best, want.best)
+        _same(got.residual, want.residual)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _same(got[key], want[key])
+    else:
+        _same(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks(), st.data())
+def test_projections_match_oracle(net, data):
+    """Every dual-coordinate projection against the generic Newton loop."""
+    rng = np.random.default_rng(data.draw(SEEDS))
+    n, m, rank = net.n_species, net.n_edges, net.reduced_stoich.shape[0]
+    if data.draw(st.booleans()):
+        potential = KLPotential(n=n)
+        x_ref = np.exp(rng.normal(0.0, 1.0, n))
+    else:
+        root = rng.normal(0.0, 1.0, (n, n))
+        potential = QuadraticPotential(root @ root.T + n * np.eye(n), rng.normal(0.0, 1.0, n))
+        x_ref = rng.normal(0.0, 2.0, n)
+    if data.draw(st.booleans()):
+        dissip = CoshDissipation(np.exp(rng.normal(0.0, 1.0, m)))
+    else:
+        dissip = QuadraticDissipation(np.exp(rng.normal(0.0, 1.0, m)))
+    mu0 = data.draw(st.sampled_from([None, rng.normal(0.0, 1.0, rank)]))
+    max_iter = data.draw(st.sampled_from([1, 3, 100]))
+    x0 = np.exp(rng.normal(0.0, 1.0, n))
+    j = rng.normal(0.0, 2.0, m)
+    calls = {
+        "equilibrium_point": (net, x0, x_ref, potential, 1e-10, max_iter),
+        "velocity_dual": (net, dissip, -net.stoich @ j, mu0, 1e-10, max_iter),
+        "flux_split": (net, dissip, j, mu0, 1e-10, max_iter),
+        "force_split": (net, dissip, rng.normal(0.0, 2.0, m), mu0, 1e-10, max_iter),
+        "cycle_dual": (net, dissip, rng.normal(0.0, 2.0, net.n_cycles), mu0, 1e-10, max_iter),
+    }
+    # flux_split and cycle_dual reach the oracle through the names they call
+    old = {name: getattr(oracle, name) for name in ("equilibrium_point", "velocity_dual", "force_split")}
+    with mock.patch.multiple(geometry, **old):
+        want = {name: _outcome(name, *args) for name, args in calls.items()}
+    got = {name: _outcome(name, *args) for name, args in calls.items()}
+    if isinstance(potential, KLPotential) and net.n_conserved > 1:
+        # off-diagonal Hessian entries may round differently: see
+        # test_projection_kl_hessian_rounding
+        got_x, want_x = got.pop("equilibrium_point"), want.pop("equilibrium_point")
+        if isinstance(want_x, ConvergenceError):
+            assert isinstance(got_x, ConvergenceError) and str(got_x) == str(want_x)
+        else:
+            assert np.allclose(got_x, want_x, rtol=1e-11, atol=0.0)
+    for name in got:
+        _same_outcome(got[name], want[name])
+
+
+def test_projection_kl_hessian_rounding():
+    """The one place the shared projection is not bit-identical to the oracle.
+
+    The oracle built the KL Hessian as u diag(d) u.T, the projection builds
+    u (d u.T), its transpose. Off-diagonal entries, which exist only with
+    two or more conserved quantities, can round differently: with the rows
+    (1, 0, 3) and (0, 1, 5), (3 d) 5 and 3 (d 5) differ in about four
+    cases in ten. The Newton iterates then differ in the last bits; the
+    results agree to 1e-11 relative and both meet the conserved-quantity
+    tolerance.
+    """
+    net = build_network(["A", "B", "C"], [(3, 5, 0), (0, 0, 1)], [(0, 1)], [1.0], [1.0])
+    assert net.cons_basis.tolist() == [[1, 0, 3], [0, 1, 5]]
+    u = net.cons_basis.astype(float)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x0, x_ref = np.exp(rng.normal(0.0, 2.0, (2, 3)))
+        got = geometry.equilibrium_point(net, x0, x_ref)
+        want = oracle.equilibrium_point(net, x0, x_ref, KLPotential(n=3))
+        assert np.allclose(got, want, rtol=1e-11, atol=0.0)
+        assert np.max(np.abs(u @ got - u @ x0)) < 1e-10
 
 
 def test_square_on_one_species_one_edge_matches_oracle():
