@@ -39,7 +39,7 @@ from .fileio import (
     emit_schedule_csv,
     emit_trajectory_csv,
 )
-from .kinetics import ConvergenceError, classify_state, mass_action_flux, wegscheider_check
+from .kinetics import ConvergenceError, KineticSplit, classify_state, mass_action_flux, wegscheider_check
 from .network import ReactionNetwork
 
 
@@ -205,7 +205,7 @@ def _effective(scenario: ScenarioConfig, outdir, suffix, name: str, rates, close
     traj = _run_simulation(scenario)
     times = scenario.grid if scenario.grid is not None else traj.times
     schedule, cert = rates(net, traj, times=times)
-    report = {"certificates": cert, "kappa": np.sqrt(net.kplus * net.kminus)}
+    report = {"certificates": cert, "kappa": KineticSplit.from_rates(net.kplus, net.kminus).kappa}
     report.update((f"max_{k}", float(v.max())) for k, v in cert.items() if k.endswith("_residual"))
     if closed_loop:
         report["closed_loop_deviation"] = _closed_loop_deviation(scenario, traj, schedule)

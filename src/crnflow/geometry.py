@@ -27,10 +27,10 @@ and force_split (reduced_stoich, 0, f).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model. Both share one driver: only the warm-started per-sample
-    projections run one by one; the kinetics before and after them, the
-    rate tables and the certificates are evaluated for all samples at
-    once.
+    model. Each sample's (a, b, y0), as for velocity_dual or
+    force_split, goes straight to _dual_projection, warm-started from
+    the previous sample; the kinetics, rate tables and certificates are
+    evaluated for all samples at once.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -52,16 +52,18 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
     y = y0 + a.T @ lam (a.T @ lam when y0 is None); the gradient
     a @ fn.dual_grad(y) - b is the constraint mismatch. Damped Newton
     from lam0 (zeros when None), stopping when the gradient's max norm
-    falls below tol. A full step that contracts the gradient norm is
-    accepted outright (near the optimum the true objective decrease
-    underflows double precision, so a value-based test alone stalls);
-    otherwise the step is Armijo backtracked (halving, c = 1e-4) on the
-    objective value, with an eps-level slack absorbing rounding of the
-    value itself. Returns (lam, y, iterations).
+    falls below max(tol, 64 eps max|b|), above the rounding of b. A full
+    step that contracts the gradient norm is accepted outright (near the
+    optimum the true objective decrease underflows double precision, so
+    a value-based test alone stalls); otherwise the step is Armijo
+    backtracked (halving, c = 1e-4) on the objective value, with an
+    eps-level slack absorbing rounding of the value itself. Returns
+    (lam, y, iterations).
     """
     lam = np.zeros(a.shape[0]) if lam0 is None else np.asarray(lam0, dtype=float).copy()
     if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
         raise ValueError(f"{what}: input must be finite")
+    tol = max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(b), initial=0.0)))
 
     def y_of(lam):
         return a.T @ lam if y0 is None else y0 + a.T @ lam
@@ -130,7 +132,8 @@ def equilibrium_point(
     y = grad(x_ref) + cons_basis.T @ lam, where the objective reduces to
     dual_value(y) - <conserved(x0), lam>; its gradient is exactly the
     conserved-quantity mismatch, so the returned state satisfies
-    |conserved(x) - conserved(x0)|_inf < tol. By construction
+    |conserved(x) - conserved(x0)|_inf < max(tol, 64 eps |conserved(x0)|_inf),
+    an absolute test below totals of about 7e3, relative above. By construction
     grad(x) - grad(x_ref) lies in the span of the conserved rows.
 
     With no conserved quantities the leaf is the whole orthant and the
@@ -195,7 +198,6 @@ def velocity_dual(
     net: ReactionNetwork,
     dissip,
     v,
-    mu0=None,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
@@ -209,8 +211,8 @@ def velocity_dual(
     pair in the reduced coordinates.
 
     Returns dict with u, flux, force = -stoich.T u, value (primal
-    dissipation of the flux), dual_value, mu (reduced coordinates for
-    warm starts), iterations.
+    dissipation of the flux), dual_value, mu (u = stoich_image @ mu),
+    iterations.
     """
     v = np.asarray(v, dtype=float)
     s = net.stoich.astype(float)
@@ -219,7 +221,7 @@ def velocity_dual(
     vnorm = float(np.max(np.abs(v), initial=0.0))
     if float(np.max(np.abs(resid), initial=0.0)) > 1e-9 * (1.0 + vnorm):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-    mu, _, iters = _dual_projection(dissip, -qs, q.T @ v, None, mu0, tol, max_iter, "velocity_dual")
+    mu, _, iters = _dual_projection(dissip, -qs, q.T @ v, None, None, tol, max_iter, "velocity_dual")
     u = q @ mu
     force = -s.T @ u
     flux = dissip.dual_grad(force)
@@ -239,7 +241,6 @@ def flux_split(
     net: ReactionNetwork,
     dissip,
     j,
-    mu0=None,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
@@ -250,7 +251,7 @@ def flux_split(
     the cycle space. Reduces to velocity_dual at v = -stoich @ j.
     """
     j = np.asarray(j, dtype=float)
-    out = velocity_dual(net, dissip, -net.stoich.astype(float) @ j, mu0, tol, max_iter)
+    out = velocity_dual(net, dissip, -net.stoich.astype(float) @ j, tol=tol, max_iter=max_iter)
     out["j_input"] = j
     out["cycle_part"] = j - out["flux"]
     return out
@@ -260,7 +261,6 @@ def force_split(
     net: ReactionNetwork,
     dissip,
     f,
-    mu0=None,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
@@ -272,12 +272,13 @@ def force_split(
     minimum (the gradient of the objective is the flux divergence).
 
     Returns dict with force (the shifted force), flux, shift (stoich.T
-    y), y, mu, dual_value, value, iterations, divergence_residual.
+    y), y, mu (y = stoich_image @ mu), dual_value, value, iterations,
+    divergence_residual.
     """
     f = np.asarray(f, dtype=float)
     s = net.stoich.astype(float)
     q, qs = net.stoich_image, net.reduced_stoich
-    mu, force, iters = _dual_projection(dissip, qs, np.zeros(len(qs)), f, mu0, tol, max_iter, "force_split")
+    mu, force, iters = _dual_projection(dissip, qs, np.zeros(len(qs)), f, None, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     y = q @ mu
     return {
@@ -297,7 +298,6 @@ def cycle_dual(
     net: ReactionNetwork,
     dissip,
     zeta,
-    mu0=None,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
@@ -318,7 +318,7 @@ def cycle_dual(
         f0 = v @ np.linalg.solve(gram, zeta)
     else:
         f0 = np.zeros(net.n_edges)
-    fs = force_split(net, dissip, f0, mu0, tol, max_iter)
+    fs = force_split(net, dissip, f0, tol=tol, max_iter=max_iter)
     flux = fs["flux"]
     z = np.linalg.solve(gram, v.T @ flux) if net.n_cycles else np.zeros(0)
     lifted = v @ z
@@ -430,28 +430,19 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
     return ts, xs
 
 
-def _effective_rates(net, traj, times, solver, inputs_of, certify, tol, max_iter):
-    """Shared driver: solver (velocity_dual or force_split) projects
-    inputs_of(base)[i] at each sample, warm-started from the previous one;
-    kappa is kept and the equilibrium constants replaced to realize the
-    returned force. certify(base, inputs, new) reads the kinetics batches
-    before and after into the certificate columns.
-    """
-    ts, xs = _trajectory_samples(traj, times)
-    base = mass_action_batch(net, xs)
-    inputs = inputs_of(base)
-    forces = np.empty_like(base["force"])
-    iters = np.zeros(ts.size, dtype=int)
-    mu = None
-    for i in range(ts.size):
-        out = solver(net, CoshDissipation(base["activity"][i]), inputs[i], mu0=mu, tol=tol, max_iter=max_iter)
-        mu, iters[i], forces[i] = out["mu"], out["iterations"], out["force"]
-    root = np.sqrt(np.exp(forces - matvec_rows(net.stoich.T.astype(float), np.log(xs))))
-    kappa = KineticSplit.from_rates(net.kplus, net.kminus).kappa
-    kp_tab, km_tab = kappa * root, kappa / root
-    certificates = certify(base, inputs, mass_action_batch(net, xs, kp_tab, km_tab))
-    certificates["iterations"] = iters
-    return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), certificates
+def _warm_started(base, a, problems, tol, max_iter, what):
+    """Projects each sample's (b, y0) from the previous lam; stacked (lam, y, iterations)."""
+    solved = [(None, None, 0)]  # the first sample starts from lam = 0
+    for act, (b, y0) in zip(base["activity"], problems):
+        solved.append(_dual_projection(CoshDissipation(act), a, b, y0, solved[-1][0], tol, max_iter, what))
+    return tuple(map(np.array, zip(*solved[1:])))
+
+
+def _rate_schedule(net, ts, xs, forces):
+    """Rates with the network's kappa whose force at xs is forces, and their kinetics."""
+    keq = np.exp(forces - matvec_rows(net.stoich.T.astype(float), np.log(xs)))
+    kp_tab, km_tab = KineticSplit(KineticSplit.from_rates(net.kplus, net.kminus).kappa, keq).rates()
+    return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), mass_action_batch(net, xs, kp_tab, km_tab)
 
 
 def _sup(a: np.ndarray) -> np.ndarray:
@@ -470,16 +461,17 @@ def effective_equilibrium_rates(
     equals that gradient. Certificates per sample: the new force's
     cycle affinities (zeta_residual) and the relative velocity mismatch.
     """
-    def velocity(cols):
-        return -net.div(cols["flux"])
-
-    def certify(base, v, new):
-        return {
-            "zeta_residual": _sup(net.curl(new["force"])),
-            "velocity_residual": _sup(velocity(new) - v) / (1.0 + _sup(v)),
-        }
-
-    return _effective_rates(net, traj, times, velocity_dual, velocity, certify, tol, max_iter)
+    ts, xs = _trajectory_samples(traj, times)
+    base = mass_action_batch(net, xs)
+    v = -net.div(base["flux"])
+    q, qs, s = net.stoich_image, net.reduced_stoich, net.stoich.astype(float)
+    mus, _, iters = _warm_started(base, -qs, ((q.T @ vi, None) for vi in v), tol, max_iter, "velocity_dual")
+    schedule, new = _rate_schedule(net, ts, xs, np.array([-s.T @ (q @ mu) for mu in mus]))
+    return schedule, {
+        "zeta_residual": _sup(net.curl(new["force"])),
+        "velocity_residual": _sup(-net.div(new["flux"]) - v) / (1.0 + _sup(v)),
+        "iterations": iters,
+    }
 
 
 def effective_steady_rates(
@@ -494,10 +486,13 @@ def effective_steady_rates(
     Certificates per sample: the new flux's divergence
     (steady_residual) and the affinity drift (affinity_residual).
     """
-    def certify(base, f, new):
-        return {
-            "steady_residual": _sup(net.div(new["flux"])),
-            "affinity_residual": _sup(net.curl(new["force"]) - net.curl(f)),
-        }
-
-    return _effective_rates(net, traj, times, force_split, lambda cols: cols["force"], certify, tol, max_iter)
+    ts, xs = _trajectory_samples(traj, times)
+    base = mass_action_batch(net, xs)
+    f, qs = base["force"], net.reduced_stoich
+    _, forces, iters = _warm_started(base, qs, ((np.zeros(len(qs)), fi) for fi in f), tol, max_iter, "force_split")
+    schedule, new = _rate_schedule(net, ts, xs, forces)
+    return schedule, {
+        "steady_residual": _sup(net.div(new["flux"])),
+        "affinity_residual": _sup(net.curl(new["force"]) - net.curl(f)),
+        "iterations": iters,
+    }

@@ -1,8 +1,12 @@
-"""Seeded random hypergraphs shared by the scale and oracle tests."""
+"""Random hypergraphs shared by the scale, oracle and geometry tests: seeded
+chains, and a Hypothesis strategy of small networks."""
 
 import random
 
 import numpy as np
+from hypothesis import strategies as st
+
+from crnflow import build_network
 
 
 def chain_hypergraph(n_species, n_edges, seed):
@@ -29,3 +33,13 @@ def chain_hypergraph(n_species, n_edges, seed):
     edges = [(index[h], index[t]) for h, t in zip(chain, chain[1:])]
     stoich = np.array([np.subtract(h, t) for h, t in zip(chain, chain[1:])], dtype=np.int64).T
     return verts, edges, stoich
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 4))
+    verts = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=2, max_size=5, unique=True))
+    vertex = st.integers(0, len(verts) - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), min_size=1, max_size=5))
+    rates = st.lists(st.floats(0.05, 20.0), min_size=len(edges), max_size=len(edges))
+    return build_network([f"S{i}" for i in range(n)], verts, edges, draw(rates), draw(rates))

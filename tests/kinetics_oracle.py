@@ -9,7 +9,10 @@ loops return their (times, kplus, kminus) tables instead of a schedule.
 
 The geometry solvers keep their own generic Newton loop (_newton_minimize)
 with per-solver closures. KLPotential here is the ledger's subset, so
-callers of equilibrium_point pass the potential explicitly.
+callers of equilibrium_point pass the potential explicitly. One change
+to them is deliberate: equilibrium_point and velocity_dual stop at the
+package's rounding floor max(tol, 64 eps max|b|) (_floored), not at an
+absolute tol that a large b cannot meet (force_split has b = 0).
 """
 
 from dataclasses import dataclass
@@ -247,6 +250,10 @@ def lyapunov_monitor(net, traj, x_ref, tol: float = 1e-10) -> dict:
 # -- geometry -------------------------------------------------------------
 
 
+def _floored(tol, b):
+    return max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(b), initial=0.0)))
+
+
 def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
     """Damped Newton for smooth strictly convex objectives.
 
@@ -347,7 +354,7 @@ def equilibrium_point(
         return u @ _dual_hessian_matrix(pot, y_of(lam)) @ u.T
 
     lam, _ = _newton_minimize(
-        value, grad, hess, np.zeros(net.n_conserved), tol, 1.0, max_iter, "equilibrium_point"
+        value, grad, hess, np.zeros(net.n_conserved), _floored(tol, target), 1.0, max_iter, "equilibrium_point"
     )
     return pot.dual_grad(y_of(lam))
 
@@ -386,7 +393,7 @@ def velocity_dual(net, dissip, v, mu0=None, tol: float = 1e-10, max_iter: int = 
 
     mu_init = np.zeros(q.shape[1]) if mu0 is None else np.asarray(mu0, dtype=float)
     mu, iters = _newton_minimize(
-        value, grad, hess, mu_init, tol, 1.0, max_iter, "velocity_dual"
+        value, grad, hess, mu_init, _floored(tol, q.T @ v), 1.0, max_iter, "velocity_dual"
     )
     u = q @ mu
     force = -s.T @ u

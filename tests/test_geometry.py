@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypergraphs import networks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from crnflow import (
     ConvergenceError,
     CoshDissipation,
     KLPotential,
+    QuadraticDissipation,
     QuadraticPotential,
     complex_balance_force_split,
     cycle_dual,
@@ -23,6 +27,7 @@ from crnflow import (
     velocity_dual,
     wegscheider_check,
 )
+from crnflow.geometry import _dual_projection
 
 
 def _mass_action_dissipation(net, x):
@@ -79,6 +84,26 @@ def test_projection_quadratic_potential_matches_kkt_solve(abc):
     rhs = np.concatenate([spd @ x_ref, u @ x0])
     want = np.linalg.solve(kkt, rhs)[:3]
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+# from totals of about 1e3 the first full Newton step overflows exp; the
+# line search rejects it
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6, 1e7, 1e9])
+def test_projection_at_any_scale(abc, scale):
+    """A + B <-> C from x0 = (1, 2, 3) scale with x_ref = 1: the leaf keeps
+    A + C = 4 scale and B + C = 5 scale, and equilibrium means C = A B, so
+    A^2 + (scale + 1) A - 4 scale = 0 (solved without cancellation).
+    """
+    x0 = np.array([1.0, 2.0, 3.0]) * scale
+    a = 8.0 * scale / ((scale + 1.0) + np.sqrt((scale + 1.0) ** 2 + 16.0 * scale))
+    want = np.array([a, a + scale, 4.0 * scale - a])
+    got = equilibrium_point(abc, x0, np.ones(3))
+    assert np.max(np.abs(got / want - 1.0)) < 1e-6
+    u = abc.cons_basis.astype(float)
+    floor = max(1e-10, 64.0 * np.finfo(float).eps * np.max(np.abs(u @ x0)))
+    assert np.max(np.abs(u @ got - u @ x0)) < floor
 
 
 def test_pythagoras_identity(abc):
@@ -187,6 +212,47 @@ def test_force_split_certificates(brusselator, rand5):
             resid = np.linalg.lstsq(net.stoich.T.astype(float), out["shift"], rcond=None)[1]
             if resid.size:
                 assert float(resid[0]) < 1e-18
+
+
+def _outside(basis, vec):
+    """Sup norm of the part of vec outside the column span of basis."""
+    if basis.shape[1] == 0:
+        return float(np.max(np.abs(vec)))
+    return float(np.max(np.abs(basis @ np.linalg.lstsq(basis, vec, rcond=None)[0] - vec)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_quadratic_splits_are_the_weighted_hodge_split(net, seed):
+    """Under QuadraticDissipation(m) both splits are least-squares Hodge
+    splits of edge space: a gradient part in im(stoich.T) (for fluxes,
+    after dividing by m) and a rest in the cycle space (for forces, after
+    multiplying by m), orthogonal in the metric."""
+    rng = np.random.default_rng(seed)
+    m = np.exp(rng.normal(0.0, 1.0, net.n_edges))
+    dissip, w = QuadraticDissipation(m), np.sqrt(m)
+    st_, cycles = net.stoich.T.astype(float), net.cycle_basis.astype(float)
+
+    j = rng.normal(0.0, 2.0, net.n_edges)  # min |j - m stoich.T z|_(1/m)
+    z = np.linalg.lstsq(w[:, None] * st_, j / w, rcond=None)[0]
+    j_grad = m * (st_ @ z)
+    out = flux_split(net, dissip, j)
+    tol = 1e-8 * (1.0 + np.max(np.abs(j)))
+    assert np.max(np.abs(out["flux"] - j_grad)) < tol
+    assert np.max(np.abs(out["cycle_part"] - (j - j_grad))) < tol
+    assert _outside(st_, out["flux"] / m) < tol
+    assert _outside(cycles, out["cycle_part"]) < tol
+    assert abs(np.sum(out["flux"] * out["cycle_part"] / m)) < tol * (1.0 + np.max(np.abs(j)))
+
+    f = rng.normal(0.0, 2.0, net.n_edges)  # min |f + stoich.T y|_m
+    y = np.linalg.lstsq(w[:, None] * st_, -w * f, rcond=None)[0]
+    out = force_split(net, dissip, f)
+    tol = 1e-8 * (1.0 + np.max(np.abs(f)))
+    assert np.max(np.abs(out["force"] - (f + st_ @ y))) < tol
+    gradient = f - out["force"]
+    assert _outside(st_, gradient) < tol
+    assert _outside(cycles, m * out["force"]) < tol
+    assert abs(np.sum(m * gradient * out["force"])) < tol * (1.0 + np.max(np.abs(f)))
 
 
 def test_cycle_duality(brusselator):
@@ -313,7 +379,9 @@ def _projection_calls(brusselator, abc, bad):
         "flux_split": lambda: flux_split(brusselator, diss, [1.0, bad, 0.0]),
         "force_split": lambda: force_split(brusselator, diss, [0.0, bad, 1.0]),
         "cycle_dual": lambda: cycle_dual(brusselator, diss, [bad]),
-        "warm start": lambda: force_split(brusselator, diss, [0.0, 1.0, 1.0], mu0=[0.0, bad]),
+        "warm start": lambda: _dual_projection(
+            diss, brusselator.reduced_stoich, np.zeros(2), np.array([0.0, 1.0, 1.0]), [0.0, bad], 1e-10, 100, "force_split"
+        ),
     }
 
 
