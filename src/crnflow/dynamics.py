@@ -127,7 +127,7 @@ def _ledger_rows(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     rates = (None, None) if schedule is None else schedule(times)
     cols = mass_action_batch(net, states, *rates, x_ref=x_ref, ledger=True)
-    eta = states @ net.cons_basis.astype(float).T
+    eta = states @ net.cons_f.T  # one matrix product: row-wise conserved() rounds some rows differently
     return {k: cols[k] for k in LEDGER_KEYS}, eta
 
 
@@ -158,11 +158,11 @@ def _integrate(
 
     if schedule is None:
         def rhs(t, x):
-            return -net.stoich @ net_flux_raw(net, x)
+            return -net.div(net_flux_raw(net, x))
     else:
         def rhs(t, x):
             kp, km = schedule(t)
-            return -net.stoich @ net_flux_raw(net, x, kp, km)
+            return -net.div(net_flux_raw(net, x, kp, km))
 
     def floor_event(t, x):
         return float(np.min(x)) - positivity_floor

@@ -31,6 +31,7 @@ from .network import ReactionNetwork, network_from_reactions
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 _TERM_RE = re.compile(r"(\d+)?\s*([A-Za-z_]\w*)\Z")
+_SCENARIO_KEYS = "network network_text x0 t_end t_span grid x_ref state schedule rtol atol positivity_floor tol".split()
 
 
 class NetworkParseError(ValueError):
@@ -226,6 +227,13 @@ def _positive(value, what: str) -> float:
     return value
 
 
+def _known_keys(data: dict, keys, prefix: str = "") -> None:
+    """ValueError naming the first key of data that is not in keys."""
+    unknown = sorted(str(k) for k in set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {prefix}{unknown[0]}")
+
+
 def _vector_from(value, net: ReactionNetwork, what: str) -> np.ndarray:
     if isinstance(value, dict):
         unknown = set(value) - set(net.species)
@@ -257,8 +265,8 @@ class ScenarioConfig:
         rtol, atol, positivity_floor: optional positive floats
         tol:      optional positive float, the classify tolerance
 
-    Every number must be finite; a malformed field raises ValueError
-    naming it.
+    Every number must be finite; a malformed field or an unknown key
+    (top-level, grid or schedule) raises ValueError naming it.
     """
 
     network: ReactionNetwork
@@ -278,6 +286,7 @@ class ScenarioConfig:
     def from_dict(cls, data: dict, base_dir=None) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ValueError("scenario must be a JSON object")
+        _known_keys(data, _SCENARIO_KEYS)
         if "network_text" in data:
             if not isinstance(data["network_text"], str):
                 raise ValueError("network_text must be a string")
@@ -311,7 +320,9 @@ class ScenarioConfig:
         if "grid" in data:
             g = data["grid"]
             if isinstance(g, dict):
-                start, stop, num = (float(_floats(g.get(k), f"grid.{k}", 0)) for k in ("start", "stop", "num"))
+                keys = ("start", "stop", "num")
+                _known_keys(g, keys, "grid.")
+                start, stop, num = (float(_floats(g.get(k), f"grid.{k}", 0)) for k in keys)
                 if num < 0 or num != int(num):
                     raise ValueError("grid.num must be a non-negative integer")
                 grid = np.linspace(start, stop, int(num))
@@ -327,6 +338,7 @@ class ScenarioConfig:
             if not isinstance(s, dict):
                 raise ValueError("schedule must be an object with times, kplus and kminus")
             ndims = {"times": 1, "kplus": 2, "kminus": 2}
+            _known_keys(s, ndims, "schedule.")
             schedule = RateSchedule(**{k: _floats(s.get(k), f"schedule.{k}", n) for k, n in ndims.items()})
             if schedule.n_edges != net.n_edges:
                 raise ValueError("schedule edge count does not match network")

@@ -48,51 +48,56 @@ from .network import ReactionNetwork, matvec_rows
 def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
     """Bregman projection onto an affine subspace, in dual coordinates.
 
-    Minimizes fn.dual_value(y) - <b, lam> over lam, where
-    y = y0 + a.T @ lam (a.T @ lam when y0 is None); the gradient
-    a @ fn.dual_grad(y) - b is the constraint mismatch. Damped Newton
-    from lam0 (zeros when None), stopping when the gradient's max norm
-    falls below max(tol, 64 eps max|b|), above the rounding of b. A full
-    step that contracts the gradient norm is accepted outright (near the
-    optimum the true objective decrease underflows double precision, so
-    a value-based test alone stalls); otherwise the step is Armijo
-    backtracked (halving, c = 1e-4) on the objective value, with an
-    eps-level slack absorbing rounding of the value itself. Returns
-    (lam, y, iterations).
+    Minimizes fn.dual_value(y) - <b, lam> over lam, y = y0 + a.T @ lam
+    (a.T @ lam when y0 is None), by damped Newton from lam0 (zeros when
+    None); the gradient a @ fn.dual_grad(y) - b is the constraint
+    mismatch. Stops when its max norm falls below tol, or when a full
+    Newton step fails to contract it while it is below 64 eps s, s its
+    rounding scale at the iterate: max|b| or max(|a| @ (|dual_grad(y)| +
+    |H| @ r)), H the dual Hessian and r = |y0| + |a.T| @ |lam|, which
+    bounds y's own rounding. A full step that contracts the gradient norm
+    is accepted outright (near the optimum the objective's decrease
+    underflows); otherwise the step is Armijo backtracked (halving,
+    c = 1e-4) with an eps-level slack on the value. Trial steps that
+    overflow are rejected without a warning. Returns (lam, y, iterations).
     """
     lam = np.zeros(a.shape[0]) if lam0 is None else np.asarray(lam0, dtype=float).copy()
     if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
         raise ValueError(f"{what}: input must be finite")
-    tol = max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(b), initial=0.0)))
 
     def y_of(lam):
         return a.T @ lam if y0 is None else y0 + a.T @ lam
 
     def grad(y):
-        return a @ fn.dual_grad(y) - b
+        dual = fn.dual_grad(y)
+        return a @ dual - b, dual
 
+    diag, abs_a, y_size = hasattr(fn, "dual_hessian_diag"), np.abs(a), (0.0 if y0 is None else np.abs(y0))
     y = y_of(lam)
-    g = grad(y)
+    g, dual = grad(y)
     for it in range(max_iter + 1):
-        gnorm = float(np.max(np.abs(g), initial=0.0))
+        gnorm = float(_sup(g))
         if gnorm < tol:
             return lam, y, it
         if it == max_iter:
             break
-        if hasattr(fn, "dual_hessian_diag"):
-            h = a @ (fn.dual_hessian_diag(y)[:, None] * a.T)
-        else:
-            h = a @ fn.dual_hessian(y) @ a.T
+        hess = fn.dual_hessian_diag(y) if diag else fn.dual_hessian(y)
+        h = a @ (hess[:, None] * a.T) if diag else a @ hess @ a.T
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(h, -g, rcond=None)
         trial = lam + step
         y_trial = y_of(trial)
-        g_trial = grad(y_trial)
-        if float(np.max(np.abs(g_trial), initial=0.0)) <= 0.9 * gnorm:
-            lam, y, g = trial, y_trial, g_trial
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails the test below
+            g_trial, dual_trial = grad(y_trial)
+        if float(_sup(g_trial)) <= 0.9 * gnorm:
+            lam, y, g, dual = trial, y_trial, g_trial, dual_trial
             continue
+        r = y_size + abs_a.T @ np.abs(lam)
+        spread = np.abs(dual) + (hess * r if diag else np.abs(hess) @ r)
+        if gnorm < 64.0 * np.finfo(float).eps * float(max(_sup(b), _sup(abs_a @ spread))):
+            return lam, y, it  # Newton stalls at the gradient's rounding
         v0 = fn.dual_value(y) - float(b @ lam)
         slope = float(g @ step)
         slack = 4.0 * np.finfo(float).eps * abs(v0)
@@ -100,7 +105,9 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
         while alpha >= 1e-14:
             trial = lam + alpha * step
             y_trial = y_of(trial)
-            if fn.dual_value(y_trial) - float(b @ trial) <= v0 + 1e-4 * alpha * slope + slack:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = fn.dual_value(y_trial) - float(b @ trial)
+            if value <= v0 + 1e-4 * alpha * slope + slack:
                 lam, y = trial, y_trial
                 break
             alpha *= 0.5
@@ -108,11 +115,11 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
             raise ConvergenceError(
                 f"{what}: line search stalled", best=lam, residual=gnorm, iterations=it
             )
-        g = grad(y)
+        g, dual = grad(y)
     raise ConvergenceError(
         f"{what}: no convergence in {max_iter} iterations",
         best=lam,
-        residual=float(np.max(np.abs(g), initial=0.0)),
+        residual=float(_sup(g)),
         iterations=max_iter,
     )
 
@@ -132,18 +139,20 @@ def equilibrium_point(
     y = grad(x_ref) + cons_basis.T @ lam, where the objective reduces to
     dual_value(y) - <conserved(x0), lam>; its gradient is exactly the
     conserved-quantity mismatch, so the returned state satisfies
-    |conserved(x) - conserved(x0)|_inf < max(tol, 64 eps |conserved(x0)|_inf),
-    an absolute test below totals of about 7e3, relative above. By construction
+    |conserved(x) - conserved(x0)|_inf < max(tol, 64 eps s), s the
+    rounding scale of the totals at x (see _dual_projection; about
+    (1 + |y|) |cons_basis| @ x with the KL potential), whatever the
+    scale of x_ref. By construction
     grad(x) - grad(x_ref) lies in the span of the conserved rows.
 
     With no conserved quantities the leaf is the whole orthant and the
     projection is x_ref itself.
     """
-    x0 = np.asarray(x0, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     pot = KLPotential(n=net.n_species) if potential is None else potential
-    u = net.cons_basis.astype(float)
-    _, y, _ = _dual_projection(pot, u, u @ x0, pot.grad(x_ref), None, tol, max_iter, "equilibrium_point")
+    _, y, _ = _dual_projection(
+        pot, net.cons_f, net.conserved(x0), pot.grad(x_ref), None, tol, max_iter, "equilibrium_point"
+    )
     return pot.dual_grad(y)
 
 
@@ -166,14 +175,9 @@ def pythagoras_gap(
     and the returned gap is the numerical defect of that identity.
     """
     pot = KLPotential(n=net.n_species) if potential is None else potential
-    x = np.asarray(x, dtype=float)
-    x_mid = np.asarray(x_mid, dtype=float)
-    x_far = np.asarray(x_far, dtype=float)
-    u = net.cons_basis.astype(float)
-    leaf_res = float(np.max(np.abs(u @ (x - x_mid)), initial=0.0))
-    dual_res = float(
-        np.max(np.abs(net.stoich.T @ (pot.grad(x_far) - pot.grad(x_mid))), initial=0.0)
-    )
+    x, x_mid, x_far = (np.asarray(v, dtype=float) for v in (x, x_mid, x_far))
+    leaf_res = float(np.max(np.abs(net.conserved(x - x_mid)), initial=0.0))
+    dual_res = float(np.max(np.abs(net.grad(pot.grad(x_far) - pot.grad(x_mid))), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(x)))
     if leaf_res > membership_tol * scale:
         raise ValueError(f"x and x_mid are on different leaves (residual {leaf_res:.3e})")
@@ -215,15 +219,12 @@ def velocity_dual(
     iterations.
     """
     v = np.asarray(v, dtype=float)
-    s = net.stoich.astype(float)
     q, qs = net.stoich_image, net.reduced_stoich
-    resid = v - q @ (q.T @ v)
-    vnorm = float(np.max(np.abs(v), initial=0.0))
-    if float(np.max(np.abs(resid), initial=0.0)) > 1e-9 * (1.0 + vnorm):
+    if _sup(v - q @ (q.T @ v)) > 1e-9 * (1.0 + _sup(v)):
         raise ValueError("velocity is not realizable: not in the image of stoich")
     mu, _, iters = _dual_projection(dissip, -qs, q.T @ v, None, None, tol, max_iter, "velocity_dual")
     u = q @ mu
-    force = -s.T @ u
+    force = -net.grad(u)
     flux = dissip.dual_grad(force)
     return {
         "u": u,
@@ -233,7 +234,7 @@ def velocity_dual(
         "dual_value": dissip.dual_value(force),
         "mu": mu,
         "iterations": iters,
-        "velocity_residual": float(np.max(np.abs(s @ flux + v), initial=0.0)),
+        "velocity_residual": float(np.max(np.abs(net.div(flux) + v), initial=0.0)),
     }
 
 
@@ -251,7 +252,7 @@ def flux_split(
     the cycle space. Reduces to velocity_dual at v = -stoich @ j.
     """
     j = np.asarray(j, dtype=float)
-    out = velocity_dual(net, dissip, -net.stoich.astype(float) @ j, tol=tol, max_iter=max_iter)
+    out = velocity_dual(net, dissip, -net.div(j), tol=tol, max_iter=max_iter)
     out["j_input"] = j
     out["cycle_part"] = j - out["flux"]
     return out
@@ -276,21 +277,19 @@ def force_split(
     divergence_residual.
     """
     f = np.asarray(f, dtype=float)
-    s = net.stoich.astype(float)
     q, qs = net.stoich_image, net.reduced_stoich
     mu, force, iters = _dual_projection(dissip, qs, np.zeros(len(qs)), f, None, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
-    y = q @ mu
     return {
         "force": force,
         "flux": flux,
         "shift": force - f,
-        "y": y,
+        "y": q @ mu,
         "mu": mu,
         "value": dissip.value(flux),
         "dual_value": dissip.dual_value(force),
         "iterations": iters,
-        "divergence_residual": float(np.max(np.abs(s @ flux), initial=0.0)),
+        "divergence_residual": float(np.max(np.abs(net.div(flux)), initial=0.0)),
     }
 
 
@@ -309,19 +308,14 @@ def cycle_dual(
     divergence-free flux. (value, dual_value) are the induced conjugate
     pair on the cycle space.
     """
-    v = net.cycle_basis.astype(float)
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape != (net.n_cycles,):
         raise ValueError(f"expected {net.n_cycles} cycle affinities, got shape {zeta.shape}")
-    gram = v.T @ v
-    if net.n_cycles:
-        f0 = v @ np.linalg.solve(gram, zeta)
-    else:
-        f0 = np.zeros(net.n_edges)
-    fs = force_split(net, dissip, f0, tol=tol, max_iter=max_iter)
+    gram = net.cycle_f.T @ net.cycle_f  # (0, 0) without cycles: solve gives z = 0
+    fs = force_split(net, dissip, net.curl_adjoint(np.linalg.solve(gram, zeta)), tol=tol, max_iter=max_iter)
     flux = fs["flux"]
-    z = np.linalg.solve(gram, v.T @ flux) if net.n_cycles else np.zeros(0)
-    lifted = v @ z
+    z = np.linalg.solve(gram, net.curl(flux))
+    lifted = net.curl_adjoint(z)
     return {
         "force": fs["force"],
         "flux": flux,
@@ -349,8 +343,7 @@ def pseudo_hilbert_split(dissip, f, f_ref, level_tol: float = 1e-9) -> dict:
     Both identities are exact on the level set; their defects are
     returned for auditing.
     """
-    f = np.asarray(f, dtype=float)
-    f_ref = np.asarray(f_ref, dtype=float)
+    f, f_ref = np.asarray(f, dtype=float), np.asarray(f_ref, dtype=float)
     level_f = dissip.dual_value(f)
     level_ref = dissip.dual_value(f_ref)
     if abs(level_ref - level_f) > level_tol * (1.0 + abs(level_f)):
@@ -389,18 +382,15 @@ def complex_balance_force_split(
     dual_value(f_sym + f_anti) = dual_value(f_sym - f_anti) at every
     positive x, making (f_sym, f_anti) a valid pseudo-Hilbert split.
     """
-    x = np.asarray(x, dtype=float)
-    x_ref = np.asarray(x_ref, dtype=float)
+    x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
     ref_pair = mass_action_flux(net, x_ref)
     cb_residual = float(np.max(np.abs(net.incidence @ ref_pair.flux), initial=0.0))
     if cb_residual > tol:
         raise ValueError(
             f"reference state is not complex balanced (residual {cb_residual:.3e})"
         )
-    logk = np.log(net.kplus / net.kminus)
-    st = net.stoich.T.astype(float)
-    f_sym = st @ np.log(x / x_ref)
-    f_anti = logk + st @ np.log(x_ref)
+    f_sym = net.grad(np.log(x / x_ref))
+    f_anti = np.log(net.kplus / net.kminus) + net.grad(np.log(x_ref))
     pair = mass_action_flux(net, x)
     dissip = CoshDissipation(pair.activity)
     return {
@@ -440,13 +430,13 @@ def _warm_started(base, a, problems, tol, max_iter, what):
 
 def _rate_schedule(net, ts, xs, forces):
     """Rates with the network's kappa whose force at xs is forces, and their kinetics."""
-    keq = np.exp(forces - matvec_rows(net.stoich.T.astype(float), np.log(xs)))
+    keq = np.exp(forces - net.grad(np.log(xs)))
     kp_tab, km_tab = KineticSplit(KineticSplit.from_rates(net.kplus, net.kminus).kappa, keq).rates()
     return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), mass_action_batch(net, xs, kp_tab, km_tab)
 
 
 def _sup(a: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(a), axis=-1, initial=0.0)
+    return np.abs(a).max(axis=-1, initial=0.0)
 
 
 def effective_equilibrium_rates(
@@ -464,9 +454,9 @@ def effective_equilibrium_rates(
     ts, xs = _trajectory_samples(traj, times)
     base = mass_action_batch(net, xs)
     v = -net.div(base["flux"])
-    q, qs, s = net.stoich_image, net.reduced_stoich, net.stoich.astype(float)
+    q, qs = net.stoich_image, net.reduced_stoich
     mus, _, iters = _warm_started(base, -qs, ((q.T @ vi, None) for vi in v), tol, max_iter, "velocity_dual")
-    schedule, new = _rate_schedule(net, ts, xs, np.array([-s.T @ (q @ mu) for mu in mus]))
+    schedule, new = _rate_schedule(net, ts, xs, -net.grad(matvec_rows(q, mus)))
     return schedule, {
         "zeta_residual": _sup(net.curl(new["force"])),
         "velocity_residual": _sup(-net.div(new["flux"]) - v) / (1.0 + _sup(v)),

@@ -186,7 +186,7 @@ def mass_action_force_activity(net: ReactionNetwork, x) -> tuple[np.ndarray, np.
     if x.shape != (net.n_species,) or not np.all(x > 0):
         raise ValueError("state must be strictly positive with matching length")
     logx = np.log(x)
-    f = np.log(net.kplus / net.kminus) + net.stoich.T @ logx
+    f = np.log(net.kplus / net.kminus) + net.grad(logx)
     half_sum = 0.5 * (net.head_compositions + net.tail_compositions).T @ logx
     w = 2.0 * np.sqrt(net.kplus * net.kminus) * np.exp(half_sum)
     return f, w
@@ -213,10 +213,9 @@ def wegscheider_check(net: ReactionNetwork, tol: float = 1e-10) -> dict:
     stoich.T (zero iff the condition holds).
     """
     logk = np.log(net.kplus / net.kminus)
-    affinity = net.cycle_basis.T.astype(float) @ logk
-    st = net.stoich.T.astype(float)
-    y, *_ = np.linalg.lstsq(st, -logk, rcond=None)
-    residual = logk + st @ y
+    affinity = net.curl(logk)
+    y, *_ = np.linalg.lstsq(net.stoich_f.T, -logk, rcond=None)
+    residual = logk + net.grad(y)
     return {
         "is_equilibrium": bool(np.max(np.abs(affinity), initial=0.0) < tol),
         "cycle_affinity": affinity,
@@ -241,7 +240,7 @@ def classify_state(net: ReactionNetwork, x, tol: float = 1e-8) -> dict:
     j = pair.flux
     flux_residual = float(np.max(np.abs(j), initial=0.0))
     complex_residual = float(np.max(np.abs(net.incidence @ j), initial=0.0))
-    species_residual = float(np.max(np.abs(net.stoich @ j), initial=0.0))
+    species_residual = float(np.max(np.abs(net.div(j)), initial=0.0))
     if flux_residual < tol:
         label = "detailed_balance"
     elif complex_residual < tol:
@@ -280,12 +279,11 @@ def find_steady_state(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (net.n_species,) or not np.all(x > 0):
         raise ValueError("x0 must be a strictly positive state")
-    u = net.cons_basis.astype(float)
-    target = u @ x
+    target = net.conserved(x)
 
     def residual(xv):
         pair = mass_action_flux(net, xv)
-        return np.concatenate([net.stoich @ pair.flux, u @ xv - target]), pair
+        return np.concatenate([net.div(pair.flux), net.conserved(xv) - target]), pair
 
     r, pair = residual(x)
     scale = 1.0 + float(np.max(np.abs(r)))
@@ -293,7 +291,7 @@ def find_steady_state(
         norm = float(np.max(np.abs(r)))
         if norm < tol * scale:
             return x
-        jac = np.vstack([net.stoich @ _flux_jacobian(net, x, pair), u])
+        jac = np.vstack([net.stoich_f @ _flux_jacobian(net, x, pair), net.cons_f])
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         while alpha > 1e-14:

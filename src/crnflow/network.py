@@ -45,6 +45,8 @@ class ReactionNetwork:
             reactant/product composition per edge (monomial exponents).
         factors: the sparse (species, power) form of [head | tail] that
             the kinetics evaluate (see _factors).
+        stoich_f, cons_f, cycle_f: float64 copies of stoich, cons_basis and
+            cycle_basis (same layout); the operators below multiply by them.
         stoich_image: (n_species, rank) orthonormal basis of im(stoich);
             reduced_stoich = stoich_image.T @ stoich.
     """
@@ -63,6 +65,9 @@ class ReactionNetwork:
     head_compositions: np.ndarray
     tail_compositions: np.ndarray
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    stoich_f: np.ndarray
+    cons_f: np.ndarray
+    cycle_f: np.ndarray
     stoich_image: np.ndarray
     reduced_stoich: np.ndarray
 
@@ -87,16 +92,6 @@ class ReactionNetwork:
         return self.cycle_basis.shape[1]
 
     @property
-    def incidence_pos(self) -> np.ndarray:
-        """Head part of the incidence matrix (entries max(B, 0))."""
-        return np.maximum(self.incidence, 0)
-
-    @property
-    def incidence_neg(self) -> np.ndarray:
-        """Tail part of the incidence matrix (entries max(-B, 0))."""
-        return np.maximum(-self.incidence, 0)
-
-    @property
     def is_graph(self) -> bool:
         """True when every hypervertex is one unit of one species."""
         n = self.n_species
@@ -104,28 +99,28 @@ class ReactionNetwork:
             self.composition, np.eye(n, dtype=np.int64)
         )
 
-    def conserved(self, x) -> np.ndarray:
-        """Values of the conserved quantities at state x."""
-        return self.cons_basis @ np.asarray(x, dtype=float)
-
     # -- discrete differential operators --------------------------------
     # each takes one vector or a (T, n) batch of them, one per row
 
+    def conserved(self, x) -> np.ndarray:
+        """State -> conserved quantities: cons_basis @ x."""
+        return matvec_rows(self.cons_f, x)
+
     def grad(self, y) -> np.ndarray:
         """Species potential -> edge force: stoich.T @ y."""
-        return matvec_rows(self.stoich.T, y)
+        return matvec_rows(self.stoich_f.T, y)
 
     def div(self, j) -> np.ndarray:
         """Edge flux -> species production: stoich @ j (xdot = -div(j))."""
-        return matvec_rows(self.stoich, j)
+        return matvec_rows(self.stoich_f, j)
 
     def curl(self, f) -> np.ndarray:
         """Edge force -> cycle affinities: cycle_basis.T @ f."""
-        return matvec_rows(self.cycle_basis.T, f)
+        return matvec_rows(self.cycle_f.T, f)
 
     def curl_adjoint(self, z) -> np.ndarray:
         """Cycle coordinates -> edge flux: cycle_basis @ z."""
-        return matvec_rows(self.cycle_basis, z)
+        return matvec_rows(self.cycle_f, z)
 
     def with_rates(self, kplus, kminus) -> "ReactionNetwork":
         """Same topology with new rate constants."""
@@ -258,9 +253,11 @@ def build_network(
         incidence[h, e] = 1
         incidence[t, e] = -1
     stoich = composition @ incidence
+    cons_basis, cycle_basis = kernel_basis(stoich.T), kernel_basis(stoich).T
+    stoich_f = stoich.astype(float)
     head = composition[:, [h for h, _ in pairs]]
     tail = composition[:, [t for _, t in pairs]]
-    image = _orthonormal_image(stoich.astype(float))
+    image = _orthonormal_image(stoich_f)
 
     return ReactionNetwork(
         species=names,
@@ -272,13 +269,16 @@ def build_network(
         composition=composition,
         incidence=incidence,
         stoich=stoich,
-        cons_basis=kernel_basis(stoich.T),
-        cycle_basis=kernel_basis(stoich).T,
+        cons_basis=cons_basis,
+        cycle_basis=cycle_basis,
         head_compositions=head,
         tail_compositions=tail,
         factors=_factors(head, tail),
+        stoich_f=stoich_f,
+        cons_f=cons_basis.astype(float),
+        cycle_f=cycle_basis.astype(float),
         stoich_image=image,
-        reduced_stoich=image.T @ stoich.astype(float),
+        reduced_stoich=image.T @ stoich_f,
     )
 
 
@@ -338,11 +338,9 @@ def graph_laplacian(net: ReactionNetwork) -> np.ndarray:
 
     Only defined when the composition matrix is the identity; the linear
     dynamics then reads xdot = -L x with
-    L = B (diag(kplus) Bpos.T - diag(kminus) Bneg.T).
+    L = stoich (diag(kplus) head.T - diag(kminus) tail.T), where stoich
+    is the incidence matrix and head/tail its +1/-1 parts.
     """
     if not net.is_graph:
         raise ValueError("graph_laplacian requires a graph-type network (composition = identity)")
-    bpos = net.incidence_pos.astype(float)
-    bneg = net.incidence_neg.astype(float)
-    b = net.incidence.astype(float)
-    return b @ (net.kplus[:, None] * bpos.T - net.kminus[:, None] * bneg.T)
+    return net.stoich_f @ (net.kplus[:, None] * net.head_compositions.T - net.kminus[:, None] * net.tail_compositions.T)

@@ -4,15 +4,21 @@ as they were before the batched implementation: kept as a test oracle.
 The bodies are the previous code, copied verbatim. Only what they read
 from the network changes form: head/tail compositions are recomputed
 from the incidence matrix on every call, as the old properties did, and
-velocity_dual / force_split redo their SVD on every call. The effective
-loops return their (times, kplus, kminus) tables instead of a schedule.
+velocity_dual / force_split redo their SVD on every call. Products with
+stoich.T use a float copy of stoich, as the package's grad does. The
+effective loops return their (times, kplus, kminus) tables instead of a
+schedule.
 
 The geometry solvers keep their own generic Newton loop (_newton_minimize)
 with per-solver closures. KLPotential here is the ledger's subset, so
 callers of equilibrium_point pass the potential explicitly. One change
-to them is deliberate: equilibrium_point and velocity_dual stop at the
-package's rounding floor max(tol, 64 eps max|b|) (_floored), not at an
-absolute tol that a large b cannot meet (force_split has b = 0).
+to them is deliberate: equilibrium_point, velocity_dual and force_split
+also stop, as the package does, when a full Newton step stalls below the
+rounding floor of the gradient at the iterate (_floored), not only at an
+absolute tol that a large b, or large fluxes with b = 0 (force_split),
+cannot meet.
+Like the package, the Newton loop evaluates trial steps without overflow
+warnings; such a step fails its acceptance test.
 """
 
 from dataclasses import dataclass
@@ -30,12 +36,12 @@ LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
 
 def head_compositions(net):
     """(n_species, n_edges) reactant composition per edge."""
-    return net.composition @ net.incidence_pos
+    return net.composition @ np.maximum(net.incidence, 0)
 
 
 def tail_compositions(net):
     """(n_species, n_edges) product composition per edge."""
-    return net.composition @ net.incidence_neg
+    return net.composition @ np.maximum(-net.incidence, 0)
 
 
 # -- kinetics -------------------------------------------------------------
@@ -236,7 +242,7 @@ def lyapunov_monitor(net, traj, x_ref, tol: float = 1e-10) -> dict:
         if not np.all(x > 0):
             continue
         pair = mass_action_flux(net, x)
-        deriv[i] = -float(pair.flux @ (net.stoich.T @ np.log(x / x_ref)))
+        deriv[i] = -float(pair.flux @ (net.stoich.T.astype(float) @ np.log(x / x_ref)))
     finite = deriv[np.isfinite(deriv)]
     max_deriv = float(np.max(finite, initial=-np.inf))
     return {
@@ -250,14 +256,26 @@ def lyapunov_monitor(net, traj, x_ref, tol: float = 1e-10) -> dict:
 # -- geometry -------------------------------------------------------------
 
 
-def _floored(tol, b):
-    return max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(b), initial=0.0)))
+def _floored(fn, a, b, y0, y_of):
+    """Rounding floor of the gradient at z: 64 eps times the larger of
+    max|b| and max(|a| @ (|dual_grad(y)| + |H(y)| @ (|y0| + |a.T| @ |z|))),
+    y = y_of(z) the iterate and H the dual Hessian there."""
+
+    def floor(z):
+        y = y_of(z)
+        r = np.abs(y0) + np.abs(a.T) @ np.abs(z)
+        scale = np.abs(a) @ (np.abs(fn.dual_grad(y)) + np.abs(_dual_hessian_matrix(fn, y)) @ r)
+        scale = max(np.max(np.abs(b), initial=0.0), np.max(scale, initial=0.0))
+        return 64.0 * np.finfo(float).eps * float(scale)
+
+    return floor
 
 
-def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
+def _newton_minimize(value, grad, hess, z0, tol, floor, max_iter, what):
     """Damped Newton for smooth strictly convex objectives.
 
-    Stops when the gradient's max norm falls below tol * scale. A full
+    Stops when the gradient's max norm falls below tol, or when a full
+    step fails to contract it while it is below floor(z). A full
     step that contracts the gradient norm is accepted outright (near the
     optimum the true objective decrease underflows double precision, so
     a value-based test alone stalls); otherwise the step is Armijo
@@ -268,7 +286,7 @@ def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
     g = grad(z)
     for it in range(max_iter + 1):
         gnorm = float(np.max(np.abs(g), initial=0.0))
-        if gnorm < tol * scale:
+        if gnorm < tol:
             return z, it
         if it == max_iter:
             break
@@ -278,17 +296,22 @@ def _newton_minimize(value, grad, hess, z0, tol, scale, max_iter, what):
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(h, -g, rcond=None)
         trial = z + step
-        g_trial = grad(trial)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_trial = grad(trial)
         if float(np.max(np.abs(g_trial), initial=0.0)) <= 0.9 * gnorm:
             z, g = trial, g_trial
             continue
+        if gnorm < floor(z):
+            return z, it
         v0 = value(z)
         slope = float(g @ step)
         slack = 4.0 * np.finfo(float).eps * abs(v0)
         alpha = 1.0
         while alpha >= 1e-14:
             trial = z + alpha * step
-            if value(trial) <= v0 + 1e-4 * alpha * slope + slack:
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_value = value(trial)
+            if trial_value <= v0 + 1e-4 * alpha * slope + slack:
                 z = trial
                 break
             alpha *= 0.5
@@ -353,9 +376,9 @@ def equilibrium_point(
     def hess(lam):
         return u @ _dual_hessian_matrix(pot, y_of(lam)) @ u.T
 
-    lam, _ = _newton_minimize(
-        value, grad, hess, np.zeros(net.n_conserved), _floored(tol, target), 1.0, max_iter, "equilibrium_point"
-    )
+    lam0 = np.zeros(net.n_conserved)
+    floor = _floored(pot, u, target, y_ref, y_of)
+    lam, _ = _newton_minimize(value, grad, hess, lam0, tol, floor, max_iter, "equilibrium_point")
     return pot.dual_grad(y_of(lam))
 
 
@@ -392,9 +415,8 @@ def velocity_dual(net, dissip, v, mu0=None, tol: float = 1e-10, max_iter: int = 
         return qs @ (dissip.dual_hessian_diag(force_of(mu))[:, None] * qs.T)
 
     mu_init = np.zeros(q.shape[1]) if mu0 is None else np.asarray(mu0, dtype=float)
-    mu, iters = _newton_minimize(
-        value, grad, hess, mu_init, _floored(tol, q.T @ v), 1.0, max_iter, "velocity_dual"
-    )
+    floor = _floored(dissip, -qs, q.T @ v, 0.0, force_of)
+    mu, iters = _newton_minimize(value, grad, hess, mu_init, tol, floor, max_iter, "velocity_dual")
     u = q @ mu
     force = -s.T @ u
     flux = dissip.dual_grad(force)
@@ -429,7 +451,8 @@ def force_split(net, dissip, f, mu0=None, tol: float = 1e-10, max_iter: int = 10
         return qs @ (dissip.dual_hessian_diag(force_of(mu))[:, None] * qs.T)
 
     mu_init = np.zeros(q.shape[1]) if mu0 is None else np.asarray(mu0, dtype=float)
-    mu, iters = _newton_minimize(value, grad, hess, mu_init, tol, 1.0, max_iter, "force_split")
+    floor = _floored(dissip, qs, np.zeros(len(qs)), f, force_of)
+    mu, iters = _newton_minimize(value, grad, hess, mu_init, tol, floor, max_iter, "force_split")
     force = force_of(mu)
     flux = dissip.dual_grad(force)
     y = q @ mu

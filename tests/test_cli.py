@@ -301,6 +301,7 @@ def test_coefficient_beyond_int64_is_an_invalid_scenario(tmp_path, capsys):
         ("classify", {"state": [float("inf"), 1.0]}),
         ("simulate", {"schedule": {"times": [0, float("nan"), 2], "kplus": [[1]] * 3, "kminus": [[1]] * 3}}),
         ("simulate", {"schedule": {"times": [0, 2], "kplus": [[1], [float("inf")]], "kminus": [[1], [1]]}}),
+        ("simulate", {"t_ned": 40}),
     ],
 )
 def test_malformed_scenario_values_exit_one(tmp_path, capsys, command, data):

@@ -317,6 +317,13 @@ def test_scenario_schedule():
             {"schedule": {"times": [0, 2], "kplus": [[1, 3, 1], [1, float("inf"), 1]], "kminus": [[1, 1, 1]] * 2}},
             "schedule.kplus",
         ),
+        ({"t_ned": 40}, "unknown key t_ned"),
+        ({"rtoll": 1e-6}, "unknown key rtoll"),
+        ({"grid": {"start": 0, "stop": 1, "num": 3, "step": 0.5}}, "unknown key grid.step"),
+        (
+            {"schedule": {"times": [0, 1], "kplus": [[1, 3, 1]] * 2, "kminus": [[1, 1, 1]] * 2, "kmninus": 1}},
+            "unknown key schedule.kmninus",
+        ),
     ],
 )
 def test_scenario_validation(mutate, fragment):

@@ -86,10 +86,6 @@ def test_projection_quadratic_potential_matches_kkt_solve(abc):
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-# from totals of about 1e3 the first full Newton step overflows exp; the
-# line search rejects it
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6, 1e7, 1e9])
 def test_projection_at_any_scale(abc, scale):
     """A + B <-> C from x0 = (1, 2, 3) scale with x_ref = 1: the leaf keeps
@@ -104,6 +100,20 @@ def test_projection_at_any_scale(abc, scale):
     u = abc.cons_basis.astype(float)
     floor = max(1e-10, 64.0 * np.finfo(float).eps * np.max(np.abs(u @ x0)))
     assert np.max(np.abs(u @ got - u @ x0)) < floor
+
+
+def test_projection_from_a_far_reference(abc):
+    """x0 = (1, 2, 3) 1e-6 with x_ref = 1e9: equilibrium means
+    C = A B / 1e9 on the leaf A + C = 4e-6, B + C = 5e-6. The stopping
+    floor follows the iterate down to these totals instead of keeping the
+    rounding scale of the start, which is 1e15 times larger."""
+    s, k = 1e-6, 1e-9
+    x0 = np.array([1.0, 2.0, 3.0]) * s
+    a = 8.0 * s / ((1.0 + k * s) + np.sqrt((1.0 + k * s) ** 2 + 16.0 * k * s))
+    want = np.array([a, a + s, k * a * (a + s)])
+    got = equilibrium_point(abc, x0, np.full(3, 1e9))
+    assert np.max(np.abs(abc.conserved(got) - abc.conserved(x0))) < 1e-10
+    assert np.max(np.abs(got / want - 1.0)) < 1e-4  # tol 1e-10 on totals of 5e-6
 
 
 def test_pythagoras_identity(abc):
@@ -212,6 +222,19 @@ def test_force_split_certificates(brusselator, rand5):
             resid = np.linalg.lstsq(net.stoich.T.astype(float), out["shift"], rcond=None)[1]
             if resid.size:
                 assert float(resid[0]) < 1e-18
+
+
+def test_force_split_from_a_large_gradient_force(brusselator):
+    """A pure gradient force of size 60 has no cycle part, so its split
+    force and flux are zero. At the start the fluxes are near sinh(30),
+    about 5e12; the stopping floor must follow them down, not stay at
+    their rounding."""
+    diss = _mass_action_dissipation(brusselator, np.array([1.0, 2.0]))
+    f = -brusselator.grad(np.array([1.0, -0.5]))
+    out = force_split(brusselator, diss, 60.0 * f / np.max(np.abs(f)))
+    assert out["iterations"] < 100
+    assert out["divergence_residual"] < 1e-9
+    assert np.max(np.abs(out["force"])) < 1e-9
 
 
 def _outside(basis, vec):

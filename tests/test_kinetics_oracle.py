@@ -200,14 +200,18 @@ def test_long_runs_match_oracle(brusselator, brusselator_eq):
 
 
 def test_large_velocities_match_oracle(brusselator):
-    """Velocities near 1e8, where the velocity projection stops at its
-    rounding floor 64 eps max|b| rather than at tol; at these fluxes the
-    steady model's force projection (b = 0) fails on both sides."""
+    """Velocities near 1e8, where both projections stop at their rounding
+    floor rather than at tol: the velocity projection's scales with max|b|,
+    the steady model's force projection (b = 0) with the fluxes. Both
+    schedules converge, and match the oracle."""
     xs = np.array([[300.0, 600.0], [350.0, 500.0], [400.0, 450.0]])
     q = brusselator.stoich_image
     b = q.T @ (-brusselator.stoich @ mass_action_flux(brusselator, xs[0]).flux)
     assert 64.0 * np.finfo(float).eps * np.max(np.abs(b)) > 1e-10
-    _assert_effective_match(brusselator, _trajectory(brusselator, xs))
+    traj = _trajectory(brusselator, xs)
+    for rates in (effective_equilibrium_rates, effective_steady_rates):
+        assert np.all(rates(brusselator, traj)[1]["iterations"] < 100)
+    _assert_effective_match(brusselator, traj)
 
 
 def _outcome(name, *args, **kwargs):
