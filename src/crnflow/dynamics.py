@@ -1,7 +1,8 @@
 """Time integration of mass-action dynamics with a thermodynamic ledger.
 
 The state equation xdot = -stoich @ flux(x) is integrated with the
-Dormand-Prince 5(4) pair (scipy's RK45) at tight tolerances, with a
+Dormand-Prince 5(4) pair at tight tolerances (crnflow.rk45, which
+reproduces scipy's RK45 bit for bit without importing scipy), with a
 terminal event that halts integration before any component crosses a
 positivity floor. Alongside the states, each trajectory carries a ledger
 of scalar observables per sample time: relative entropy to an optional
@@ -16,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from .convex import KLPotential
 from .kinetics import ConvergenceError, mass_action_batch, net_flux_raw, wegscheider_check
 from .network import ReactionNetwork
+from .rk45 import integrate, simpson
 
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
 
@@ -97,7 +98,9 @@ class Trajectory:
     Ledger columns (each shape (n_times,)): divergence (relative entropy
     to the reference state, nan when no reference was given), epr, pepr,
     psi, psistar. eta holds the conserved-quantity values, shape
-    (n_times, n_conserved).
+    (n_times, n_conserved). stats counts the integrator's work: accepted
+    steps, rejected steps and right-hand-side evaluations (nfev); it is
+    written to no artifact.
     """
 
     times: np.ndarray
@@ -108,6 +111,7 @@ class Trajectory:
     halted: bool = False
     halt_reason: str | None = None
     dense: object = field(default=None, repr=False)
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -167,19 +171,7 @@ def _integrate(
     def floor_event(t, x):
         return float(np.min(x)) - positivity_floor
 
-    floor_event.terminal = True
-    floor_event.direction = -1.0
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        x0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[floor_event],
-    )
+    sol = integrate(rhs, t0, t1, x0, rtol, atol, floor_event)
     if sol.status == -1:
         raise ConvergenceError(f"integration failed: {sol.message}")
 
@@ -193,7 +185,7 @@ def _integrate(
     states = sol.sol(times).T
     # pin the integrator's own accepted states exactly
     accepted = np.searchsorted(times, sol.t)
-    states[accepted] = sol.y.T
+    states[accepted] = sol.y
 
     ledger, eta = _ledger_rows(net, times, states, x_ref, schedule)
     reason = None
@@ -208,6 +200,7 @@ def _integrate(
         halted=halted,
         halt_reason=reason,
         dense=sol.sol,
+        stats=sol.stats,
     )
 
 

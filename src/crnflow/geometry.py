@@ -44,6 +44,13 @@ from .dynamics import RateSchedule, Trajectory
 from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
 from .network import ReactionNetwork, matvec_rows
 
+# Longest first trial of a line search, as a max-norm move of the dual
+# coordinates y. A Newton step from far off the optimum (a KL reference
+# 1e15 below the totals) can move y by 1e15, which 46 halvings leave at
+# 50; from 64 they reach 1e-12. A move of 64 scales a KL state by e^64,
+# far beyond the steps line searches accept: the cap skips trials that fail.
+DUAL_STEP = 64.0
+
 
 def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
     """Bregman projection onto an affine subspace, in dual coordinates.
@@ -58,8 +65,10 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
     bounds y's own rounding. A full step that contracts the gradient norm
     is accepted outright (near the optimum the objective's decrease
     underflows); otherwise the step is Armijo backtracked (halving,
-    c = 1e-4) with an eps-level slack on the value. Trial steps that
-    overflow are rejected without a warning. Returns (lam, y, iterations).
+    c = 1e-4, 47 trials) with an eps-level slack on the value, from the
+    largest power-of-two fraction that moves y by at most DUAL_STEP.
+    Trial steps that overflow are rejected without a warning. Returns
+    (lam, y, iterations).
     """
     lam = np.zeros(a.shape[0]) if lam0 is None else np.asarray(lam0, dtype=float).copy()
     if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
@@ -101,8 +110,9 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
         v0 = fn.dual_value(y) - float(b @ lam)
         slope = float(g @ step)
         slack = 4.0 * np.finfo(float).eps * abs(v0)
-        alpha = 1.0
-        while alpha >= 1e-14:
+        dy = float(_sup(a.T @ step))
+        alpha = 0.5 ** int(np.ceil(np.log2(dy / DUAL_STEP))) if DUAL_STEP < dy < np.inf else 1.0
+        for _ in range(47):  # alpha down to 2**-46 of its start
             trial = lam + alpha * step
             y_trial = y_of(trial)
             with np.errstate(over="ignore", invalid="ignore"):

@@ -1,0 +1,285 @@
+"""Dormand-Prince 5(4) integration and composite Simpson quadrature in numpy.
+
+`integrate` follows the code path of scipy's
+`solve_ivp(fun, (t0, t1), y0, method="RK45", dense_output=True,
+events=[event])` for one terminal event with direction -1, forward in
+time; `simpson` follows `scipy.integrate.simpson(y, x=x)` for 1-d
+samples. Every floating-point expression keeps scipy's order and memory
+layout, so the two agree bit for bit (tests/test_rk45.py holds them to
+it) and the package needs no scipy at run time.
+
+References: J. R. Dormand & P. J. Prince, J. Comput. Appl. Math. 6 (1980)
+(the pair); Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-6 (initial
+step, step control, Shampine's dense output); R. P. Brent, Algorithms for
+Minimization without Derivatives (1973), ch. 4 (the event root).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+P = np.array([  # Shampine's dense output, the optimum c6
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+EPS = np.finfo(float).eps
+MESSAGES = {
+    -1: "Required step size is less than spacing between numbers.",
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _interpolate(segment, t):
+    """Dense output of one step at a 0-d t, or at a 1-d t as columns."""
+    t_old, h, y_old, Q = segment
+    x = (t - t_old) / h
+    if t.ndim == 0:
+        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+    return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+
+
+class DenseOutput:
+    """Piecewise quartic interpolant over the accepted steps.
+
+    Called with a scalar it returns a state of shape (n,); with a 1-d
+    array of times, states as columns, shape (n, m). A time on a step
+    boundary is evaluated in the earlier step.
+    """
+
+    def __init__(self, ts, segments):
+        self.ts = ts
+        self.segments = segments
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        last = len(self.segments) - 1
+        if t.ndim == 0:
+            i = int(np.searchsorted(self.ts, t, side="left")) - 1
+            return _interpolate(self.segments[min(max(i, 0), last)], t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), seg.size]
+        ys = [_interpolate(self.segments[seg[a]], t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return np.hstack(ys)[:, reverse]
+
+
+@dataclass
+class Solution:
+    """What `integrate` returns.
+
+    t: the accepted times, shape (k,), ending at the event root when
+    status is 1. y: the states there, shape (k, n). sol: DenseOutput over
+    [t[0], t[-1]]. status: 0 reached t1, 1 the event fired, -1 the step
+    size fell below ten float spacings at t, or is NaN after a NaN
+    right-hand side (message says so). stats: accepted steps, rejected
+    steps and right-hand-side evaluations.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: DenseOutput
+    status: int
+    message: str
+    stats: dict[str, int]
+
+
+def brentq(f, a, b):
+    """Root of f in [a, b]: scipy's C brentq, statement for statement,
+    with xtol = rtol = 4 eps and at most 100 iterations, as solve_ivp
+    calls it for events."""
+    tol = 4 * EPS
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq: no convergence in 100 iterations, value is {xcur}")
+
+
+def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
+    interval_length = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) -> Solution:
+    """Integrate y' = fun(t, y) from t0 to t1 > t0 with adaptive RK45 steps.
+
+    fun(t, y) returns a float array shaped like y. event(t, y) returns a
+    float; integration halts at its first root where it falls through
+    zero (from >= 0 to <= 0 across a step). rtol below 100 eps is raised
+    to 100 eps, as scipy does.
+    """
+    rtol = max(rtol, 100 * EPS)
+    t, y = t0, np.asarray(y0, dtype=float)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t1, f, rtol, atol)
+    K = np.empty((7, y.size))
+    ts, ys, segments = [t], [y], []
+    g = event(t, y)
+    steps = rejected = 0
+    status = None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while h_abs >= min_step:  # False for NaN too, where scipy loops forever
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        else:
+            status = -1
+            break
+        steps += 1
+        segment = (t, h, y, K.T.dot(P))
+        segments.append(segment)
+        t, y, f = t_new, y_new, f_new
+        if t >= t1:
+            status = 0
+        g_new = event(t, y)
+        if g >= 0 and g_new <= 0:
+            root = brentq(lambda s: event(s, _interpolate(segment, np.asarray(s))), segment[0], t)
+            status, t, y = 1, root, _interpolate(segment, np.asarray(root))
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:  # a root on the previous step's end
+            segments.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    times = np.array(ts)
+    return Solution(
+        t=times,
+        y=np.vstack(ys),
+        sol=DenseOutput(times, segments),
+        status=status,
+        message=MESSAGES[status],
+        stats={"steps": steps, "rejected": rejected, "nfev": 2 + 6 * (steps + rejected)},
+    )
+
+
+def simpson(y, x):
+    """Composite Simpson integral of samples y at points x (1-d, same length).
+
+    With an even count the last interval gets Cartwright's correction
+    (scipy.integrate.simpson's rule), with two points the trapezoid.
+    """
+    y, x = np.asarray(y), np.asarray(x)
+    n = y.shape[0]
+    if n % 2:
+        return _basic_simpson(y, n - 2, x)
+    if n == 2:
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    result = _basic_simpson(y, n - 3, x)
+    diffs = np.float64(np.diff(x))
+    h0, h1 = np.squeeze(diffs[-2:-1]), np.squeeze(diffs[-1:])
+    alpha = _divide(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _divide(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _divide(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0
+
+
+def _divide(num, den):
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _basic_simpson(y, stop, x):
+    h = np.diff(x)
+    h0 = h[0:stop:2].astype(float, copy=False)
+    h1 = h[1:stop + 1:2].astype(float, copy=False)
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _divide(h0, h1)
+    tmp = hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - _divide(1.0, h0divh1))
+        + y[1:stop + 1:2] * (hsum * _divide(hsum, hprod))
+        + y[2:stop + 2:2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp)

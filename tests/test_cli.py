@@ -1,6 +1,9 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -277,6 +280,42 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "species (2): A B" in proc.stdout
+
+
+NO_SCIPY = """
+import sys
+import crnflow.cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+scenario, out = sys.argv[1:]
+for command in ("info", "simulate", "ledger", "effective-eq"):
+    code = crnflow.cli.main([command, "--scenario", scenario, "--out", f"{out}/{command}"])
+    assert code == 0, (command, code)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: neither the import nor any command may load it
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, x0=[1.0, 4.0], x_ref=[1.0, 3.0], t_end=2.0,
+                     grid={"start": 0, "stop": 2, "num": 41})
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, scen, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "effective-eq" / "effective_eq.json").exists()
 
 
 def test_coefficient_beyond_int64_is_an_invalid_scenario(tmp_path, capsys):

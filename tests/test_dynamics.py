@@ -25,6 +25,13 @@ def test_two_state_relaxation_matches_analytic(ab):
     assert traj.times.size > grid.size
 
 
+def test_trajectory_counts_integrator_work(ab):
+    traj = simulate(ab, [1.0, 1.0], 4.0)
+    stats = traj.stats
+    assert stats["steps"] == traj.times.size - 1  # no grid: one row per accepted step
+    assert stats["nfev"] == 2 + 6 * (stats["steps"] + stats["rejected"])
+
+
 def test_conservation_drift_is_tiny(abc):
     x0 = np.array([1.0, 2.0, 0.5])
     traj = simulate(abc, x0, 20.0)
@@ -73,6 +80,14 @@ def test_blowup_raises_solver_failure():
     net = build_network(["X"], [(2,), (3,)], [(0, 1)], [1.0], [1e-300])
     with pytest.raises(ConvergenceError, match="integration failed"):
         simulate(net, [1.0], 10.0)
+
+
+def test_nan_rates_fail_instead_of_hanging():
+    # 2 A <-> A + B at x = 1e200: both monomials overflow, the flux is inf - inf,
+    # and a NaN first step size used to keep the step loop going forever
+    net = build_network(["A", "B"], [(2, 0), (1, 1)], [(0, 1)], [1.0], [1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match="integration failed"):
+        simulate(net, [1e200, 1e200], 1.0)
 
 
 def test_invalid_inputs(ab):

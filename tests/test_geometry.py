@@ -116,6 +116,22 @@ def test_projection_from_a_far_reference(abc):
     assert np.max(np.abs(got / want - 1.0)) < 1e-4  # tol 1e-10 on totals of 5e-6
 
 
+@pytest.mark.parametrize("s, k", [(1e2, 1e-14), (1e6, 1e-9), (1e8, 1e-12), (1e12, 1e-15)])
+def test_projection_from_a_reference_far_below_the_totals(abc, s, k):
+    """x0 = (1, 2, 3) s with x_ref = k: equilibrium means A B = k C on the
+    leaf A + C = 4 s, B + C = 5 s, so A^2 + (s + k) A - 4 s k = 0. The first
+    Newton step moves the dual coordinates by about s / k; the line search
+    starts from a bounded move instead of halving that step."""
+    x0 = np.array([1.0, 2.0, 3.0]) * s
+    a = 8.0 * s * k / ((s + k) + np.sqrt((s + k) ** 2 + 16.0 * s * k))
+    want = np.array([a, a + s, 4.0 * s - a])
+    got = equilibrium_point(abc, x0, np.full(3, k))
+    assert np.max(np.abs(got / want - 1.0)) < 1e-10
+    u = abc.cons_basis.astype(float)
+    floor = max(1e-10, 64.0 * np.finfo(float).eps * np.max(np.abs(u @ x0)))
+    assert np.max(np.abs(u @ got - u @ x0)) < floor
+
+
 def test_pythagoras_identity(abc):
     x0 = np.array([0.7, 1.1, 0.4])
     x_ref = np.array([0.2, 0.9, 1.3])
