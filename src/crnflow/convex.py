@@ -7,11 +7,12 @@ primal variable and its dual. Two families live on species space
 chemical-potential coordinates) and two on edge space (cosh-type and
 quadratic dissipation, duals of flux and force coordinates).
 
-All vector inputs are 1-d float arrays; Hessians are returned as their
+Vector inputs are 1-d float arrays; Hessians are returned as their
 diagonals since every member of these families is separable except the
-quadratic potential, which returns a full matrix. The values of the cosh
-dissipation and the relative entropy also take (T, n) batches, one
-vector per row, and then return one value per row.
+quadratic potential, which returns a full matrix. The dual side
+(dual_value, dual_grad, dual_hessian_diag) also takes (T, n) batches, one
+vector per row, and then returns one value or vector per row, each equal
+bit for bit to the call on that row alone; so does the relative entropy.
 """
 
 from __future__ import annotations
@@ -98,17 +99,15 @@ class KLPotential:
         x = _positive(x, "x")
         return float(np.sum((np.log(x / self.ref) - 1.0) * x))
 
-    def dual_value(self, y) -> float:
-        y = _vec(y, "y")
-        return float(np.sum(self.ref * np.exp(y)))
+    def dual_value(self, y):
+        return _total(np.sum(self.dual_grad(y), axis=-1))
 
     def grad(self, x) -> np.ndarray:
         x = _positive(x, "x")
         return np.log(x / self.ref)
 
     def dual_grad(self, y) -> np.ndarray:
-        y = _vec(y, "y")
-        return self.ref * np.exp(y)
+        return self.ref * np.exp(_vec(y, "y", batch=True))
 
     def hessian_diag(self, x) -> np.ndarray:
         x = _positive(x, "x")
@@ -146,15 +145,17 @@ class QuadraticPotential:
         d = _vec(x, "x") - self.ref
         return float(0.5 * d @ self.metric @ d)
 
-    def dual_value(self, y) -> float:
-        y = _vec(y, "y")
-        return float(0.5 * y @ self._inv @ y + self.ref @ y)
+    def dual_value(self, y):
+        # as a row times columns, so each row's products are those of a 1-d y
+        y = _vec(y, "y", batch=True)
+        quadratic = ((0.5 * y)[..., None, :] @ self._inv @ y[..., None])[..., 0, 0]
+        return _total(quadratic + (self.ref @ y[..., None])[..., 0])
 
     def grad(self, x) -> np.ndarray:
         return self.metric @ (_vec(x, "x") - self.ref)
 
     def dual_grad(self, y) -> np.ndarray:
-        return self.ref + self._inv @ _vec(y, "y")
+        return self.ref + (self._inv @ _vec(y, "y", batch=True)[..., None])[..., 0]
 
     def hessian(self, x=None) -> np.ndarray:
         return self.metric.copy()
@@ -199,14 +200,14 @@ class CoshDissipation:
         return 2.0 * stable_asinh(_vec(j, "j") / self.weights)
 
     def dual_grad(self, f) -> np.ndarray:
-        return self.weights * np.sinh(0.5 * _vec(f, "f"))
+        return self.weights * np.sinh(0.5 * _vec(f, "f", batch=True))
 
     def hessian_diag(self, j) -> np.ndarray:
         j = _vec(j, "j")
         return 2.0 / np.sqrt(self.weights**2 + j * j)
 
     def dual_hessian_diag(self, f) -> np.ndarray:
-        return 0.5 * self.weights * np.cosh(0.5 * _vec(f, "f"))
+        return 0.5 * self.weights * np.cosh(0.5 * _vec(f, "f", batch=True))
 
     def bregman(self, j, f_ref) -> float:
         """Mixed-form Bregman divergence value(j) + dual_value(f_ref) - <j, f_ref>."""
@@ -226,21 +227,22 @@ class QuadraticDissipation:
         j = _vec(j, "j")
         return float(0.5 * np.sum(j * j / self.metric_diag))
 
-    def dual_value(self, f) -> float:
-        f = _vec(f, "f")
-        return float(0.5 * np.sum(self.metric_diag * f * f))
+    def dual_value(self, f):
+        f = _vec(f, "f", batch=True)
+        return _total(0.5 * np.sum(self.metric_diag * f * f, axis=-1))
 
     def grad(self, j) -> np.ndarray:
         return _vec(j, "j") / self.metric_diag
 
     def dual_grad(self, f) -> np.ndarray:
-        return self.metric_diag * _vec(f, "f")
+        return self.metric_diag * _vec(f, "f", batch=True)
 
     def hessian_diag(self, j=None) -> np.ndarray:
         return 1.0 / self.metric_diag
 
     def dual_hessian_diag(self, f=None) -> np.ndarray:
-        return self.metric_diag.copy()
+        shape = self.metric_diag.shape if f is None else _vec(f, "f", batch=True).shape
+        return np.broadcast_to(self.metric_diag, shape).copy()
 
     def bregman(self, j, f_ref) -> float:
         j = _vec(j, "j")

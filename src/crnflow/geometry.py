@@ -27,10 +27,11 @@ and force_split (reduced_stoich, 0, f).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model. Each sample's (a, b, y0), as for velocity_dual or
-    force_split, goes straight to _dual_projection, warm-started from
-    the previous sample; the kinetics, rate tables and certificates are
-    evaluated for all samples at once.
+    model. The samples' (a, b, y0), as for velocity_dual or force_split,
+    go to _dual_projection as one batch, twice: a predictor pass from
+    cold starts, then a pass starting each sample from the predictor's
+    answer for the sample before. The kinetics, rate tables and
+    certificates are evaluated for all samples at once.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -52,8 +53,8 @@ from .network import ReactionNetwork, matvec_rows
 DUAL_STEP = 64.0
 
 
-def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
-    """Bregman projection onto an affine subspace, in dual coordinates.
+def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
+    """Bregman projections onto an affine subspace, in dual coordinates.
 
     Minimizes fn.dual_value(y) - <b, lam> over lam, y = y0 + a.T @ lam
     (a.T @ lam when y0 is None), by damped Newton from lam0 (zeros when
@@ -69,69 +70,138 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what):
     largest power-of-two fraction that moves y by at most DUAL_STEP.
     Trial steps that overflow are rejected without a warning. Returns
     (lam, y, iterations).
+
+    Batch-first: b, lam0 and y0 hold one problem per row, (T, r), (T, r)
+    and (T, E), and so may fn's parameters (CoshDissipation weights of
+    shape (T, E)); a full dual Hessian (QuadraticPotential) is one matrix
+    for all rows. 1-d inputs are one row and come back 1-d. The rows
+    iterate in lock-step, each through the arithmetic of a one-row call,
+    bit for bit: stacked matrix-vector products, solves and dots round
+    as the 1-d ones do. A failing row raises ConvergenceError with its
+    last iterate (best), residual and iterations, the earliest such row
+    when several fail; with strict=False the rows that fail return their
+    last iterate and the iteration count at the failure instead.
     """
-    lam = np.zeros(a.shape[0]) if lam0 is None else np.asarray(lam0, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
+    one, b = b.ndim == 1, np.atleast_2d(b)
+    lam = np.zeros(b.shape) if lam0 is None else np.array(lam0, dtype=float).reshape(b.shape)
+    y0 = None if y0 is None else np.atleast_2d(np.asarray(y0, dtype=float))
     if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
         raise ValueError(f"{what}: input must be finite")
 
-    def y_of(lam):
-        return a.T @ lam if y0 is None else y0 + a.T @ lam
+    n_rows, eps = len(b), np.finfo(float).eps
+    diag, abs_a = hasattr(fn, "dual_hessian_diag"), np.abs(a)
 
-    def grad(y):
-        dual = fn.dual_grad(y)
-        return a @ dual - b, dual
+    def at(method, y, rows):
+        """fn's method at the given rows' y. fn may hold per-row parameters,
+        so it sees all n_rows rows; the other rows sit at y = 0, where no
+        dual function here overflows."""
+        if len(rows) == n_rows:
+            return method(y)
+        full = np.zeros((n_rows, y.shape[1]))
+        full[rows] = y
+        return method(full)[rows]
 
-    diag, abs_a, y_size = hasattr(fn, "dual_hessian_diag"), np.abs(a), (0.0 if y0 is None else np.abs(y0))
-    y = y_of(lam)
-    g, dual = grad(y)
+    def y_of(lam, rows):
+        moved = matvec_rows(a.T, lam)
+        return moved if y0 is None else y0[rows] + moved
+
+    def grad(y, rows):
+        dual = at(fn.dual_grad, y, rows)
+        return matvec_rows(a, dual) - b[rows], dual
+
+    live = np.arange(n_rows)
+    y = y_of(lam, live)
+    g, dual = grad(y, live)
+    iters = np.zeros(n_rows, dtype=int)
+    failed = {}  # row -> (message, residual, iterations)
     for it in range(max_iter + 1):
-        gnorm = float(_sup(g))
-        if gnorm < tol:
-            return lam, y, it
-        if it == max_iter:
+        gnorm = _sup(g[live])
+        done = gnorm < tol
+        iters[live[done]] = it
+        live, gnorm = live[~done], gnorm[~done]
+        if it == max_iter or not live.size:
             break
-        hess = fn.dual_hessian_diag(y) if diag else fn.dual_hessian(y)
-        h = a @ (hess[:, None] * a.T) if diag else a @ hess @ a.T
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(h, -g, rcond=None)
-        trial = lam + step
-        y_trial = y_of(trial)
+        hess = at(fn.dual_hessian_diag, y[live], live) if diag else fn.dual_hessian(y[live])
+        h = a @ (hess[:, :, None] * a.T) if diag else a @ hess @ a.T
+        step = _newton_steps(h, -g[live])
+        trial = lam[live] + step
+        y_trial = y_of(trial, live)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails the test below
-            g_trial, dual_trial = grad(y_trial)
-        if float(_sup(g_trial)) <= 0.9 * gnorm:
-            lam, y, g, dual = trial, y_trial, g_trial, dual_trial
+            g_trial, dual_trial = grad(y_trial, live)
+        full = _sup(g_trial) <= 0.9 * gnorm
+        moved = live[full]
+        lam[moved], y[moved], g[moved], dual[moved] = trial[full], y_trial[full], g_trial[full], dual_trial[full]
+
+        rows, step, gnorm = live[~full], step[~full], gnorm[~full]
+        if not rows.size:
             continue
-        r = y_size + abs_a.T @ np.abs(lam)
-        spread = np.abs(dual) + (hess * r if diag else np.abs(hess) @ r)
-        if gnorm < 64.0 * np.finfo(float).eps * float(max(_sup(b), _sup(abs_a @ spread))):
-            return lam, y, it  # Newton stalls at the gradient's rounding
-        v0 = fn.dual_value(y) - float(b @ lam)
-        slope = float(g @ step)
-        slack = 4.0 * np.finfo(float).eps * abs(v0)
-        dy = float(_sup(a.T @ step))
-        alpha = 0.5 ** int(np.ceil(np.log2(dy / DUAL_STEP))) if DUAL_STEP < dy < np.inf else 1.0
+        hess = hess[~full] if diag else hess
+        r = matvec_rows(abs_a.T, np.abs(lam[rows]))
+        r = r if y0 is None else np.abs(y0[rows]) + r
+        spread = np.abs(dual[rows]) + (hess * r if diag else (np.abs(hess) @ r[:, :, None])[:, :, 0])
+        stalled = gnorm < 64.0 * eps * np.fmax(_sup(b[rows]), _sup(matvec_rows(abs_a, spread)))
+        iters[rows[stalled]] = it  # Newton stalls at the gradient's rounding
+        live = np.setdiff1d(live, rows[stalled], assume_unique=True)
+
+        rows, step, gnorm = rows[~stalled], step[~stalled], gnorm[~stalled]
+        if not rows.size:
+            continue
+        start = lam[rows]
+        v0 = at(fn.dual_value, y[rows], rows) - _dot(b[rows], start)
+        slope = _dot(g[rows], step)
+        slack = 4.0 * eps * np.abs(v0)
+        dy = _sup(matvec_rows(a.T, step))
+        alpha = np.ones(len(rows))
+        far = (DUAL_STEP < dy) & (dy < np.inf)
+        alpha[far] = 0.5 ** np.ceil(np.log2(dy[far] / DUAL_STEP))
+        todo = np.arange(len(rows))  # positions in rows still searching
         for _ in range(47):  # alpha down to 2**-46 of its start
-            trial = lam + alpha * step
-            y_trial = y_of(trial)
+            trial = start[todo] + alpha[todo, None] * step[todo]
+            y_trial = y_of(trial, rows[todo])
             with np.errstate(over="ignore", invalid="ignore"):
-                value = fn.dual_value(y_trial) - float(b @ trial)
-            if value <= v0 + 1e-4 * alpha * slope + slack:
-                lam, y = trial, y_trial
+                value = at(fn.dual_value, y_trial, rows[todo]) - _dot(b[rows[todo]], trial)
+            ok = value <= v0[todo] + 1e-4 * alpha[todo] * slope[todo] + slack[todo]
+            lam[rows[todo[ok]]], y[rows[todo[ok]]] = trial[ok], y_trial[ok]
+            todo = todo[~ok]
+            alpha[todo] *= 0.5
+            if not todo.size:
                 break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"{what}: line search stalled", best=lam, residual=gnorm, iterations=it
-            )
-        g, dual = grad(y)
-    raise ConvergenceError(
-        f"{what}: no convergence in {max_iter} iterations",
-        best=lam,
-        residual=float(_sup(g)),
-        iterations=max_iter,
-    )
+        for k in todo:
+            failed[rows[k]] = ("line search stalled", float(gnorm[k]), it)
+        live = np.setdiff1d(live, rows[todo], assume_unique=True)
+        moved = np.delete(rows, todo)
+        g[moved], dual[moved] = grad(y[moved], moved)
+    for row, residual in zip(live, gnorm):
+        failed[row] = (f"no convergence in {max_iter} iterations", float(residual), max_iter)
+    for row, (_, _, its) in failed.items():
+        iters[row] = its
+    if strict and failed:
+        row = min(failed)
+        message, residual, its = failed[row]
+        raise ConvergenceError(f"{what}: {message}", best=lam[row].copy(), residual=residual, iterations=its)
+    return (lam[0], y[0], int(iters[0])) if one else (lam, y, iters)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u_i, v_i> per row, each rounded as the 1-d dot (einsum and
+    sum(u * v, axis=-1) round differently)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _newton_steps(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solves h x = rhs per row, h of shape (T, r, r) or one (r, r) shared
+    by all rows. Rows with a singular h take the least-squares step."""
+    try:
+        return np.linalg.solve(h, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = []
+        for h_i, rhs_i in zip(np.broadcast_to(h, rhs.shape + rhs.shape[-1:]), rhs):
+            try:
+                steps.append(np.linalg.solve(h_i, rhs_i))
+            except np.linalg.LinAlgError:
+                steps.append(np.linalg.lstsq(h_i, rhs_i, rcond=None)[0])
+        return np.array(steps)
 
 
 def equilibrium_point(
@@ -430,12 +500,18 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
     return ts, xs
 
 
-def _warm_started(base, a, problems, tol, max_iter, what):
-    """Projects each sample's (b, y0) from the previous lam; stacked (lam, y, iterations)."""
-    solved = [(None, None, 0)]  # the first sample starts from lam = 0
-    for act, (b, y0) in zip(base["activity"], problems):
-        solved.append(_dual_projection(CoshDissipation(act), a, b, y0, solved[-1][0], tol, max_iter, what))
-    return tuple(map(np.array, zip(*solved[1:])))
+def _two_pass(base, a, b, y0, tol, max_iter, what):
+    """Projects every sample twice, under the cosh dissipation of its
+    mass-action activities. The predictor pass starts each row from
+    lam = 0 (a row that fails hands over its last iterate); the second pass
+    starts row i from the predictor's answer for row i - 1, row 0 from zeros,
+    and reports its iterations and the earliest failure. Damped Newton
+    converges quadratically near the optimum, so a start near row i's answer
+    serves as well as row i - 1's final one."""
+    fn = CoshDissipation(base["activity"])
+    cold, _, _ = _dual_projection(fn, a, b, y0, None, tol, max_iter, what, strict=False)
+    starts = np.concatenate([np.zeros_like(cold[:1]), cold[:-1]])
+    return _dual_projection(fn, a, b, y0, starts, tol, max_iter, what)
 
 
 def _rate_schedule(net, ts, xs, forces):
@@ -465,7 +541,7 @@ def effective_equilibrium_rates(
     base = mass_action_batch(net, xs)
     v = -net.div(base["flux"])
     q, qs = net.stoich_image, net.reduced_stoich
-    mus, _, iters = _warm_started(base, -qs, ((q.T @ vi, None) for vi in v), tol, max_iter, "velocity_dual")
+    mus, _, iters = _two_pass(base, -qs, matvec_rows(q.T, v), None, tol, max_iter, "velocity_dual")
     schedule, new = _rate_schedule(net, ts, xs, -net.grad(matvec_rows(q, mus)))
     return schedule, {
         "zeta_residual": _sup(net.curl(new["force"])),
@@ -489,7 +565,7 @@ def effective_steady_rates(
     ts, xs = _trajectory_samples(traj, times)
     base = mass_action_batch(net, xs)
     f, qs = base["force"], net.reduced_stoich
-    _, forces, iters = _warm_started(base, qs, ((np.zeros(len(qs)), fi) for fi in f), tol, max_iter, "force_split")
+    _, forces, iters = _two_pass(base, qs, np.zeros((len(f), len(qs))), f, tol, max_iter, "force_split")
     schedule, new = _rate_schedule(net, ts, xs, forces)
     return schedule, {
         "steady_residual": _sup(net.div(new["flux"])),

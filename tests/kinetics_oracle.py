@@ -7,7 +7,10 @@ from the incidence matrix on every call, as the old properties did, and
 velocity_dual / force_split redo their SVD on every call. Products with
 stoich.T use a float copy of stoich, as the package's grad does. The
 effective loops return their (times, kplus, kminus) tables instead of a
-schedule.
+schedule. They chain each sample's solve from the previous sample's final
+answer; effective_*_two_pass instead run the package's two passes (every
+sample from a cold start, then each from that pass's answer for the
+sample before) through the same per-sample solvers.
 
 The geometry solvers keep their own generic Newton loop (_newton_minimize)
 with per-solver closures. KLPotential here is the ledger's subset, so
@@ -538,3 +541,73 @@ def effective_steady_rates(net, traj, times=None, tol: float = 1e-10, max_iter: 
         "iterations": iters,
     }
     return (ts, kp_tab, km_tab), certificates
+
+
+# -- two-pass schedules ---------------------------------------------------
+
+
+def _two_pass(solve, problems, tol, max_iter):
+    """Each row's solve, started from a predictor pass's answer for the row
+    before (row 0 from zeros). The predictor starts every row cold, and a
+    row that fails there hands over its best iterate."""
+    cold = []
+    for args in problems:
+        try:
+            cold.append(solve(*args, tol=tol, max_iter=max_iter)["mu"])
+        except ConvergenceError as err:
+            cold.append(err.best)
+    starts = [None] + cold[:-1]
+    return [solve(*args, mu0=mu0, tol=tol, max_iter=max_iter) for args, mu0 in zip(problems, starts)]
+
+
+def _two_pass_tables(net, xs, forces):
+    """Rate tables with the network's kappa whose force at each x is its
+    force row, and the mass-action pairs they give."""
+    split = KineticSplit.from_rates(net.kplus, net.kminus)
+    st = net.stoich.T.astype(float)
+    kp_tab = np.empty((len(xs), net.n_edges))
+    km_tab = np.empty_like(kp_tab)
+    pairs = []
+    for i, (x, force) in enumerate(zip(xs, forces)):
+        root = np.sqrt(np.exp(force - st @ np.log(x)))
+        kp_tab[i] = split.kappa * root
+        km_tab[i] = split.kappa / root
+        pairs.append(mass_action_flux(net, x, kp_tab[i], km_tab[i]))
+    return kp_tab, km_tab, pairs
+
+
+def effective_equilibrium_rates_two_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
+    """effective_equilibrium_rates with its warm starts from a cold predictor
+    pass instead of from the previous sample's final answer."""
+    ts, xs = _trajectory_samples(traj, times)
+    st = net.stoich.T.astype(float)
+    vt = net.cycle_basis.T.astype(float)
+    base = [mass_action_flux(net, x) for x in xs]
+    velocities = [-net.stoich.astype(float) @ pair.flux for pair in base]
+    problems = [(net, CoshDissipation(pair.activity), v) for pair, v in zip(base, velocities)]
+    outs = _two_pass(velocity_dual, problems, tol, max_iter)
+    kp_tab, km_tab, pairs = _two_pass_tables(net, xs, [-st @ out["u"] for out in outs])
+    zeta_res = np.array([float(np.max(np.abs(vt @ p.force), initial=0.0)) for p in pairs])
+    vel_res = np.array([
+        float(np.max(np.abs(-net.stoich.astype(float) @ p.flux - v), initial=0.0) / (1.0 + np.max(np.abs(v), initial=0.0)))
+        for p, v in zip(pairs, velocities)
+    ])
+    iters = np.array([out["iterations"] for out in outs], dtype=int)
+    return (ts, kp_tab, km_tab), {"zeta_residual": zeta_res, "velocity_residual": vel_res, "iterations": iters}
+
+
+def effective_steady_rates_two_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
+    """effective_steady_rates with its warm starts from a cold predictor pass
+    instead of from the previous sample's final answer."""
+    ts, xs = _trajectory_samples(traj, times)
+    vt = net.cycle_basis.T.astype(float)
+    base = [mass_action_flux(net, x) for x in xs]
+    problems = [(net, CoshDissipation(pair.activity), pair.force) for pair in base]
+    outs = _two_pass(force_split, problems, tol, max_iter)
+    kp_tab, km_tab, pairs = _two_pass_tables(net, xs, [out["force"] for out in outs])
+    steady_res = np.array([float(np.max(np.abs(net.stoich @ p.flux), initial=0.0)) for p in pairs])
+    affinity_res = np.array([
+        float(np.max(np.abs(vt @ p.force - vt @ b.force), initial=0.0)) for p, b in zip(pairs, base)
+    ])
+    iters = np.array([out["iterations"] for out in outs], dtype=int)
+    return (ts, kp_tab, km_tab), {"steady_residual": steady_res, "affinity_residual": affinity_res, "iterations": iters}

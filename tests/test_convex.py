@@ -193,3 +193,32 @@ def test_cosh_pair_inverse_maps(js, ws):
     diss = CoshDissipation(w)
     back = diss.dual_grad(diss.grad(j))
     assert np.max(np.abs(back - j)) <= 1e-10 * (1.0 + np.max(np.abs(j)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_dual_side_takes_row_batches(n, rows, seed, per_row):
+    """Each row of a (T, n) dual_value, dual_grad and dual_hessian_diag is
+    the 1-d call on that row, bit for bit; cosh weights may be per row."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, 3.0, (rows, n))
+    m = rng.normal(size=(n, n))
+    weights = rng.uniform(0.3, 3.0, (rows, n) if per_row else n)
+    batched = [
+        KLPotential(rng.uniform(0.5, 2.0, n)),
+        QuadraticPotential(m @ m.T + n * np.eye(n), rng.normal(size=n)),
+        CoshDissipation(weights),
+        QuadraticDissipation(rng.uniform(0.3, 3.0, n)),
+    ]
+    for fn in batched:
+        single = [fn] * rows
+        if isinstance(fn, CoshDissipation) and per_row:
+            single = [CoshDissipation(w) for w in weights]
+        for method in ("dual_value", "dual_grad", "dual_hessian_diag"):
+            if not hasattr(fn, method):
+                continue
+            got = np.asarray(getattr(fn, method)(y))
+            assert got.shape == (rows,) + ((n,) if method != "dual_value" else ())
+            for row, fn_row, y_row in zip(got, single, y):
+                want = np.asarray(getattr(fn_row, method)(y_row))
+                assert row.dtype == want.dtype and row.tobytes() == want.tobytes(), (type(fn).__name__, method)

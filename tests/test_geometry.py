@@ -27,7 +27,7 @@ from crnflow import (
     velocity_dual,
     wegscheider_check,
 )
-from crnflow.geometry import _dual_projection
+from crnflow.geometry import _dual_projection, _newton_steps
 
 
 def _mass_action_dissipation(net, x):
@@ -457,3 +457,17 @@ def test_solver_failure_reports_the_last_iterate(brusselator, abc):
         assert err.value.iterations == 1
         assert err.value.best.shape == (n_reduced,)
         assert err.value.residual > 1e-10
+
+
+def test_singular_newton_rows_take_the_least_squares_step():
+    """A batch with a singular Hessian row: that row gets lstsq's step, the
+    others the step a solve gives them alone, bit for bit."""
+    h = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 0.5], [0.5, 1.0]]])
+    rhs = np.array([[1.0, -2.0], [0.5, 1.0], [3.0, 0.25]])
+    steps = _newton_steps(h, rhs)
+    for i in (0, 2):
+        assert steps[i].tobytes() == np.linalg.solve(h[i], rhs[i]).tobytes()
+    assert steps[1].tobytes() == np.linalg.lstsq(h[1], rhs[1], rcond=None)[0].tobytes()
+    shared = _newton_steps(h[1], rhs)  # one (r, r) matrix for every row
+    for step, r in zip(shared, rhs):
+        assert step.tobytes() == np.linalg.lstsq(h[1], r, rcond=None)[0].tobytes()

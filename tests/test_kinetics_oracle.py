@@ -7,8 +7,11 @@ geometry solvers: one generic Newton loop fed per-solver closures. Every
 comparison here is exact (same shapes, same bytes, NaN rows and signed
 zeros included) except equilibrium_point under a diagonal-Hessian
 potential with two or more conserved quantities, whose Hessian rounds
-differently (test_projection_kl_hessian_rounding). Also times one flux
-evaluation on a 200x400 hypergraph.
+differently (test_projection_kl_hessian_rounding), and the batched
+schedules against the serial chain of warm starts they replaced, which
+agree within a stated tolerance (the bit-exact comparison is with the
+oracle's two-pass loops). Also times one flux evaluation on a 200x400
+hypergraph.
 """
 
 import dataclasses
@@ -41,6 +44,7 @@ from crnflow import (
     simulate_timedep,
 )
 from crnflow import geometry
+from crnflow.geometry import _dual_projection
 from crnflow.dynamics import LEDGER_KEYS, _ledger_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -154,8 +158,8 @@ def test_monitors_match_oracle(net, data):
 
 def _assert_effective_match(net, traj, times=None, max_iter=100):
     pairs = (
-        (effective_equilibrium_rates, oracle.effective_equilibrium_rates),
-        (effective_steady_rates, oracle.effective_steady_rates),
+        (effective_equilibrium_rates, oracle.effective_equilibrium_rates_two_pass),
+        (effective_steady_rates, oracle.effective_steady_rates_two_pass),
     )
     for new, old in pairs:
         try:
@@ -212,6 +216,103 @@ def test_large_velocities_match_oracle(brusselator):
     for rates in (effective_equilibrium_rates, effective_steady_rates):
         assert np.all(rates(brusselator, traj)[1]["iterations"] < 100)
     _assert_effective_match(brusselator, traj)
+
+
+# Largest relative difference of the rate tables between the two-pass
+# schedules and the serial chain on the Brusselator grids below: measured
+# 6.8e-16 (801 points) and 7.4e-16 (8001 points).
+CHAIN_RATE_RTOL = 1e-15
+# Certificates there are max-norms of sums of O(1) terms near 1e-15 or
+# 1e-10; the 801-point steady_residual maximum rounds 4 eps higher
+# (5.33e-15 -> 6.22e-15), every other maximum is equal or lower.
+CHAIN_CERT_SLACK = 8 * np.finfo(float).eps
+
+
+def _chain_and_two_pass(net, traj, times=None):
+    """(one-pass oracle, package) results for both schedules."""
+    pairs = (
+        (effective_equilibrium_rates, oracle.effective_equilibrium_rates),
+        (effective_steady_rates, oracle.effective_steady_rates),
+    )
+    return [(old(net, traj, times), new(net, traj, times)) for new, old in pairs]
+
+
+def test_two_pass_schedules_track_the_serial_chain(brusselator):
+    """The predictor-then-warm passes against the serial chain, where each
+    sample started from the previous sample's final answer: on the
+    Brusselator's 801- and 8001-point grids the iteration totals are
+    equal, the rates agree to CHAIN_RATE_RTOL and no certificate maximum
+    is worse beyond rounding."""
+    for t_end, num in ((8.0, 801), (40.0, 8001)):
+        grid = np.linspace(0.0, t_end, num)
+        traj = simulate(brusselator, [1.0, 4.0], (0.0, t_end), grid=grid)
+        for ((_, kp, km), want), (schedule, cert) in _chain_and_two_pass(brusselator, traj, grid):
+            assert cert["iterations"].sum() == want["iterations"].sum()
+            for got, table in ((schedule.kplus, kp), (schedule.kminus, km)):
+                assert np.max(np.abs(got - table) / table) <= CHAIN_RATE_RTOL
+            for key in want:
+                assert cert[key].max() <= want[key].max() + CHAIN_CERT_SLACK, (num, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(networks(), st.data())
+def test_two_pass_schedules_agree_with_the_serial_chain(net, data):
+    """On drawn networks, along a slowly drifting path of states: where the
+    serial chain converges so do both passes, and the rates agree within
+    1e-6 relative (the worst of 6,000 draws measured 4.4e-8). Starts that
+    differ by a converged answer's own error (tol = 1e-10 on the gradient)
+    end at different points of the stopping region, so iterations and
+    certificates agree only to that region's size, not bit for bit."""
+    rng = np.random.default_rng(data.draw(SEEDS))
+    steps = rng.normal(0.0, 0.02, (data.draw(st.integers(2, 40)), net.n_species))
+    traj = _trajectory(net, np.exp(rng.normal(0.0, 1.5, net.n_species) + np.cumsum(steps, axis=0)))
+    for new, old in (
+        (effective_equilibrium_rates, oracle.effective_equilibrium_rates),
+        (effective_steady_rates, oracle.effective_steady_rates),
+    ):
+        try:
+            (_, kp, km), _ = old(net, traj)
+        except ConvergenceError:
+            continue
+        schedule, _ = new(net, traj)
+        for got, table in ((schedule.kplus, kp), (schedule.kminus, km)):
+            assert np.max(np.abs(got - table) / table) <= 1e-6
+
+
+@pytest.mark.parametrize("num", [3, 8001])
+def test_schedules_make_two_projection_calls(brusselator, num):
+    """Each schedule projects its samples in two batched calls, whatever
+    their number: no per-sample loop around the kernel."""
+    grid = np.linspace(0.0, 40.0, num)
+    traj = simulate(brusselator, [1.0, 4.0], (0.0, 40.0), grid=grid)
+    for rates in (effective_equilibrium_rates, effective_steady_rates):
+        with mock.patch.object(geometry, "_dual_projection", wraps=geometry._dual_projection) as kernel:
+            rates(brusselator, traj, grid)
+        assert kernel.call_count == 2
+
+
+def test_earliest_failing_sample_is_reported(brusselator):
+    """Samples 3 and 5 sit far from the others (velocities near 5e7), and
+    with max_iter = 5 neither projection converges there from the
+    predictor's answer for the sample before, while samples 0-2 converge.
+    Both schedules raise sample 3's error, as the two-pass oracle does."""
+    xs = np.array([[1.0, 4.0], [1.1, 3.9], [1.2, 3.8], [300.0, 600.0], [1.3, 3.7], [400.0, 450.0], [1.4, 3.6]])
+    for new, old, what in (
+        (effective_equilibrium_rates, oracle.effective_equilibrium_rates_two_pass, "velocity_dual"),
+        (effective_steady_rates, oracle.effective_steady_rates_two_pass, "force_split"),
+    ):
+        new(brusselator, _trajectory(brusselator, xs[:3]), max_iter=5)
+        errors = []
+        for rows in (xs, xs[:4], xs[4:]):  # all; up to sample 3; from sample 4 on
+            with pytest.raises(ConvergenceError) as err:
+                old(brusselator, _trajectory(brusselator, rows), max_iter=5)
+            errors.append(err.value)
+        with pytest.raises(ConvergenceError) as got:
+            new(brusselator, _trajectory(brusselator, xs), max_iter=5)
+        assert str(got.value) == f"{what}: no convergence in 5 iterations"
+        _same_outcome(got.value, errors[0])
+        _same_outcome(errors[0], errors[1])  # sample 3's error
+        assert errors[2].best.tobytes() != errors[0].best.tobytes()  # sample 5's differs
 
 
 def _outcome(name, *args, **kwargs):
@@ -277,6 +378,81 @@ def test_projections_match_oracle(net, data):
             assert np.allclose(got_x, want_x, rtol=1e-11, atol=0.0)
     for name in got:
         _same_outcome(got[name], want[name])
+
+
+def _projection_rows(net, rng, kind, rows):
+    """(one fn per row, a, b, y0, what) for rows of one projection kind. Row
+    scales s run from 1 to 1e8 (forces from 1 to 1 + ln s times), so some
+    first steps overflow."""
+    n, m, q, qs = net.n_species, net.n_edges, net.stoich_image, net.reduced_stoich
+    scale = 10.0 ** rng.choice([0.0, 0.0, 4.0, 8.0], size=(rows, 1))
+    weights = np.exp(rng.normal(0.0, 1.0, (rows, m)))
+    if kind in ("velocity_dual", "force_split"):
+        fns = [CoshDissipation(w) for w in weights] if rng.random() < 0.5 else [QuadraticDissipation(weights[0])] * rows
+        if kind == "velocity_dual":
+            v = -(scale * rng.normal(0.0, 2.0, (rows, m))) @ net.stoich.T.astype(float)
+            return fns, -qs, v @ q, None, kind
+        return fns, qs, np.zeros((rows, len(qs))), (1.0 + np.log(scale)) * rng.normal(0.0, 2.0, (rows, m)), kind
+    if rng.random() < 0.5:
+        fn = KLPotential(n=n)
+        x_ref = np.exp(rng.normal(0.0, 1.0, (rows, n)))
+    else:
+        root = rng.normal(0.0, 1.0, (n, n))
+        fn = QuadraticPotential(root @ root.T + n * np.eye(n), rng.normal(0.0, 1.0, n))
+        x_ref = rng.normal(0.0, 2.0, (rows, n))
+    x0 = scale * np.exp(rng.normal(0.0, 1.0, (rows, n)))
+    return [fn] * rows, net.cons_f, x0 @ net.cons_f.T, np.array([fn.grad(x) for x in x_ref]), "equilibrium_point"
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks(), st.data())
+def test_projection_rows_match_single_rows(net, data):
+    """_dual_projection on T stacked rows against T one-row calls: the same
+    lam, y and iterations, bit for bit, and for a failing row the same
+    ConvergenceError, which a batch raises for its earliest failing row."""
+    rng = np.random.default_rng(data.draw(SEEDS))
+    kind = data.draw(st.sampled_from(["velocity_dual", "force_split", "equilibrium_point"]))
+    rows = data.draw(st.integers(1, 8))
+    max_iter = data.draw(st.sampled_from([1, 3, 100]))
+    fns, a, b, y0, what = _projection_rows(net, rng, kind, rows)
+    lam0 = None if data.draw(st.booleans()) else rng.normal(0.0, 1.0, b.shape)
+
+    def solve(i, strict=True):
+        """Rows i:, or row i alone as 1-d inputs when i is an int."""
+        if isinstance(i, slice):
+            fn = fns[i][0]  # one fn for the rows, with their weights when each row has its own
+            fn = CoshDissipation([f.weights for f in fns[i]]) if isinstance(fn, CoshDissipation) else fn
+            return _dual_projection(
+                fn, a, b[i], None if y0 is None else y0[i], None if lam0 is None else lam0[i], 1e-10, max_iter, what, strict=strict
+            )
+        return _dual_projection(
+            fns[i], a, b[i], None if y0 is None else y0[i], None if lam0 is None else lam0[i], 1e-10, max_iter, what
+        )
+
+    lam, y, iters = solve(slice(0, rows), strict=False)
+    assert lam.shape == b.shape and iters.shape == (rows,)
+    first = None
+    for i in range(rows):
+        try:
+            want = solve(i)
+        except ConvergenceError as err:
+            _same(lam[i], err.best)
+            assert iters[i] == err.iterations
+            with pytest.raises(ConvergenceError) as got:
+                solve(slice(i, rows))  # row i is the earliest failure from i on
+            _same_outcome(got.value, err)
+            first = err if first is None else first
+            continue
+        _same(lam[i], want[0])
+        _same(y[i], want[1])
+        assert iters[i] == want[2]
+    if first is not None:
+        with pytest.raises(ConvergenceError) as got:
+            solve(slice(0, rows))
+        _same_outcome(got.value, first)
+    else:
+        for got, want in zip(solve(slice(0, rows)), (lam, y, iters)):
+            _same(got, want)
 
 
 def test_projection_kl_hessian_rounding():
