@@ -20,7 +20,7 @@ import numpy as np
 
 from .convex import KLPotential
 from .kinetics import ConvergenceError, mass_action_batch, net_flux_raw, wegscheider_check
-from .network import ReactionNetwork
+from .network import ReactionNetwork, dot_rows
 from .rk45 import integrate, simpson
 
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
@@ -307,8 +307,7 @@ def lyapunov_monitor(
     rows = cols["rows"]
     force = net.grad(np.log(traj.states[rows] / x_ref))
     deriv = np.full(traj.times.size, np.nan)
-    # stacked (1, E) @ (E, 1) products: the same dot per row as the 1-d code
-    deriv[rows] = -(cols["flux"][rows][:, None, :] @ force[:, :, None])[:, 0, 0]
+    deriv[rows] = -dot_rows(cols["flux"][rows], force)
     finite = deriv[np.isfinite(deriv)]
     max_deriv = float(np.max(finite, initial=-np.inf))
     return {

@@ -43,7 +43,7 @@ import numpy as np
 from .convex import CoshDissipation, KLPotential
 from .dynamics import RateSchedule, Trajectory
 from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
-from .network import ReactionNetwork, matvec_rows
+from .network import ReactionNetwork, dot_rows, matvec_rows
 
 # Longest first trial of a line search, as a max-norm move of the dual
 # coordinates y. A Newton step from far off the optimum (a KL reference
@@ -75,12 +75,15 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
     and (T, E), and so may fn's parameters (CoshDissipation weights of
     shape (T, E)); a full dual Hessian (QuadraticPotential) is one matrix
     for all rows. 1-d inputs are one row and come back 1-d. The rows
-    iterate in lock-step, each through the arithmetic of a one-row call,
-    bit for bit: stacked matrix-vector products, solves and dots round
-    as the 1-d ones do. A failing row raises ConvergenceError with its
-    last iterate (best), residual and iterations, the earliest such row
-    when several fail; with strict=False the rows that fail return their
-    last iterate and the iteration count at the failure instead.
+    iterate in lock-step on full-size arrays, boolean masks marking the
+    rows still in play; fn sees the whole batch, each row at its own y
+    (a row that has stopped stays where it stopped), and each row goes
+    through the arithmetic of a one-row call, bit for bit: stacked
+    matrix-vector products, solves and dots round as the 1-d ones do. A
+    failing row raises ConvergenceError with its last iterate (best),
+    residual and iterations, the earliest such row when several fail;
+    with strict=False the rows that fail return their last iterate and
+    the iteration count at the failure instead.
     """
     b = np.asarray(b, dtype=float)
     one, b = b.ndim == 1, np.atleast_2d(b)
@@ -89,104 +92,86 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
     if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
         raise ValueError(f"{what}: input must be finite")
 
-    n_rows, eps = len(b), np.finfo(float).eps
+    eps = np.finfo(float).eps
     diag, abs_a = hasattr(fn, "dual_hessian_diag"), np.abs(a)
 
-    def at(method, y, rows):
-        """fn's method at the given rows' y. fn may hold per-row parameters,
-        so it sees all n_rows rows; the other rows sit at y = 0, where no
-        dual function here overflows."""
-        if len(rows) == n_rows:
-            return method(y)
-        full = np.zeros((n_rows, y.shape[1]))
-        full[rows] = y
-        return method(full)[rows]
-
-    def y_of(lam, rows):
+    def y_of(lam):
         moved = matvec_rows(a.T, lam)
-        return moved if y0 is None else y0[rows] + moved
+        return moved if y0 is None else y0 + moved
 
-    def grad(y, rows):
-        dual = at(fn.dual_grad, y, rows)
-        return matvec_rows(a, dual) - b[rows], dual
+    def grad(y):
+        dual = fn.dual_grad(y)
+        return matvec_rows(a, dual) - b, dual
 
-    live = np.arange(n_rows)
-    y = y_of(lam, live)
-    g, dual = grad(y, live)
-    iters = np.zeros(n_rows, dtype=int)
-    failed = {}  # row -> (message, residual, iterations)
+    y = y_of(lam)
+    g, dual = grad(y)
+    iters, live = np.zeros(len(b), dtype=int), np.ones(len(b), dtype=bool)
+    failed = {}  # row -> (message, residual)
     for it in range(max_iter + 1):
-        gnorm = _sup(g[live])
-        done = gnorm < tol
-        iters[live[done]] = it
-        live, gnorm = live[~done], gnorm[~done]
-        if it == max_iter or not live.size:
+        gnorm = _sup(g)
+        done = live & (gnorm < tol)
+        iters[done] = it
+        live &= ~done
+        if it == max_iter or not live.any():
             break
-        hess = at(fn.dual_hessian_diag, y[live], live) if diag else fn.dual_hessian(y[live])
-        h = a @ (hess[:, :, None] * a.T) if diag else a @ hess @ a.T
-        step = _newton_steps(h, -g[live])
-        trial = lam[live] + step
-        y_trial = y_of(trial, live)
+        hess = fn.dual_hessian_diag(y) if diag else fn.dual_hessian(y)
+        h = a @ (hess[live][:, :, None] * a.T) if diag else a @ hess @ a.T
+        step = np.zeros_like(lam)
+        step[live] = _newton_steps(h, -g[live])
+        trial = lam + step
+        y_trial = y_of(trial)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails the test below
-            g_trial, dual_trial = grad(y_trial, live)
-        full = _sup(g_trial) <= 0.9 * gnorm
-        moved = live[full]
-        lam[moved], y[moved], g[moved], dual[moved] = trial[full], y_trial[full], g_trial[full], dual_trial[full]
+            g_trial, dual_trial = grad(y_trial)
+        full = live & (_sup(g_trial) <= 0.9 * gnorm)
+        lam[full], y[full], g[full], dual[full] = trial[full], y_trial[full], g_trial[full], dual_trial[full]
 
-        rows, step, gnorm = live[~full], step[~full], gnorm[~full]
-        if not rows.size:
+        rest = live & ~full
+        if not rest.any():
             continue
-        hess = hess[~full] if diag else hess
-        r = matvec_rows(abs_a.T, np.abs(lam[rows]))
-        r = r if y0 is None else np.abs(y0[rows]) + r
-        spread = np.abs(dual[rows]) + (hess * r if diag else (np.abs(hess) @ r[:, :, None])[:, :, 0])
-        stalled = gnorm < 64.0 * eps * np.fmax(_sup(b[rows]), _sup(matvec_rows(abs_a, spread)))
-        iters[rows[stalled]] = it  # Newton stalls at the gradient's rounding
-        live = np.setdiff1d(live, rows[stalled], assume_unique=True)
+        r = matvec_rows(abs_a.T, np.abs(lam))
+        r = r if y0 is None else np.abs(y0) + r
+        spread = np.abs(dual) + (hess * r if diag else (np.abs(hess) @ r[:, :, None])[:, :, 0])
+        stalled = rest & (gnorm < 64.0 * eps * np.fmax(_sup(b), _sup(matvec_rows(abs_a, spread))))
+        iters[stalled] = it  # Newton stalls at the gradient's rounding
+        live &= ~stalled
 
-        rows, step, gnorm = rows[~stalled], step[~stalled], gnorm[~stalled]
-        if not rows.size:
+        todo = rest & ~stalled
+        if not todo.any():
             continue
-        start = lam[rows]
-        v0 = at(fn.dual_value, y[rows], rows) - _dot(b[rows], start)
-        slope = _dot(g[rows], step)
+        step[~todo] = 0.0  # the other rows stay at their own y
+        v0 = fn.dual_value(y) - dot_rows(b, lam)
+        slope = dot_rows(g, step)
         slack = 4.0 * eps * np.abs(v0)
         dy = _sup(matvec_rows(a.T, step))
-        alpha = np.ones(len(rows))
+        alpha = np.ones(len(b))
         far = (DUAL_STEP < dy) & (dy < np.inf)
         alpha[far] = 0.5 ** np.ceil(np.log2(dy[far] / DUAL_STEP))
-        todo = np.arange(len(rows))  # positions in rows still searching
         for _ in range(47):  # alpha down to 2**-46 of its start
-            trial = start[todo] + alpha[todo, None] * step[todo]
-            y_trial = y_of(trial, rows[todo])
+            trial = lam + alpha[:, None] * step
+            y_trial = y_of(trial)
             with np.errstate(over="ignore", invalid="ignore"):
-                value = at(fn.dual_value, y_trial, rows[todo]) - _dot(b[rows[todo]], trial)
-            ok = value <= v0[todo] + 1e-4 * alpha[todo] * slope[todo] + slack[todo]
-            lam[rows[todo[ok]]], y[rows[todo[ok]]] = trial[ok], y_trial[ok]
-            todo = todo[~ok]
-            alpha[todo] *= 0.5
-            if not todo.size:
+                value = fn.dual_value(y_trial) - dot_rows(b, trial)
+            ok = todo & (value <= v0 + 1e-4 * alpha * slope + slack)
+            lam[ok], y[ok], step[ok] = trial[ok], y_trial[ok], 0.0
+            todo &= ~ok
+            alpha *= 0.5
+            if not todo.any():
                 break
-        for k in todo:
-            failed[rows[k]] = ("line search stalled", float(gnorm[k]), it)
-        live = np.setdiff1d(live, rows[todo], assume_unique=True)
-        moved = np.delete(rows, todo)
-        g[moved], dual[moved] = grad(y[moved], moved)
-    for row, residual in zip(live, gnorm):
-        failed[row] = (f"no convergence in {max_iter} iterations", float(residual), max_iter)
-    for row, (_, _, its) in failed.items():
-        iters[row] = its
+        for row in np.flatnonzero(todo):
+            failed[row] = ("line search stalled", float(gnorm[row]))
+        iters[todo] = it
+        live &= ~todo
+        g, dual = grad(y)
+    for row in np.flatnonzero(live):
+        failed[row] = (f"no convergence in {max_iter} iterations", float(gnorm[row]))
+    iters[live] = max_iter
     if strict and failed:
         row = min(failed)
-        message, residual, its = failed[row]
-        raise ConvergenceError(f"{what}: {message}", best=lam[row].copy(), residual=residual, iterations=its)
+        message, residual = failed[row]
+        raise ConvergenceError(
+            f"{what}: {message}", best=lam[row].copy(), residual=residual, iterations=int(iters[row])
+        )
     return (lam[0], y[0], int(iters[0])) if one else (lam, y, iters)
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u_i, v_i> per row, each rounded as the 1-d dot (einsum and
-    sum(u * v, axis=-1) round differently)."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _newton_steps(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:

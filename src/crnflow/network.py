@@ -140,6 +140,13 @@ def matvec_rows(mat: np.ndarray, v) -> np.ndarray:
     return mat @ v if v.ndim == 1 else (mat @ np.ascontiguousarray(v)[:, :, None])[:, :, 0]
 
 
+def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u_i, v_i> for each row of two (T, n) batches, as stacked (1, n) @
+    (n, 1) products: each rounds as the 1-d dot (einsum and sum(u * v,
+    axis=-1) round differently)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _check_rates(kplus, kminus, n_edges: int) -> tuple[np.ndarray, np.ndarray]:
     kp = np.asarray(kplus, dtype=float).reshape(-1)
     km = np.asarray(kminus, dtype=float).reshape(-1)

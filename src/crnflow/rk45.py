@@ -121,7 +121,9 @@ def brentq(f, a, b):
     tol = 4 * EPS
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
+    # numpy scalars, so that errstate governs the divisions below (Python
+    # floats raise ZeroDivisionError); C divides by zero silently
+    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -140,12 +142,13 @@ def brentq(f, a, b):
         if fcur == 0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a NaN or inf step bisects
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -154,7 +157,7 @@ def brentq(f, a, b):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = np.float64(f(xcur))
     raise RuntimeError(f"brentq: no convergence in 100 iterations, value is {xcur}")
 
 

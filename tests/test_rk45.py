@@ -8,7 +8,7 @@ scipy.integrate.solve_ivp(method="RK45") and scipy.integrate.simpson.
 import numpy as np
 import pytest
 from hypergraphs import networks
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
@@ -113,6 +113,8 @@ def test_rtol_below_100_eps_is_raised_like_solve_ivp(brusselator):
 
 @settings(max_examples=100, deadline=None)
 @given(c=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), a=st.floats(-4.0, 0.0), w=st.floats(1e-12, 6.0))
+@example(c=[7.759920090471425e-151, 0.0, 0.0, -5.522827891039666e-126], a=0.0, w=1.0)  # 0 / 0 extrapolation
+@example(c=[0.0, 0.0, 2.3188732339565635e-271, 2.3188732339565635e-271], a=-1.5, w=1.0)  # 0 / 0 in Python floats
 def test_brentq_matches_scipy(c, a, w):
     def f(x):
         return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
