@@ -1,7 +1,8 @@
 """Command-line interface.
 
-    crnflow <command> --scenario path/to/scenario.json [--out DIR]
-                      [--tol FLOAT] [--sweep SPEC]
+    crnflow <command> --scenario path/to/scenario.json [--out DIR] [--sweep SPEC]
+    crnflow classify --scenario path/to/scenario.json [--out DIR]
+                     [--tol FLOAT] [--sweep SPEC]
 
 Commands: info, simulate, equilibrium, decompose, effective-eq,
 effective-cycle, ledger, classify. Exit codes: 0 success, 1 usage or
@@ -9,7 +10,7 @@ validation error, 2 solver failure, 3 integration halted at the
 positivity floor (partial artifacts are still written).
 
 --tol overrides the scenario's `tol`, the tolerance `classify` labels
-the state with (default 1e-8).
+the state with (default 1e-8); other commands reject it.
 
 --sweep runs the command once per value of one rate constant:
 `<label>.<kf|kr>=v1,v2,...` or `<label>.<kf|kr>=lo:hi:n` (n linearly
@@ -65,7 +66,7 @@ def _build_parser() -> _Parser:
     p.add_argument("command", choices=_DISPATCH)
     p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--tol", type=_tolerance, default=None, help="override the scenario's classify tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="classify only: override the scenario's tolerance")
     p.add_argument("--sweep", default=None, help="rate sweep: <label>.<kf|kr>=v1,v2,... or lo:hi:n")
     return p
 
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    if args.tol is not None and args.command != "classify":
+        print(f"error: --tol applies to classify only, not to {args.command}", file=sys.stderr)
         return 1
 
     try:

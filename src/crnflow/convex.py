@@ -7,9 +7,10 @@ primal variable and its dual. Two families live on species space
 chemical-potential coordinates) and two on edge space (cosh-type and
 quadratic dissipation, duals of flux and force coordinates).
 
-Vector inputs are 1-d float arrays; Hessians are returned as their
-diagonals since every member of these families is separable except the
-quadratic potential, which returns a full matrix. The dual side
+Vector inputs are 1-d float arrays of the instance's length n (any
+other length raises ValueError instead of broadcasting); Hessians are
+returned as their diagonals since every member of these families is
+separable except the quadratic potential, which returns a full matrix. The dual side
 (dual_value, dual_grad, dual_hessian_diag) also takes (T, n) batches, one
 vector per row, and then returns one value or vector per row, each equal
 bit for bit to the call on that row alone; so does the relative entropy.
@@ -20,15 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def _vec(x, name: str, batch: bool = False) -> np.ndarray:
+def _vec(x, name: str, n: int | None = None, batch: bool = False) -> np.ndarray:
+    """x as a float vector (or (T, n) batch with batch=True) of length n if given."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 and not (batch and v.ndim == 2):
         raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
+    if n is not None and v.shape[-1] != n:
+        raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
     return v
 
 
-def _positive(x, name: str, batch: bool = False) -> np.ndarray:
-    v = _vec(x, name, batch)
+def _positive(x, name: str, n: int | None = None, batch: bool = False) -> np.ndarray:
+    v = _vec(x, name, n, batch)
     if not np.all(v > 0):
         raise ValueError(f"{name} must be strictly positive")
     return v
@@ -92,25 +96,25 @@ class KLPotential:
             if n is None:
                 raise ValueError("provide a reference state or a dimension")
             ref = np.ones(n)
-        self.ref = _positive(ref, "ref")
+        self.ref = _positive(ref, "ref", n)
         self.n = self.ref.size
 
     def value(self, x) -> float:
-        x = _positive(x, "x")
+        x = _positive(x, "x", self.n)
         return float(np.sum((np.log(x / self.ref) - 1.0) * x))
 
     def dual_value(self, y):
         return _total(np.sum(self.dual_grad(y), axis=-1))
 
     def grad(self, x) -> np.ndarray:
-        x = _positive(x, "x")
+        x = _positive(x, "x", self.n)
         return np.log(x / self.ref)
 
     def dual_grad(self, y) -> np.ndarray:
-        return self.ref * np.exp(_vec(y, "y", batch=True))
+        return self.ref * np.exp(_vec(y, "y", self.n, batch=True))
 
     def hessian_diag(self, x) -> np.ndarray:
-        x = _positive(x, "x")
+        x = _positive(x, "x", self.n)
         return 1.0 / x
 
     def dual_hessian_diag(self, y) -> np.ndarray:
@@ -118,8 +122,8 @@ class KLPotential:
 
     def bregman(self, x, x_ref):
         """Relative entropy D[x | x_ref] >= 0, zero iff x == x_ref."""
-        x = _positive(x, "x", batch=True)
-        x_ref = _positive(x_ref, "x_ref")
+        x = _positive(x, "x", self.n, batch=True)
+        x_ref = _positive(x_ref, "x_ref", self.n)
         return _total(np.sum(x * np.log(x / x_ref), axis=-1) - np.sum(x - x_ref, axis=-1))
 
 
@@ -142,20 +146,20 @@ class QuadraticPotential:
         self.n = self.ref.size
 
     def value(self, x) -> float:
-        d = _vec(x, "x") - self.ref
+        d = _vec(x, "x", self.n) - self.ref
         return float(0.5 * d @ self.metric @ d)
 
     def dual_value(self, y):
         # as a row times columns, so each row's products are those of a 1-d y
-        y = _vec(y, "y", batch=True)
+        y = _vec(y, "y", self.n, batch=True)
         quadratic = ((0.5 * y)[..., None, :] @ self._inv @ y[..., None])[..., 0, 0]
         return _total(quadratic + (self.ref @ y[..., None])[..., 0])
 
     def grad(self, x) -> np.ndarray:
-        return self.metric @ (_vec(x, "x") - self.ref)
+        return self.metric @ (_vec(x, "x", self.n) - self.ref)
 
     def dual_grad(self, y) -> np.ndarray:
-        return self.ref + (self._inv @ _vec(y, "y", batch=True)[..., None])[..., 0]
+        return self.ref + (self._inv @ _vec(y, "y", self.n, batch=True)[..., None])[..., 0]
 
     def hessian(self, x=None) -> np.ndarray:
         return self.metric.copy()
@@ -164,7 +168,7 @@ class QuadraticPotential:
         return self._inv.copy()
 
     def bregman(self, x, x_ref) -> float:
-        d = _vec(x, "x") - _vec(x_ref, "x_ref")
+        d = _vec(x, "x", self.n) - _vec(x_ref, "x_ref", self.n)
         return float(0.5 * d @ self.metric @ d)
 
 
@@ -189,30 +193,30 @@ class CoshDissipation:
         self.n = self.weights.shape[-1]
 
     def value(self, j):
-        u = _vec(j, "j", batch=True) / self.weights
+        u = _vec(j, "j", self.n, batch=True) / self.weights
         return _total(2.0 * np.sum(self.weights * (u * stable_asinh(u) - _sqrt1p_sq_minus_1(u)), axis=-1))
 
     def dual_value(self, f):
-        f = _vec(f, "f", batch=True)
+        f = _vec(f, "f", self.n, batch=True)
         return _total(2.0 * np.sum(self.weights * (np.cosh(0.5 * f) - 1.0), axis=-1))
 
     def grad(self, j) -> np.ndarray:
-        return 2.0 * stable_asinh(_vec(j, "j") / self.weights)
+        return 2.0 * stable_asinh(_vec(j, "j", self.n) / self.weights)
 
     def dual_grad(self, f) -> np.ndarray:
-        return self.weights * np.sinh(0.5 * _vec(f, "f", batch=True))
+        return self.weights * np.sinh(0.5 * _vec(f, "f", self.n, batch=True))
 
     def hessian_diag(self, j) -> np.ndarray:
-        j = _vec(j, "j")
+        j = _vec(j, "j", self.n)
         return 2.0 / np.sqrt(self.weights**2 + j * j)
 
     def dual_hessian_diag(self, f) -> np.ndarray:
-        return 0.5 * self.weights * np.cosh(0.5 * _vec(f, "f", batch=True))
+        return 0.5 * self.weights * np.cosh(0.5 * _vec(f, "f", self.n, batch=True))
 
     def bregman(self, j, f_ref) -> float:
         """Mixed-form Bregman divergence value(j) + dual_value(f_ref) - <j, f_ref>."""
-        j = _vec(j, "j")
-        f_ref = _vec(f_ref, "f_ref")
+        j = _vec(j, "j", self.n)
+        f_ref = _vec(f_ref, "f_ref", self.n)
         return self.value(j) + self.dual_value(f_ref) - float(j @ f_ref)
 
 
@@ -224,29 +228,29 @@ class QuadraticDissipation:
         self.n = self.metric_diag.size
 
     def value(self, j) -> float:
-        j = _vec(j, "j")
+        j = _vec(j, "j", self.n)
         return float(0.5 * np.sum(j * j / self.metric_diag))
 
     def dual_value(self, f):
-        f = _vec(f, "f", batch=True)
+        f = _vec(f, "f", self.n, batch=True)
         return _total(0.5 * np.sum(self.metric_diag * f * f, axis=-1))
 
     def grad(self, j) -> np.ndarray:
-        return _vec(j, "j") / self.metric_diag
+        return _vec(j, "j", self.n) / self.metric_diag
 
     def dual_grad(self, f) -> np.ndarray:
-        return self.metric_diag * _vec(f, "f", batch=True)
+        return self.metric_diag * _vec(f, "f", self.n, batch=True)
 
     def hessian_diag(self, j=None) -> np.ndarray:
         return 1.0 / self.metric_diag
 
     def dual_hessian_diag(self, f=None) -> np.ndarray:
-        shape = self.metric_diag.shape if f is None else _vec(f, "f", batch=True).shape
+        shape = self.metric_diag.shape if f is None else _vec(f, "f", self.n, batch=True).shape
         return np.broadcast_to(self.metric_diag, shape).copy()
 
     def bregman(self, j, f_ref) -> float:
-        j = _vec(j, "j")
-        f_ref = _vec(f_ref, "f_ref")
+        j = _vec(j, "j", self.n)
+        f_ref = _vec(f_ref, "f_ref", self.n)
         return self.value(j) + self.dual_value(f_ref) - float(j @ f_ref)
 
 

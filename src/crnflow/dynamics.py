@@ -4,8 +4,11 @@ The state equation xdot = -stoich @ flux(x) is integrated with the
 Dormand-Prince 5(4) pair at tight tolerances (crnflow.rk45, which
 reproduces scipy's RK45 bit for bit without importing scipy), with a
 terminal event that halts integration before any component crosses a
-positivity floor. Alongside the states, each trajectory carries a ledger
-of scalar observables per sample time: relative entropy to an optional
+positivity floor. One right-hand side serves constant and scheduled
+rates: kinetics.net_flux_raw at the state, under the schedule's rates
+at t when there is one, times the float stoichiometric matrix.
+Alongside the states, each trajectory carries a ledger of scalar
+observables per sample time: relative entropy to an optional
 reference, entropy production rate and its quadratic lower bound, and
 the primal/dual dissipation values whose sum equals the EPR. The ledger,
 the Lyapunov monitor and the energy balance evaluate all their samples
@@ -159,14 +162,15 @@ def _integrate(
         raise ValueError("rtol must be finite and positive")
     if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
         raise ValueError("atol and positivity_floor must be finite and non-negative")
+    if x_ref is not None and np.shape(x_ref) != (net.n_species,):
+        raise ValueError(f"x_ref must have length {net.n_species}")
 
-    if schedule is None:
-        def rhs(t, x):
-            return -net.div(net_flux_raw(net, x))
-    else:
-        def rhs(t, x):
-            kp, km = schedule(t)
-            return -net.div(net_flux_raw(net, x, kp, km))
+    stoich = net.stoich_f
+
+    def rhs(t, x):
+        # a direct product: the flux is the evaluator's own 1-d output
+        rates = (None, None) if schedule is None else schedule(t)
+        return -(stoich @ net_flux_raw(net, x, *rates))
 
     def floor_event(t, x):
         return float(np.min(x)) - positivity_floor
@@ -263,6 +267,8 @@ def energy_dissipation_balance(
     ValueError when the rate constants carry nonzero cycle affinity,
     since no equilibrium reference exists then.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     wc = wegscheider_check(net)
     if not wc["is_equilibrium"]:
         raise ValueError(
@@ -301,6 +307,8 @@ def lyapunov_monitor(
     reference this is non-positive along every trajectory.
     """
     x_ref = np.asarray(x_ref, dtype=float)
+    if x_ref.shape != (net.n_species,):
+        raise ValueError(f"reference state must have length {net.n_species}")
     if not np.all(x_ref > 0):
         raise ValueError("reference state must be strictly positive")
     cols = mass_action_batch(net, traj.states)

@@ -10,6 +10,12 @@ appear throughout: one-way fluxes (jplus, jminus), net flux and force
 
 Rate constants likewise split into an equilibrium part K = kplus/kminus
 and a frenetic part kappa = sqrt(kplus kminus).
+
+Every flux goes through one evaluator, _one_way, on one state or a batch
+of rows: net_flux_raw (any real state; the ODE right-hand side),
+mass_action_flux (one positive state) and mass_action_batch (positive
+rows, with the ledger columns) differ only in their checks and in which
+coordinates they return.
 """
 
 from __future__ import annotations
@@ -96,25 +102,24 @@ class KineticSplit:
         return self.kappa * root, self.kappa / root
 
 
-def _monomials(net: ReactionNetwork, x: np.ndarray) -> np.ndarray:
-    """Forward then backward monomials prod_i x_i^E[i, e], (T, 2 n_edges), per row of x.
+def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.ndarray, np.ndarray]:
+    """One-way fluxes kplus * prod_i x_i^head[i, e] and kminus * prod_i
+    x_i^tail[i, e] at one state (1-d x) or per row of a (T, n_species) x.
 
     The sparse net.factors multiply in ascending species order with
     integer powers: bit-equal to the dense product over all species,
     finite for trial states at or below zero, and O(T * nnz) memory.
+    Rates None mean the network's; explicit ones may be (T, n_edges).
     """
     species, powers, starts = net.factors
-    # tiled powers: numpy squares a zero-stride exponent of 2 as x * x,
-    # which is not bit-equal to its pow
-    factors = np.power(x[:, species], np.tile(powers, (len(x), 1)))
-    return np.multiply.reduceat(factors, starts, axis=1)
-
-
-def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.ndarray, np.ndarray]:
+    if x.ndim == 2:
+        # tiled powers: a broadcast row has zero stride, and numpy squares
+        # a zero-stride exponent of 2 as x * x, not bit-equal to its pow
+        powers = np.tile(powers, (len(x), 1))
+    mono = np.multiply.reduceat(np.power(x[..., species], powers), starts, axis=-1)
     kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
     km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
-    mono = _monomials(net, x)
-    return kp * mono[:, : net.n_edges], km * mono[:, net.n_edges :]
+    return kp * mono[..., : net.n_edges], km * mono[..., net.n_edges :]
 
 
 def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePair:
@@ -128,8 +133,7 @@ def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePa
         raise ValueError(f"state must have length {net.n_species}")
     if not np.all(x > 0):
         raise ValueError("state must be strictly positive")
-    jp, jm = _one_way(net, x[None], kplus, kminus)
-    return EdgePair(jplus=jp[0], jminus=jm[0])
+    return EdgePair(*_one_way(net, x, kplus, kminus))
 
 
 def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray:
@@ -138,8 +142,8 @@ def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray
     Equals mass_action_flux(...).flux on the positive orthant but does
     not require positivity, which keeps ODE right-hand sides total.
     """
-    jp, jm = _one_way(net, np.asarray(x, dtype=float)[None], kplus, kminus)
-    return (jp - jm)[0]
+    jp, jm = _one_way(net, np.asarray(x, dtype=float), kplus, kminus)
+    return jp - jm
 
 
 def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_ref=None, ledger=False) -> dict:
@@ -174,22 +178,6 @@ def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_r
         out[key] = np.full(rows.shape + val.shape[1:], np.nan)
         out[key][rows] = val
     return out
-
-
-def mass_action_force_activity(net: ReactionNetwork, x) -> tuple[np.ndarray, np.ndarray]:
-    """Edge force and activity at state x > 0, computed in the log domain.
-
-    force    = log K + stoich.T log x
-    activity = 2 kappa exp(0.5 (head + tail compositions).T log x)
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.n_species,) or not np.all(x > 0):
-        raise ValueError("state must be strictly positive with matching length")
-    logx = np.log(x)
-    f = np.log(net.kplus / net.kminus) + net.grad(logx)
-    half_sum = 0.5 * (net.head_compositions + net.tail_compositions).T @ logx
-    w = 2.0 * np.sqrt(net.kplus * net.kminus) * np.exp(half_sum)
-    return f, w
 
 
 def entropy_production(pair: EdgePair):

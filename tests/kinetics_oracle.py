@@ -22,6 +22,10 @@ absolute tol that a large b, or large fluxes with b = 0 (force_split),
 cannot meet.
 Like the package, the Newton loop evaluates trial steps without overflow
 warnings; such a step fails its acceptance test.
+
+mass_action_force_activity is the package's former log-domain formula for
+edge force and activity, kept to check the coordinates mass_action_flux
+derives from the one-way fluxes.
 """
 
 from dataclasses import dataclass
@@ -118,6 +122,26 @@ def net_flux_raw(net, x, kplus=None, kminus=None) -> np.ndarray:
     kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
     km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
     return kp * _monomials(x, head_compositions(net)) - km * _monomials(x, tail_compositions(net))
+
+
+def mass_action_force_activity(net, x) -> tuple[np.ndarray, np.ndarray]:
+    """Edge force and activity at state x > 0, computed in the log domain.
+
+    force    = log K + stoich.T log x
+    activity = 2 kappa exp(0.5 (head + tail compositions).T log x)
+
+    A second formula for the coordinates mass_action_flux derives from the
+    one-way fluxes (force = log(jplus / jminus), activity = 2 sqrt(jplus
+    jminus)); the two agree to rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.n_species,) or not np.all(x > 0):
+        raise ValueError("state must be strictly positive with matching length")
+    logx = np.log(x)
+    f = np.log(net.kplus / net.kminus) + net.stoich.T.astype(float) @ logx
+    half_sum = 0.5 * (head_compositions(net) + tail_compositions(net)).T @ logx
+    w = 2.0 * np.sqrt(net.kplus * net.kminus) * np.exp(half_sum)
+    return f, w
 
 
 def entropy_production(pair: EdgePair) -> float:

@@ -361,6 +361,17 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["info", "simulate", "equilibrium", "decompose", "effective-eq", "effective-cycle", "ledger"]
+)
+def test_tol_flag_is_rejected_outside_classify(tmp_path, capsys, command):
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4], x_ref=[1.0, 3.0])
+    code, out = _run(tmp_path, command, scen, "--tol", "1e-6")
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
     code, _ = _run(tmp_path, "classify", scen, "--seed", "3")

@@ -222,3 +222,42 @@ def test_dual_side_takes_row_batches(n, rows, seed, per_row):
             for row, fn_row, y_row in zip(got, single, y):
                 want = np.asarray(getattr(fn_row, method)(y_row))
                 assert row.dtype == want.dtype and row.tobytes() == want.tobytes(), (type(fn).__name__, method)
+
+
+def _length_cases():
+    """(label, call) for every method that reads a vector argument, the
+    KLPotential reference, and the three entry points that take a
+    reference state: each call gets the wrong-length vector v, its other
+    vector arguments the right length (3)."""
+    from crnflow import build_network, equilibrium_point, lyapunov_monitor, simulate
+
+    ok = np.full(3, 0.5)
+    pair = ["value", "dual_value", "grad", "dual_grad"]
+    readers = [  # QuadraticDissipation.hessian_diag ignores its argument
+        (KLPotential(n=3), pair + ["hessian_diag", "dual_hessian_diag"]),
+        (QuadraticPotential(np.array([1.0, 2.0, 3.0]), ok), pair),
+        (CoshDissipation(np.ones(3)), pair + ["hessian_diag", "dual_hessian_diag"]),
+        (QuadraticDissipation(np.ones(3)), pair + ["dual_hessian_diag"]),
+    ]
+    net = build_network(["A", "B", "C"], [(1, 1, 0), (0, 0, 1)], [(1, 0)], [1.0], [1.0])
+    cases = [("KLPotential(ref, n)", lambda v: KLPotential(v, n=3))]
+    for fn, methods in readers:
+        name = type(fn).__name__
+        cases += [(f"{name}.{m}", lambda v, m=getattr(fn, m): m(v)) for m in methods]
+        cases.append((f"{name}.bregman(v, ok)", lambda v, fn=fn: fn.bregman(v, ok)))
+        cases.append((f"{name}.bregman(ok, v)", lambda v, fn=fn: fn.bregman(ok, v)))
+    cases += [
+        ("equilibrium_point x_ref", lambda v: equilibrium_point(net, [1.0, 2.0, 0.5], v)),
+        ("simulate x_ref", lambda v: simulate(net, [1.0, 2.0, 0.5], 0.1, x_ref=v)),
+        ("lyapunov_monitor x_ref", lambda v: lyapunov_monitor(net, simulate(net, [1.0, 2.0, 0.5], 0.1), v)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize("call", [pytest.param(call, id=label) for label, call in _length_cases()])
+def test_wrong_length_vectors_are_rejected(call, length):
+    # length 1 would broadcast against 3, and 4 fail inside numpy, if at
+    # all: both must be refused with the expected length named
+    with pytest.raises(ValueError, match="must have length 3"):
+        call(np.full(length, 2.0))

@@ -134,9 +134,13 @@ def test_constant_schedule_reproduces_autonomous_run(brusselator):
     base = simulate(brusselator, [1.0, 4.0], 3.0, grid=grid)
     sch = RateSchedule.constant(brusselator.kplus, brusselator.kminus, 0.0, 3.0)
     redo = simulate_timedep(brusselator, [1.0, 4.0], 3.0, sch, grid=grid)
-    a = base.interpolate(grid)
-    b = redo.interpolate(grid)
-    assert np.max(np.abs(a - b)) < 1e-9
+    # one right-hand side: a constant schedule is the autonomous run, bit for bit
+    for got, want in [(redo.times, base.times), (redo.states, base.states), (redo.eta, base.eta)]:
+        assert got.tobytes() == want.tobytes()
+    assert redo.ledger.keys() == base.ledger.keys()
+    for key in base.ledger:
+        assert redo.ledger[key].tobytes() == base.ledger[key].tobytes(), key
+    assert redo.stats == base.stats
     with pytest.raises(ValueError, match="edge count"):
         simulate_timedep(brusselator, [1.0, 4.0], 1.0, RateSchedule.constant([1.0], [1.0], 0, 1))
 
@@ -150,6 +154,13 @@ def test_energy_balance_two_state(ab):
     # up to the conserved-quantity offset of this run
     wc = wegscheider_check(ab)
     assert np.allclose(out["reference"], np.exp(wc["potential"]))
+
+
+def test_energy_balance_needs_two_samples(ab):
+    traj = simulate(ab, [1.6, 0.4], 1.0)
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="n_samples"):
+            energy_dissipation_balance(ab, traj, n_samples=n)
 
 
 def test_energy_balance_equilibrium_brusselator(brusselator_eq):

@@ -2,16 +2,18 @@
 
 tests/kinetics_oracle.py keeps the previous per-row implementations of the
 fluxes, the ledger, the Lyapunov monitor, the energy balance, the rate
-schedule (np.interp) and the effective-schedule loops, and the previous
-geometry solvers: one generic Newton loop fed per-solver closures. Every
-comparison here is exact (same shapes, same bytes, NaN rows and signed
-zeros included) except equilibrium_point under a diagonal-Hessian
-potential with two or more conserved quantities, whose Hessian rounds
-differently (test_projection_kl_hessian_rounding), and the batched
-schedules against the serial chain of warm starts they replaced, which
-agree within a stated tolerance (the bit-exact comparison is with the
-oracle's two-pass loops). Also times one flux evaluation on a 200x400
-hypergraph.
+schedule (np.interp) and the effective-schedule loops, the previous
+geometry solvers (one generic Newton loop fed per-solver closures) and
+the former log-domain force/activity formula. Every comparison here is
+exact (same shapes, same bytes, NaN rows and signed zeros included)
+except three: equilibrium_point under a diagonal-Hessian potential with
+two or more conserved quantities, whose Hessian rounds differently
+(test_projection_kl_hessian_rounding); the batched schedules against the
+serial chain of warm starts they replaced, which agree within a stated
+tolerance (the bit-exact comparison is with the oracle's two-pass loops);
+and force/activity against the log-domain formula, a different
+computation that agrees to a stated rounding bound. Also times one flux
+evaluation on a 200x400 hypergraph.
 """
 
 import dataclasses
@@ -95,12 +97,46 @@ def _trajectory(net, xs, times=None):
 @given(networks(), st.data())
 def test_fluxes_match_oracle(net, data):
     xs = data.draw(states(net.n_species))
+    # explicit rates, as the scheduled right-hand side passes them
+    kp, km = np.exp(np.random.default_rng(data.draw(SEEDS)).normal(0.0, 2.0, (2, net.n_edges)))
     for x in xs:
         _same(net_flux_raw(net, x), oracle.net_flux_raw(net, x))
+        _same(net_flux_raw(net, x, kp, km), oracle.net_flux_raw(net, x, kp, km))
         if np.all(x > 0):
             got, want = mass_action_flux(net, x), oracle.mass_action_flux(net, x)
             _same(got.jplus, want.jplus)
             _same(got.jminus, want.jminus)
+
+
+# bound on the gap between the two force/activity formulas, in units of
+# eps times the scale of the terms summed (see the test); 1,500 random
+# networks at 5 states each came within 1 of these units
+FORCE_ACTIVITY_ULPS = 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_force_activity_match_log_domain_oracle(net, data):
+    """force = log(jplus / jminus) and activity = 2 sqrt(jplus jminus) agree
+    with the log-domain formula log K + stoich.T log x and 2 kappa
+    exp(0.5 (head + tail).T log x). With s = 1 + |log kplus| + |log kminus|
+    + |stoich|.T |log x|, the force may differ by 8 eps s absolute and the
+    activity by 8 eps (1 + 0.5 (|log kplus| + |log kminus| + (head +
+    tail).T |log x|)) relative; w sinh(f / 2) = flux holds up to
+    8 eps (s + |f|) (jplus + jminus)."""
+    eps = FORCE_ACTIVITY_ULPS * np.finfo(float).eps
+    head, tail = net.head_compositions, net.tail_compositions
+    logk = np.abs(np.log(net.kplus)) + np.abs(np.log(net.kminus))
+    for x in data.draw(states(net.n_species, nonpositive=False)):
+        pair = mass_action_flux(net, x)
+        f, w = oracle.mass_action_force_activity(net, x)
+        logx = np.abs(np.log(x))
+        f_scale = 1.0 + logk + np.abs(net.stoich).T @ logx
+        w_scale = 1.0 + 0.5 * logk + 0.5 * (head + tail).T @ logx
+        assert np.all(np.abs(pair.force - f) <= eps * f_scale)
+        assert np.all(np.abs(pair.activity - w) <= eps * w_scale * w)
+        gap = np.abs(w * np.sinh(0.5 * f) - pair.flux)
+        assert np.all(gap <= eps * (f_scale + np.abs(f)) * (pair.jplus + pair.jminus))
 
 
 @settings(max_examples=60, deadline=None)
