@@ -6,13 +6,14 @@ reproduces scipy's RK45 bit for bit without importing scipy), with a
 terminal event that halts integration before any component crosses a
 positivity floor. One right-hand side serves constant and scheduled
 rates: kinetics.net_flux_raw at the state, under the schedule's rates
-at t when there is one, times the float stoichiometric matrix.
-Alongside the states, each trajectory carries a ledger of scalar
-observables per sample time: relative entropy to an optional
-reference, entropy production rate and its quadratic lower bound, and
-the primal/dual dissipation values whose sum equals the EPR. The ledger,
-the Lyapunov monitor and the energy balance evaluate all their samples
-in one batched pass (kinetics.mass_action_batch).
+at t when there is one, times the negated float stoichiometric matrix.
+A trajectory's states at the accepted steps are the stepper's own; the
+dense output gives only the grid times between steps. Each trajectory
+also carries a ledger of scalar observables per sample time: relative
+entropy to an optional reference, entropy production rate and its
+quadratic lower bound, and the primal/dual dissipation values whose sum
+equals the EPR. The ledger, the Lyapunov monitor and the energy balance
+evaluate all their samples in one batched pass (kinetics.mass_action_batch).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import KLPotential
+from .convex import KLPotential, _positive
 from .kinetics import ConvergenceError, mass_action_batch, net_flux_raw, wegscheider_check
 from .network import ReactionNetwork, dot_rows
 from .rk45 import integrate, simpson
@@ -149,9 +150,7 @@ def _integrate(
     atol: float,
     positivity_floor: float,
 ) -> Trajectory:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (net.n_species,) or not np.all(x0 > 0):
-        raise ValueError("initial state must be strictly positive with matching length")
+    x0 = _positive(x0, "initial state", net.n_species)
     if np.isscalar(t_span):
         t0, t1 = 0.0, float(t_span)
     else:
@@ -165,15 +164,14 @@ def _integrate(
     if x_ref is not None and np.shape(x_ref) != (net.n_species,):
         raise ValueError(f"x_ref must have length {net.n_species}")
 
-    stoich = net.stoich_f
+    neg_stoich = -net.stoich_f  # negation is exact: (-S) @ v is -(S @ v), but for the sign of a zero
 
     def rhs(t, x):
-        # a direct product: the flux is the evaluator's own 1-d output
         rates = (None, None) if schedule is None else schedule(t)
-        return -(stoich @ net_flux_raw(net, x, *rates))
+        return neg_stoich @ net_flux_raw(net, x, *rates)
 
     def floor_event(t, x):
-        return float(np.min(x)) - positivity_floor
+        return float(x.min()) - positivity_floor
 
     sol = integrate(rhs, t0, t1, x0, rtol, atol, floor_event)
     if sol.status == -1:
@@ -184,11 +182,16 @@ def _integrate(
     times = sol.t
     if grid is not None:
         g = np.asarray(grid, dtype=float)
-        g = g[(g >= t0) & (g <= t_end)]
-        times = np.union1d(times, g)
-    states = sol.sol(times).T
-    # pin the integrator's own accepted states exactly
-    accepted = np.searchsorted(times, sol.t)
+        times = np.union1d(times, g[(g >= t0) & (g <= t_end)])
+    # the stepper's own states at its accepted times; the dense output at the others,
+    # called on all times of their steps, since np.dot may round a smaller group differently
+    step = np.searchsorted(sol.t, times)  # sol.t[step - 1] < times <= sol.t[step]
+    accepted = sol.t[step] == times
+    seg = np.maximum(step, 1)  # DenseOutput's segment, plus one
+    grouped = np.bincount(seg[~accepted], minlength=sol.t.size)[seg] > 0
+    states = np.empty((times.size, net.n_species))
+    if grouped.any():
+        states[grouped] = sol.sol(times[grouped]).T
     states[accepted] = sol.y
 
     ledger, eta = _ledger_rows(net, times, states, x_ref, schedule)
@@ -306,11 +309,7 @@ def lyapunov_monitor(
     -<flux(x), stoich.T log(x / x_ref)>; for a complex-balanced
     reference this is non-positive along every trajectory.
     """
-    x_ref = np.asarray(x_ref, dtype=float)
-    if x_ref.shape != (net.n_species,):
-        raise ValueError(f"reference state must have length {net.n_species}")
-    if not np.all(x_ref > 0):
-        raise ValueError("reference state must be strictly positive")
+    x_ref = _positive(x_ref, "reference state", net.n_species)
     cols = mass_action_batch(net, traj.states)
     rows = cols["rows"]
     force = net.grad(np.log(traj.states[rows] / x_ref))

@@ -31,6 +31,7 @@ from .network import ReactionNetwork, network_from_reactions
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 _TERM_RE = re.compile(r"(\d+)?\s*([A-Za-z_]\w*)\Z")
+_FLOAT_FORMAT = "%.17g"  # every float written: 17 significant digits read back to the same bits
 _SCENARIO_KEYS = "network network_text x0 t_end t_span grid x_ref state schedule rtol atol positivity_floor tol".split()
 
 
@@ -174,7 +175,7 @@ def parse_network(text: str) -> ReactionNetwork:
 
 
 def _format_float(v: float) -> str:
-    return "%.17g" % v
+    return _FLOAT_FORMAT % v
 
 
 def _complex_text(net: ReactionNetwork, vertex: int) -> str:
@@ -381,8 +382,9 @@ def emit_trajectory_csv(traj: Trajectory) -> str:
 
 
 def _csv(header: list[str], table: np.ndarray) -> str:
-    lines = [",".join(header)] + [",".join(_format_float(v) for v in row) for row in table]
-    return "\n".join(lines) + "\n"
+    row = ",".join([_FLOAT_FORMAT] * table.shape[1])  # one row's template, filled a row at a time
+    # the trailing "" ends the text with a newline without copying it once more
+    return "\n".join([",".join(header), *(row % tuple(values.tolist()) for values in table), ""])
 
 
 def _json_ready(obj):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CoshDissipation, KLPotential, _total
+from .convex import CoshDissipation, KLPotential, _positive, _total, _vec
 from .network import ReactionNetwork
 
 
@@ -112,14 +112,15 @@ def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.nda
     Rates None mean the network's; explicit ones may be (T, n_edges).
     """
     species, powers, starts = net.factors
-    if x.ndim == 2:
-        # tiled powers: a broadcast row has zero stride, and numpy squares
-        # a zero-stride exponent of 2 as x * x, not bit-equal to its pow
-        powers = np.tile(powers, (len(x), 1))
-    mono = np.multiply.reduceat(np.power(x[..., species], powers), starts, axis=-1)
     kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
     km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
-    return kp * mono[..., : net.n_edges], km * mono[..., net.n_edges :]
+    n = starts.size // 2  # edges
+    if x.ndim == 1:  # one state, as in the ODE right-hand side: no tiling, no ellipsis
+        mono = np.multiply.reduceat(np.power(x[species], powers), starts)
+        return kp * mono[:n], km * mono[n:]
+    # tiled powers: numpy squares a zero-stride (broadcast) exponent of 2 as x * x, not as its pow
+    mono = np.multiply.reduceat(np.power(x[:, species], np.tile(powers, (len(x), 1))), starts, axis=1)
+    return kp * mono[:, :n], km * mono[:, n:]
 
 
 def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePair:
@@ -128,21 +129,16 @@ def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePa
     Rate constants default to the network's; pass kplus/kminus to
     evaluate the same topology under different rates.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.n_species,):
-        raise ValueError(f"state must have length {net.n_species}")
-    if not np.all(x > 0):
-        raise ValueError("state must be strictly positive")
-    return EdgePair(*_one_way(net, x, kplus, kminus))
+    return EdgePair(*_one_way(net, _positive(x, "state", net.n_species), kplus, kminus))
 
 
 def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray:
-    """Net flux as a polynomial in x, defined for any real state.
+    """Net flux as a polynomial in x, defined for any real state of shape (n_species,).
 
     Equals mass_action_flux(...).flux on the positive orthant but does
     not require positivity, which keeps ODE right-hand sides total.
     """
-    jp, jm = _one_way(net, np.asarray(x, dtype=float), kplus, kminus)
+    jp, jm = _one_way(net, _vec(x, "state", net.n_species), kplus, kminus)
     return jp - jm
 
 

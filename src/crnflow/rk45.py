@@ -6,7 +6,8 @@ events=[event])` for one terminal event with direction -1, forward in
 time; `simpson` follows `scipy.integrate.simpson(y, x=x)` for 1-d
 samples. Every floating-point expression keeps scipy's order and memory
 layout, so the two agree bit for bit (tests/test_rk45.py holds them to
-it) and the package needs no scipy at run time.
+it) and the package needs no scipy at run time. Solution.y holds the
+stepper's states at the accepted times, the dense output those between.
 
 References: J. R. Dormand & P. J. Prince, J. Comput. Appl. Math. 6 (1980)
 (the pair); Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-6 (initial
@@ -16,6 +17,7 @@ Minimization without Derivatives (1973), ch. 4 (the event root).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,7 @@ MESSAGES = {
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm's 1-d sum, without its dispatch
 
 
 def _interpolate(segment, t):
@@ -169,7 +171,7 @@ def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1 - f0) / scale) / np.float64(h0)  # numpy's division: inf, not an error, at h0 = 0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -188,28 +190,29 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
     rtol = max(rtol, 100 * EPS)
     t, y = t0, np.asarray(y0, dtype=float)
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t1, f, rtol, atol)
-    K = np.empty((7, y.size))
+    h_abs = float(_initial_step(fun, t, y, t1, f, rtol, atol))  # the loop's scalars stay Python floats
+    K = np.empty((7, y.size))  # filled in place: the views below are hoisted out of the loop
+    KT, KT_B, stages = K.T, K[:-1].T, [(float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 6)]
     ts, ys, segments = [t], [y], []
     g = event(t, y)
     steps = rejected = 0
     status = None
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while h_abs >= min_step:  # False for NaN too, where scipy loops forever
             t_new = min(t + h_abs, t1)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
+            for s, (c, KT_s, a) in enumerate(stages, 1):
+                K[s] = fun(t + c * h, y + np.dot(KT_s, a) * h)
+            y_new = y + h * np.dot(KT_B, B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            error_norm = _rms(np.dot(KT, E) * h / scale)
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
                 h_abs *= min(1, factor) if step_rejected else factor
@@ -221,7 +224,7 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
             status = -1
             break
         steps += 1
-        segment = (t, h, y, K.T.dot(P))
+        segment = (t, h, y, KT.dot(P))
         segments.append(segment)
         t, y, f = t_new, y_new, f_new
         if t >= t1:

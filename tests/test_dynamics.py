@@ -1,5 +1,11 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypergraphs import networks
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crnflow import (
     ConvergenceError,
@@ -11,6 +17,7 @@ from crnflow import (
     simulate_timedep,
     wegscheider_check,
 )
+from crnflow import dynamics
 
 
 def test_two_state_relaxation_matches_analytic(ab):
@@ -67,6 +74,61 @@ def test_interpolation_matches_states(ab):
     assert np.max(np.abs(traj.interpolate(traj.times) - traj.states)) < 1e-12
 
 
+def _dense_then_pinned(traj, steps, accepted):
+    """States as simulate once formed them, kept as an oracle: the dense output
+    at every time, then the stepper's accepted states over their own rows."""
+    states = traj.dense(traj.times).T
+    states[np.searchsorted(traj.times, steps)] = accepted
+    return states
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _budgeted(integrate, calls):
+    """integrate, raising _OverBudget once its right-hand side has run `calls` times."""
+
+    def run(fun, *args):
+        count = itertools.count()
+
+        def counted(t, x):
+            if next(count) >= calls:
+                raise _OverBudget
+            return fun(t, x)
+
+        return integrate(counted, *args)
+
+    return run
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=networks(), data=st.data(), t1=st.floats(0.05, 1.0))
+def test_states_match_the_dense_then_pinned_oracle(net, data, t1):
+    x0 = np.array(data.draw(st.lists(st.floats(0.05, 2.0), min_size=net.n_species, max_size=net.n_species)))
+    floor = data.draw(st.sampled_from([0.0, 0.5, 0.9])) * float(np.min(x0))  # may halt part way
+    # drawn networks can be stiff enough to take millions of steps: skip those few
+    budget = mock.patch.object(dynamics, "integrate", _budgeted(dynamics.integrate, 20000))
+    with budget, np.errstate(over="ignore", invalid="ignore"):
+        try:
+            run = simulate(net, x0, t1, positivity_floor=floor)  # no grid: the accepted steps alone
+        except (ConvergenceError, _OverBudget):
+            assume(False)
+        steps, n = run.times, run.times.size
+        # grid times on accepted steps (repeated), inside the segments that end at
+        # them, and past the end of a halted run
+        on = steps[data.draw(st.lists(st.integers(0, n - 1), max_size=10))]
+        seg = np.array(data.draw(st.lists(st.integers(0, max(n - 2, 0)), max_size=20)), dtype=int)
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=seg.size, max_size=seg.size)))
+        inside = steps[seg] + u * (steps[np.minimum(seg + 1, n - 1)] - steps[seg])
+        grid = np.concatenate([on, inside, np.linspace(0.0, 1.5 * t1, data.draw(st.integers(0, 40)))])
+        traj = simulate(net, x0, t1, grid=grid, positivity_floor=floor)
+    assert np.array_equal(traj.times, np.union1d(steps, grid[grid <= steps[-1]]))
+    oracle = _dense_then_pinned(traj, steps, run.states)
+    assert traj.states.tobytes() == oracle.tobytes()
+    assert traj.states.flags.c_contiguous and oracle.flags.c_contiguous
+
+
 def test_positivity_floor_halts_integration():
     net = build_network(["A", "B"], [(1, 0), (0, 1)], [(0, 1)], [1.0], [1e-15])
     traj = simulate(net, [1.0, 1.0], 200.0, positivity_floor=1e-6)
@@ -88,6 +150,15 @@ def test_nan_rates_fail_instead_of_hanging():
     net = build_network(["A", "B"], [(2, 0), (1, 1)], [(0, 1)], [1.0], [1.0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match="integration failed"):
         simulate(net, [1e200, 1e200], 1.0)
+
+
+def test_zero_first_trial_step_fails_instead_of_raising():
+    # 2 A <-> A at x = 1e160: the flux is inf, so is the first derivative's norm, and
+    # the first trial step is 0: dividing by it gives inf, as in numpy, not ZeroDivisionError
+    net = build_network(["A"], [(2,), (1,)], [(0, 1)], [1.0], [1.0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(ConvergenceError, match="integration failed"):
+            simulate(net, [1e160], 1.0)
 
 
 def test_invalid_inputs(ab):

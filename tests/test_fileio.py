@@ -17,6 +17,7 @@ from crnflow import (
     parse_network,
     serialize_network,
 )
+from crnflow.fileio import _csv, _format_float
 
 BRUSSELATOR_TEXT = """\
 # autocatalytic two-species model
@@ -218,6 +219,19 @@ def test_trajectory_csv_empty_is_header_only():
         species=("A", "B"),
     )
     assert emit_trajectory_csv(traj) == "t,x_A,x_B,D,epr,pepr,psi,psistar,eta_0\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3])
+def test_csv_rows_match_the_per_value_format(n_rows):
+    # the row template against the per-value join it replaced, on awkward floats
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, -7.0, 1 / 3, 2.0**53 + 2]
+    table = np.resize(np.array(values), (n_rows, len(values)))
+    if n_rows:
+        table[-1] = table[-1][::-1]
+    header = [f"c{i}" for i in range(len(values))]
+    oracle = "\n".join([",".join(header)] + [",".join(_format_float(v) for v in row) for row in table]) + "\n"
+    assert _csv(header, table) == oracle
+    assert _csv(header, table).count("\n") == n_rows + 1
 
 
 def test_simulated_trajectory_csv_parses_back(ab):

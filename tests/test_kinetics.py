@@ -8,6 +8,7 @@ from crnflow import (
     ConvergenceError,
     EdgePair,
     KineticSplit,
+    build_network,
     classify_state,
     entropy_production,
     find_steady_state,
@@ -36,6 +37,18 @@ def test_net_flux_raw_extends_polynomially(brusselator):
     # total on the closed orthant: no error, finite values
     v = net_flux_raw(brusselator, np.array([0.0, -1e-9]))
     assert np.all(np.isfinite(v))
+
+
+def test_net_flux_raw_refuses_a_state_of_the_wrong_length():
+    # A <-> B, B <-> C: a fourth component used to be ignored, a short state an IndexError
+    net = build_network(["A", "B", "C"], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1), (1, 2)], [1.0, 1.0], [1.0, 1.0])
+    assert net_flux_raw(net, [1.0, 2.0, 3.0]).tolist() == [-1.0, -1.0]
+    for bad in ([1.0, 2.0, 3.0, 99.0], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="state must have length 3"):
+            net_flux_raw(net, bad)
+    for bad in ([[1.0, 2.0, 3.0]], 1.0):
+        with pytest.raises(ValueError, match="state must be a 1-d vector"):
+            net_flux_raw(net, bad)
 
 
 def test_edge_pair_validation():

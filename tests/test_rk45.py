@@ -14,7 +14,7 @@ from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
-from crnflow import build_network
+from crnflow import build_network, parse_network
 from crnflow.kinetics import net_flux_raw
 from crnflow.rk45 import EPS, brentq, integrate, simpson
 
@@ -104,6 +104,21 @@ def test_blow_up_fails_like_solve_ivp(y0, tols):
     ours = _assert_matches_scipy(lambda t, y: y * y, 2.0 / y0, np.array([y0]), *tols, 0.0)
     assert ours.status == -1
     assert ours.message == "Required step size is less than spacing between numbers."
+
+
+def test_stiff_robertson_run_matches_solve_ivp():
+    # the benchmark's reversible Robertson network (perfbench/workloads.py): stiff
+    # enough by t = 1 to reject over a hundred steps, which the drawn runs above
+    # rarely reach within their call budget
+    net = parse_network(
+        "species A B C\n"
+        "reaction r1: A <-> B ; kf=0.04 kr=400\n"
+        "reaction r2: 2 B <-> B + C ; kf=3e7 kr=1\n"
+        "reaction r3: B + C <-> A + C ; kf=1e4 kr=1\n"
+    )
+    ours = _assert_matches_scipy(_mass_action(net), 1.0, np.array([1.0, 1e-6, 1e-6]), 1e-8, 1e-10, 0.0)
+    assert ours.status == 0
+    assert ours.stats["rejected"] >= 100
 
 
 def test_rtol_below_100_eps_is_raised_like_solve_ivp(brusselator):
