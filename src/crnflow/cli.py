@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 from dataclasses import replace
@@ -36,9 +37,9 @@ from .fileio import (
     ScenarioConfig,
     _format_float,
     _positive,
-    emit_report_json,
-    emit_schedule_csv,
-    emit_trajectory_csv,
+    report_json_chunks,
+    schedule_csv_chunks,
+    trajectory_csv_chunks,
 )
 from .kinetics import ConvergenceError, KineticSplit, classify_state, mass_action_flux, wegscheider_check
 from .network import ReactionNetwork
@@ -75,11 +76,19 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(_format_float(float(x)) for x in np.asarray(v, dtype=float)) + "]"
 
 
-def _write(outdir: pathlib.Path, name: str, text: str) -> pathlib.Path:
+def _write(outdir: pathlib.Path, name: str, chunks) -> pathlib.Path:
+    """Write the text chunks as they come, to a sibling temporary file renamed
+    over outdir/name once complete: a failure leaves no truncated artifact."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    tmp = outdir / f".{name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -89,7 +98,7 @@ def _report(scenario: ScenarioConfig, outdir: pathlib.Path, name: str, report: d
         "species": list(scenario.network.species),
         "edge_labels": list(scenario.network.edge_labels),
     }
-    print(f"wrote {_write(outdir, name, emit_report_json(report))}")
+    print(f"wrote {_write(outdir, name, report_json_chunks(report))}")
 
 
 def _reference(scenario: ScenarioConfig, wc: dict, command: str) -> np.ndarray:
@@ -131,7 +140,7 @@ def _cmd_info(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 def _cmd_simulate(scenario: ScenarioConfig, outdir, suffix) -> int:
     traj = _run_simulation(scenario)
-    path = _write(outdir, f"trajectory{suffix}.csv", emit_trajectory_csv(traj))
+    path = _write(outdir, f"trajectory{suffix}.csv", trajectory_csv_chunks(traj))
     print(f"wrote {path} ({traj.times.size} rows)")
     print(f"final state: {_fmt_vec(traj.final_state)}")
     if traj.halted:
@@ -192,8 +201,9 @@ def _cmd_decompose(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 def _closed_loop_deviation(scenario: ScenarioConfig, traj, schedule) -> float:
     t = schedule.times
+    # gridless: only the dense output is read, and the grid never reaches the stepper
     redo = _run_simulation(
-        replace(scenario, t_span=(float(t[0]), float(t[-1])), grid=t, x_ref=None, schedule=schedule)
+        replace(scenario, t_span=(float(t[0]), float(t[-1])), grid=None, x_ref=None, schedule=schedule)
     )
     base = traj.interpolate(t)
     mirror = redo.interpolate(t)
@@ -203,14 +213,15 @@ def _closed_loop_deviation(scenario: ScenarioConfig, traj, schedule) -> float:
 
 def _effective(scenario: ScenarioConfig, outdir, suffix, name: str, rates, closed_loop: bool) -> dict:
     net = scenario.network
-    traj = _run_simulation(scenario)
+    # the schedule samples the dense output on the grid, so the base run keeps no grid rows
+    traj = _run_simulation(replace(scenario, grid=None))
     times = scenario.grid if scenario.grid is not None else traj.times
     schedule, cert = rates(net, traj, times=times)
     report = {"certificates": cert, "kappa": KineticSplit.from_rates(net.kplus, net.kminus).kappa}
     report.update((f"max_{k}", float(v.max())) for k, v in cert.items() if k.endswith("_residual"))
     if closed_loop:
         report["closed_loop_deviation"] = _closed_loop_deviation(scenario, traj, schedule)
-    _write(outdir, f"{name}_schedule{suffix}.csv", emit_schedule_csv(schedule, net.edge_labels))
+    _write(outdir, f"{name}_schedule{suffix}.csv", schedule_csv_chunks(schedule, net.edge_labels))
     _report(scenario, outdir, f"{name}{suffix}.json", report)
     return report
 
@@ -251,7 +262,7 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
             "gap": balance["gap"],
             "reference": balance["reference"],
         }
-    _write(outdir, f"ledger_trajectory{suffix}.csv", emit_trajectory_csv(traj))
+    _write(outdir, f"ledger_trajectory{suffix}.csv", trajectory_csv_chunks(traj))
     _report(scenario, outdir, f"ledger{suffix}.json", report)
     print(f"lyapunov nonincreasing: {monitor['nonincreasing']} "
           f"(max derivative {_format_float(monitor['max_derivative'])})")
@@ -364,7 +375,7 @@ def main(argv=None) -> int:
         if code != 0 and first_bad == 0:
             first_bad = code
     if args.sweep is not None:
-        _write(outdir, "sweep_summary.json", emit_report_json({"runs": summary, "sweep": args.sweep}))
+        _write(outdir, "sweep_summary.json", report_json_chunks({"runs": summary, "sweep": args.sweep}))
     return first_bad
 
 

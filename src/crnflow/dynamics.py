@@ -18,6 +18,7 @@ evaluate all their samples in one batched pass (kinetics.mass_action_batch).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,7 @@ class RateSchedule:
             arr.flags.writeable = False  # __call__ hands out views of their rows
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_knots", t.tolist())  # Python floats: bisect on them is cheap
 
     @property
     def n_edges(self) -> int:
@@ -75,18 +77,22 @@ class RateSchedule:
 
         Matches np.interp on every edge bit for bit: the end values outside
         the knots, the knot value on a knot, else slope_j * (t - t_j) + k_j.
+        A NaN time gives the last knot's rates, where np.interp gives NaN.
         """
-        knots, table, slopes, n = self.times, self._table, self._slopes, self.n_edges
-        if np.ndim(t) == 0:
-            j = int(np.searchsorted(knots, t, side="right")) - 1
-            hit = j < 0 or j == knots.size - 1 or knots[j] == t
+        table, slopes, n = self._table, self._slopes, self.n_edges
+        if isinstance(t, float) or np.ndim(t) == 0:
+            knots = self._knots
+            t = float(t)
+            j = bisect_right(knots, t) - 1  # NaN sorts past the end, as in np.searchsorted
+            hit = j < 0 or j == len(knots) - 1 or knots[j] == t
             row = table[max(j, 0)] if hit else slopes[j] * (t - knots[j]) + table[j]
             return row[:n], row[n:]
+        knots = self.times
         ts = np.asarray(t, dtype=float)
         j = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
         dt = (ts - knots[j])[:, None]
         rows = np.where(dt > 0, slopes[j] * dt + table[j], table[j])
-        rows[ts >= knots[-1]] = table[-1]
+        rows[~(ts < knots[-1])] = table[-1]  # NaN as well, as on the scalar path
         return rows[:, :n], rows[:, n:]
 
     @classmethod
@@ -139,6 +145,17 @@ def _ledger_rows(
     return {k: cols[k] for k in LEDGER_KEYS}, eta
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d(a, b) of 1-d float arrays without NaN, by np.unique's own sort
+    and neighbour test; np.unique would import numpy.ma on its first call."""
+    merged = np.concatenate((a, b))
+    merged.sort()
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
 def _integrate(
     net: ReactionNetwork,
     x0,
@@ -182,7 +199,7 @@ def _integrate(
     times = sol.t
     if grid is not None:
         g = np.asarray(grid, dtype=float)
-        times = np.union1d(times, g[(g >= t0) & (g <= t_end)])
+        times = _union(times, g[(g >= t0) & (g <= t_end)])
     # the stepper's own states at its accepted times; the dense output at the others,
     # called on all times of their steps, since np.dot may round a smaller group differently
     step = np.searchsorted(sol.t, times)  # sol.t[step - 1] < times <= sol.t[step]

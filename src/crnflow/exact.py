@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _rescaled(row: list[int], num: int, den: int) -> list[int]:
@@ -110,7 +110,7 @@ def kernel_basis(mat) -> np.ndarray:
             v[c] = -row[f]
         g = gcd(*v) if d > 0 else -gcd(*v)
         basis.append([x // g for x in reversed(v)])
-    if any(not _INT64.min <= x <= _INT64.max for row in basis for x in row):
+    if any(not _INT64_MIN <= x <= _INT64_MAX for row in basis for x in row):
         raise ValueError("kernel basis entries exceed the int64 range")
     return np.array(basis, dtype=np.int64).reshape(len(basis), m)
 

@@ -371,20 +371,25 @@ class ScenarioConfig:
 
 
 # -- emission -----------------------------------------------------------
+#
+# Each artifact is a generator of text chunks, written as it is formatted
+# (cli._write), so no artifact is ever held whole in memory; the emit_*
+# functions join the same chunks for callers that want one string.
 
 
-def emit_trajectory_csv(traj: Trajectory) -> str:
-    """CSV text: t, x_<name>..., D, epr, pepr, psi, psistar, eta_<i>..."""
+def trajectory_csv_chunks(traj: Trajectory):
+    """CSV lines: t, x_<name>..., D, epr, pepr, psi, psistar, eta_<i>..."""
     header = ["t"] + [f"x_{name}" for name in traj.species] + ["D", *LEDGER_KEYS[1:]]
     header += [f"eta_{i}" for i in range(traj.eta.shape[1])]
     ledger = [traj.ledger[k][:, None] for k in LEDGER_KEYS]
     return _csv(header, np.hstack([traj.times[:, None], traj.states, *ledger, traj.eta]))
 
 
-def _csv(header: list[str], table: np.ndarray) -> str:
-    row = ",".join([_FLOAT_FORMAT] * table.shape[1])  # one row's template, filled a row at a time
-    # the trailing "" ends the text with a newline without copying it once more
-    return "\n".join([",".join(header), *(row % tuple(values.tolist()) for values in table), ""])
+def _csv(header: list[str], table: np.ndarray):
+    row = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"  # one row's template, filled a row at a time
+    yield ",".join(header) + "\n"
+    for values in table:
+        yield row % tuple(values.tolist())
 
 
 def _json_ready(obj):
@@ -393,6 +398,9 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind
+        if kind in "biu" or (kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()  # nothing in it needs a string form
         return _json_ready(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return _json_ready(obj.item())
@@ -401,12 +409,29 @@ def _json_ready(obj):
     return obj
 
 
-def emit_report_json(report: dict) -> str:
+def report_json_chunks(report: dict):
     """Deterministic JSON text for decomposition/schedule/classification reports."""
-    return json.dumps(_json_ready(report), indent=2, sort_keys=True) + "\n"
+    # with an indent, json.dumps runs this same pure-Python encoder and joins its chunks
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(_json_ready(report))
+    yield "\n"
+
+
+def schedule_csv_chunks(schedule: RateSchedule, edge_labels):
+    """CSV lines for a rate schedule: t, kf_<label>..., kr_<label>..."""
+    header = ["t"] + [f"kf_{l}" for l in edge_labels] + [f"kr_{l}" for l in edge_labels]
+    return _csv(header, np.hstack([schedule.times[:, None], schedule.kplus, schedule.kminus]))
+
+
+def emit_trajectory_csv(traj: Trajectory) -> str:
+    """trajectory_csv_chunks as one string."""
+    return "".join(trajectory_csv_chunks(traj))
+
+
+def emit_report_json(report: dict) -> str:
+    """report_json_chunks as one string."""
+    return "".join(report_json_chunks(report))
 
 
 def emit_schedule_csv(schedule: RateSchedule, edge_labels) -> str:
-    """CSV text for a rate schedule: t, kf_<label>..., kr_<label>..."""
-    header = ["t"] + [f"kf_{l}" for l in edge_labels] + [f"kr_{l}" for l in edge_labels]
-    return _csv(header, np.hstack([schedule.times[:, None], schedule.kplus, schedule.kminus]))
+    """schedule_csv_chunks as one string."""
+    return "".join(schedule_csv_chunks(schedule, edge_labels))

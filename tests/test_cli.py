@@ -9,7 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from crnflow.cli import main
+from crnflow import (
+    effective_equilibrium_rates,
+    effective_steady_rates,
+    emit_schedule_csv,
+    parse_network,
+    simulate,
+    simulate_timedep,
+)
+from crnflow.cli import _write, main
 
 AB_TEXT = "species A B\nreaction r1: A <-> B ; kf=2 kr=1\n"
 BRUSS_TEXT = (
@@ -388,3 +396,71 @@ def test_effective_schedule_past_the_trajectory_exits_one(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: schedule sample times must lie within")
     assert not (out / "effective_eq.json").exists()
+
+
+def test_failed_write_leaves_no_artifact(tmp_path):
+    def chunks():
+        yield "t,x_A\n"
+        raise RuntimeError("formatting failed")
+
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError):
+        _write(out, "trajectory.csv", chunks())
+    assert list(out.iterdir()) == []  # neither the artifact nor its temporary file
+    (out / "trajectory.csv").write_text("earlier run\n")
+    with pytest.raises(RuntimeError):
+        _write(out, "trajectory.csv", chunks())
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+    assert (out / "trajectory.csv").read_text() == "earlier run\n"
+
+
+NO_NUMPY_MA = """
+import sys
+import crnflow.cli
+scenario, out = sys.argv[1:]
+for command in ("simulate", "effective-eq", "effective-cycle"):
+    assert crnflow.cli.main([command, "--scenario", scenario, "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_gridded_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.union1d would load numpy.ma on its first call
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, x0=[1.0, 4.0], t_end=2.0,
+                     grid={"start": 0, "stop": 2, "num": 41})
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA, scen, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, rates", [
+    ("effective-eq", effective_equilibrium_rates),
+    ("effective-cycle", effective_steady_rates),
+])
+def test_effective_reports_match_the_gridded_runs(tmp_path, command, rates):
+    # the base run and the closed-loop rerun carry no grid; here both get it,
+    # as they once did, and the schedule and the deviation keep their bits
+    x0, grid = [1.0, 4.0], np.linspace(0.0, 4.0, 401)
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, x0=x0, t_end=4.0,
+                     grid={"start": 0, "stop": 4, "num": 401})
+    code, out = _run(tmp_path, command, scen)
+    assert code == 0
+    net = parse_network(BRUSS_TEXT)
+    traj = simulate(net, x0, (0.0, 4.0), grid=grid)
+    schedule, _ = rates(net, traj, times=grid)
+    name = command.replace("-", "_")
+    assert (out / f"{name}_schedule.csv").read_text() == emit_schedule_csv(schedule, net.edge_labels)
+    if command == "effective-eq":
+        redo = simulate_timedep(net, x0, (0.0, 4.0), schedule, grid=grid)
+        base = traj.interpolate(grid)
+        deviation = float(np.max(np.abs(redo.interpolate(grid) - base)) / np.max(np.abs(base)))
+        assert json.loads((out / "effective_eq.json").read_text())["closed_loop_deviation"] == deviation

@@ -200,6 +200,73 @@ def test_rate_schedule_interpolation():
         RateSchedule(np.array([0.0, 1.0]), np.ones((2, 1)), np.array([[1.0], [np.inf]]))
 
 
+def _searchsorted_rates(sched, t):
+    """RateSchedule.__call__'s scalar path as it was, on np.searchsorted: the oracle."""
+    knots, n = sched.times, sched.n_edges
+    j = int(np.searchsorted(knots, t, side="right")) - 1
+    hit = j < 0 or j == knots.size - 1 or knots[j] == t
+    row = sched._table[max(j, 0)] if hit else sched._slopes[j] * (t - knots[j]) + sched._table[j]
+    return row[:n], row[n:]
+
+
+@st.composite
+def _schedules_and_times(draw):
+    knots = np.array(sorted(set(draw(st.lists(
+        st.floats(-5.0, 5.0, allow_subnormal=False), min_size=2, max_size=8)))))
+    assume(knots.size >= 2)
+    shape = (knots.size, draw(st.integers(1, 3)))
+    rates = st.floats(0.125, 8.0)
+    kp = np.array(draw(st.lists(rates, min_size=knots.size * shape[1], max_size=knots.size * shape[1])))
+    sched = RateSchedule(knots, kp.reshape(shape), kp[::-1].reshape(shape))
+    i = draw(st.integers(0, knots.size - 2))
+    u = draw(st.floats(0.0, 1.0))
+    t = draw(st.sampled_from([
+        knots[i],                                    # on a knot
+        knots[i] + u * (knots[i + 1] - knots[i]),    # between two knots
+        np.nextafter(knots[i], np.inf),
+        np.nextafter(knots[i + 1], -np.inf),
+        knots[0] - 1.0 - u,                          # before the range
+        knots[-1] + 1.0 + u,                         # after it
+        0.0, -0.0, np.nan,
+    ]))
+    return sched, float(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedules_and_times())
+def test_scalar_schedule_lookup_matches_the_array_path_and_interp(drawn):
+    sched, t = drawn
+    got = sched(t)
+    assert got[0].tobytes() == sched(np.float64(t))[0].tobytes()
+    rows = sched(np.array([t]))
+    want = _searchsorted_rates(sched, t)
+    for g, w, r, col in zip(got, want, rows, (sched.kplus, sched.kminus)):
+        assert g.tobytes() == w.tobytes() == r[0].tobytes()
+        if np.isnan(t):  # np.interp gives NaN; the schedule holds the last knot's rates
+            assert g.tobytes() == col[-1].tobytes()
+        else:
+            assert g.tobytes() == np.array([np.interp(t, sched.times, c) for c in col.T]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=1, max_size=30, unique=True),
+    data=st.data(),
+)
+def test_grid_union_matches_union1d(steps, data):
+    # the accepted times are strictly increasing; the grid repeats them, repeats
+    # itself, holds both signed zeros and reaches past [t0, t_end]
+    steps = np.array(sorted(steps))
+    grid = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(steps.tolist()), st.sampled_from([0.0, -0.0]), st.floats(-2.0, 12.0)),
+        max_size=40,
+    )))
+    for g in (grid, grid[(grid >= steps[0]) & (grid <= steps[-1])]):
+        want = np.union1d(steps, g)
+        got = dynamics._union(steps, g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_constant_schedule_reproduces_autonomous_run(brusselator):
     grid = np.linspace(0.0, 3.0, 31)
     base = simulate(brusselator, [1.0, 4.0], 3.0, grid=grid)

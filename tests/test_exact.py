@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -79,3 +80,14 @@ def test_kernel_rows_independent_and_deterministic(m):
     if basis.shape[0]:
         assert np.linalg.matrix_rank(basis.astype(float)) == basis.shape[0]
     assert kernel_basis(m).tolist() == basis.tolist()
+
+
+def test_basis_entries_at_the_int64_limits_are_kept():
+    top = 2**63 - 1
+    # the kernel of [1, -c] is (c, 1); of [c, 1] it is (1, -c)
+    assert kernel_basis(np.array([[1, -top]], dtype=object)).tolist() == [[top, 1]]
+    assert kernel_basis(np.array([[top, 1]], dtype=object)).tolist() == [[1, -top]]
+    assert kernel_basis(np.array([[top + 1, 1]], dtype=object)).tolist() == [[1, -(top + 1)]]  # int64's min
+    for row in ([1, -(top + 1)], [top + 2, 1]):  # 2**63 and -(2**63 + 1)
+        with pytest.raises(ValueError, match="int64"):
+            kernel_basis(np.array([row], dtype=object))

@@ -15,7 +15,10 @@ from crnflow import (
     emit_trajectory_csv,
     networks_equal,
     parse_network,
+    report_json_chunks,
+    schedule_csv_chunks,
     serialize_network,
+    trajectory_csv_chunks,
 )
 from crnflow.fileio import _csv, _format_float
 
@@ -230,8 +233,9 @@ def test_csv_rows_match_the_per_value_format(n_rows):
         table[-1] = table[-1][::-1]
     header = [f"c{i}" for i in range(len(values))]
     oracle = "\n".join([",".join(header)] + [",".join(_format_float(v) for v in row) for row in table]) + "\n"
-    assert _csv(header, table) == oracle
-    assert _csv(header, table).count("\n") == n_rows + 1
+    text = "".join(_csv(header, table))
+    assert text == oracle
+    assert text.count("\n") == n_rows + 1
 
 
 def test_simulated_trajectory_csv_parses_back(ab):
@@ -393,3 +397,98 @@ def test_schedule_csv(brusselator):
     assert lines[0] == "t,kf_r1,kf_r2,kf_r3,kr_r1,kr_r2,kr_r3"
     assert lines[1] == "0,1,3,1,1,0.10000000000000001,0.10000000000000001"
     assert len(lines) == 3
+
+
+# -- streamed emission against the whole-string code it replaced ----------
+
+
+def _old_csv(header, table):
+    row = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([",".join(header), *(row % tuple(values.tolist()) for values in table), ""])
+
+
+def _old_json_ready(obj):
+    if isinstance(obj, dict):
+        return {str(k): _old_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _old_json_ready(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _old_json_ready(obj.item())
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _old_report_json(report):
+    return json.dumps(_old_json_ready(report), indent=2, sort_keys=True) + "\n"
+
+
+_VALUES = st.one_of(st.floats(), st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324]))
+
+
+@st.composite
+def _tables(draw, n_cols):
+    n_rows = draw(st.integers(0, 6))
+    return np.array(draw(st.lists(_VALUES, min_size=n_rows * n_cols, max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_species=st.integers(1, 3), n_cons=st.integers(0, 2))
+def test_streamed_trajectory_csv_matches_the_whole_string_code(data, n_species, n_cons):
+    table = data.draw(_tables(1 + n_species + 5 + n_cons))
+    keys = ("divergence", "epr", "pepr", "psi", "psistar")
+    traj = Trajectory(
+        times=table[:, 0],
+        states=table[:, 1:1 + n_species],
+        ledger={k: table[:, 1 + n_species + i] for i, k in enumerate(keys)},
+        eta=table[:, 1 + n_species + 5:],
+        species=tuple(f"S{i}" for i in range(n_species)),
+    )
+    header = ["t", *(f"x_S{i}" for i in range(n_species)), "D", *keys[1:], *(f"eta_{i}" for i in range(n_cons))]
+    want = _old_csv(header, table)
+    assert "".join(trajectory_csv_chunks(traj)) == want
+    assert emit_trajectory_csv(traj) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_edges=st.integers(1, 3))
+def test_streamed_schedule_csv_matches_the_whole_string_code(data, n_edges):
+    n = data.draw(st.integers(2, 6))
+    kp = np.array(data.draw(st.lists(st.floats(0.125, 1e300), min_size=n * n_edges, max_size=n * n_edges)))
+    sched = RateSchedule(np.arange(n) - 0.5, kp.reshape(n, n_edges), kp[::-1].reshape(n, n_edges))
+    labels = [f"r{e}" for e in range(n_edges)]
+    header = ["t", *(f"kf_{l}" for l in labels), *(f"kr_{l}" for l in labels)]
+    want = _old_csv(header, np.hstack([sched.times[:, None], sched.kplus, sched.kminus]))
+    assert "".join(schedule_csv_chunks(sched, labels)) == want
+    assert emit_schedule_csv(sched, labels) == want
+
+
+_SCALARS = st.one_of(
+    _VALUES, st.integers(-(2**62), 2**62), st.booleans(), st.text(max_size=3), st.none(),
+    _VALUES.map(np.float64), st.integers(-100, 100).map(np.int64), st.booleans().map(np.bool_),
+)
+_ARRAYS = st.one_of(
+    st.lists(_VALUES, max_size=5).map(lambda v: np.array(v, dtype=float)),
+    st.lists(_VALUES, max_size=6).map(lambda v: np.resize(np.array(v, dtype=float), (2, len(v) // 2))),
+    st.lists(st.integers(-100, 100), max_size=5).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=5).map(lambda v: np.array(v, dtype=bool)),
+)
+_REPORTS = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _REPORTS, max_size=4))
+def test_streamed_report_json_matches_the_whole_string_code(report):
+    want = _old_report_json(report)
+    assert "".join(report_json_chunks(report)) == want
+    assert emit_report_json(report) == want
