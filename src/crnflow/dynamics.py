@@ -4,9 +4,10 @@ The state equation xdot = -stoich @ flux(x) is integrated with the
 Dormand-Prince 5(4) pair at tight tolerances (crnflow.rk45, which
 reproduces scipy's RK45 bit for bit without importing scipy), with a
 terminal event that halts integration before any component crosses a
-positivity floor. One right-hand side serves constant and scheduled
-rates: kinetics.net_flux_raw at the state, under the schedule's rates
-at t when there is one, times the negated float stoichiometric matrix.
+positivity floor. Each integration builds its right-hand side once, for
+constant and scheduled rates alike: kinetics.one_way_kernel's fluxes at
+the state, under the schedule's rates at t when there is one, their net
+flux times the negated float stoichiometric matrix.
 A trajectory's states at the accepted steps are the stepper's own; the
 dense output gives only the grid times between steps. Each trajectory
 also carries a ledger of scalar observables per sample time: relative
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import KLPotential, _positive
-from .kinetics import ConvergenceError, mass_action_batch, net_flux_raw, wegscheider_check
+from .kinetics import ConvergenceError, mass_action_batch, one_way_kernel, wegscheider_check
 from .network import ReactionNetwork, dot_rows
 from .rk45 import integrate, simpson
 
@@ -61,7 +62,8 @@ class RateSchedule:
         object.__setattr__(self, "kplus", kp)
         object.__setattr__(self, "kminus", km)
         table = np.hstack([kp, km])
-        slopes = np.diff(table, axis=0) / np.diff(t)[:, None]
+        with np.errstate(over="ignore"):  # a slope past the float range is inf, as in np.interp
+            slopes = np.diff(table, axis=0) / np.diff(t)[:, None]
         for arr in (table, slopes):
             arr.flags.writeable = False  # __call__ hands out views of their rows
         object.__setattr__(self, "_table", table)
@@ -72,6 +74,15 @@ class RateSchedule:
     def n_edges(self) -> int:
         return self.kplus.shape[1]
 
+    def _row(self, t) -> np.ndarray:
+        """The rates [kplus | kminus] at a scalar time t, shape (2 n_edges,)."""
+        knots = self._knots
+        t = float(t)
+        j = bisect_right(knots, t) - 1  # NaN sorts past the end, as in np.searchsorted
+        if j < 0 or j == len(knots) - 1 or knots[j] == t:
+            return self._table[max(j, 0)]
+        return self._slopes[j] * (t - knots[j]) + self._table[j]
+
     def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Rates at time t, or (n_times, n_edges) tables at an array of times.
 
@@ -79,19 +90,16 @@ class RateSchedule:
         the knots, the knot value on a knot, else slope_j * (t - t_j) + k_j.
         A NaN time gives the last knot's rates, where np.interp gives NaN.
         """
-        table, slopes, n = self._table, self._slopes, self.n_edges
+        n = self.n_edges
         if isinstance(t, float) or np.ndim(t) == 0:
-            knots = self._knots
-            t = float(t)
-            j = bisect_right(knots, t) - 1  # NaN sorts past the end, as in np.searchsorted
-            hit = j < 0 or j == len(knots) - 1 or knots[j] == t
-            row = table[max(j, 0)] if hit else slopes[j] * (t - knots[j]) + table[j]
+            row = self._row(t)
             return row[:n], row[n:]
-        knots = self.times
+        table, slopes, knots = self._table, self._slopes, self.times
         ts = np.asarray(t, dtype=float)
         j = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
         dt = (ts - knots[j])[:, None]
-        rows = np.where(dt > 0, slopes[j] * dt + table[j], table[j])
+        with np.errstate(over="ignore", invalid="ignore"):  # only in the entries np.where drops
+            rows = np.where(dt > 0, slopes[j] * dt + table[j], table[j])
         rows[~(ts < knots[-1])] = table[-1]  # NaN as well, as on the scalar path
         return rows[:, :n], rows[:, n:]
 
@@ -156,6 +164,23 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return merged[keep]
 
 
+def _rhs(net: ReactionNetwork, schedule: RateSchedule | None):
+    """The right-hand side (t, x) -> -stoich @ flux(x) under the network's
+    rates, or the schedule's at t: one closure per integration."""
+    one_way = one_way_kernel(net, row=None if schedule is None else schedule._row)
+    n = net.n_edges
+    neg_stoich = -net.stoich_f  # negation is exact: (-S) @ v is -(S @ v), but for the sign of a zero
+    # ndarray.dot gives @'s bits at less call cost, but for a 1 x 1 matrix, which it
+    # takes for a scalar: a zero product keeps its sign there, where @ adds it to +0
+    mul = neg_stoich.__matmul__ if neg_stoich.size == 1 else neg_stoich.dot
+
+    def rhs(t, x):
+        w = one_way(t, x)
+        return mul(w[:n] - w[n:])
+
+    return rhs
+
+
 def _integrate(
     net: ReactionNetwork,
     x0,
@@ -181,16 +206,12 @@ def _integrate(
     if x_ref is not None and np.shape(x_ref) != (net.n_species,):
         raise ValueError(f"x_ref must have length {net.n_species}")
 
-    neg_stoich = -net.stoich_f  # negation is exact: (-S) @ v is -(S @ v), but for the sign of a zero
-
-    def rhs(t, x):
-        rates = (None, None) if schedule is None else schedule(t)
-        return neg_stoich @ net_flux_raw(net, x, *rates)
+    minimum = np.minimum.reduce  # x.min(), without its Python-level wrapper
 
     def floor_event(t, x):
-        return float(x.min()) - positivity_floor
+        return float(minimum(x)) - positivity_floor
 
-    sol = integrate(rhs, t0, t1, x0, rtol, atol, floor_event)
+    sol = integrate(_rhs(net, schedule), t0, t1, x0, rtol, atol, floor_event)
     if sol.status == -1:
         raise ConvergenceError(f"integration failed: {sol.message}")
 

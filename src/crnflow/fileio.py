@@ -373,8 +373,9 @@ class ScenarioConfig:
 # -- emission -----------------------------------------------------------
 #
 # Each artifact is a generator of text chunks, written as it is formatted
-# (cli._write), so no artifact is ever held whole in memory; the emit_*
-# functions join the same chunks for callers that want one string.
+# (cli._write), so no artifact is ever held whole in memory; a CSV chunk
+# is a block of up to _CSV_BLOCK rows. The emit_* functions join the same
+# chunks for callers that want one string.
 
 
 def trajectory_csv_chunks(traj: Trajectory):
@@ -385,11 +386,15 @@ def trajectory_csv_chunks(traj: Trajectory):
     return _csv(header, np.hstack([traj.times[:, None], traj.states, *ledger, traj.eta]))
 
 
+_CSV_BLOCK = 256  # rows formatted by one %
+
+
 def _csv(header: list[str], table: np.ndarray):
-    row = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"  # one row's template, filled a row at a time
+    row = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"  # one row's template
     yield ",".join(header) + "\n"
-    for values in table:
-        yield row % tuple(values.tolist())
+    for start in range(0, len(table), _CSV_BLOCK):  # a chunk per block of rows, filled by one %
+        block = table[start:start + _CSV_BLOCK]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _json_ready(obj):

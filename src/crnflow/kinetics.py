@@ -11,11 +11,12 @@ appear throughout: one-way fluxes (jplus, jminus), net flux and force
 Rate constants likewise split into an equilibrium part K = kplus/kminus
 and a frenetic part kappa = sqrt(kplus kminus).
 
-Every flux goes through one evaluator, _one_way, on one state or a batch
-of rows: net_flux_raw (any real state; the ODE right-hand side),
-mass_action_flux (one positive state) and mass_action_batch (positive
-rows, with the ledger columns) differ only in their checks and in which
-coordinates they return.
+The fluxes at one state come from one closure per network and rate
+source, one_way_kernel, which the ODE right-hand side builds once per
+integration; net_flux_raw (any real state) and mass_action_flux (one
+positive state) build it per call. Batches of rows go through _one_way:
+mass_action_batch (positive rows, with the ledger columns). The callers
+differ only in their checks and in which coordinates they return.
 """
 
 from __future__ import annotations
@@ -102,22 +103,45 @@ class KineticSplit:
         return self.kappa * root, self.kappa / root
 
 
-def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.ndarray, np.ndarray]:
-    """One-way fluxes kplus * prod_i x_i^head[i, e] and kminus * prod_i
-    x_i^tail[i, e] at one state (1-d x) or per row of a (T, n_species) x.
+def one_way_kernel(net: ReactionNetwork, kplus=None, kminus=None, row=None):
+    """The one-way fluxes at one state, as a closure built once per network
+    and rate source.
 
-    The sparse net.factors multiply in ascending species order with
-    integer powers: bit-equal to the dense product over all species,
-    finite for trial states at or below zero, and O(T * nnz) memory.
+    kernel(t, x) returns [jplus | jminus], shape (2 n_edges,), at a 1-d
+    state x: kplus * prod_i x_i^head[i, e] and kminus * prod_i
+    x_i^tail[i, e]. The sparse net.factors multiply in ascending species
+    order with integer powers: bit-equal to the dense product over all
+    species, and finite for trial states at or below zero. The rates are
+    the network's, or explicit kplus/kminus, or row(t) when a row lookup
+    t -> [kplus | kminus] is given (RateSchedule._row); t is read only then.
+    """
+    species, powers, starts = net.factors
+    power, reduceat, n = np.power, np.multiply.reduceat, net.n_edges
+    k = None
+    if row is None:
+        kp = net.kplus if kplus is None else np.broadcast_to(np.asarray(kplus, dtype=float), n)
+        km = net.kminus if kminus is None else np.broadcast_to(np.asarray(kminus, dtype=float), n)
+        k = np.concatenate([kp, km])
+
+    def kernel(t, x):
+        m = reduceat(power(x[species], powers), starts)
+        m *= k if row is None else row(t)  # bit-equal to kplus * m[:n], kminus * m[n:]
+        return m
+
+    return kernel
+
+
+def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.ndarray, np.ndarray]:
+    """One-way fluxes per row of a (T, n_species) x, each row bit-equal to
+    one_way_kernel's at that state.
+
     Rates None mean the network's; explicit ones may be (T, n_edges).
+    O(T * nnz) memory.
     """
     species, powers, starts = net.factors
     kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
     km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
     n = starts.size // 2  # edges
-    if x.ndim == 1:  # one state, as in the ODE right-hand side: no tiling, no ellipsis
-        mono = np.multiply.reduceat(np.power(x[species], powers), starts)
-        return kp * mono[:n], km * mono[n:]
     # tiled powers: numpy squares a zero-stride (broadcast) exponent of 2 as x * x, not as its pow
     mono = np.multiply.reduceat(np.power(x[:, species], np.tile(powers, (len(x), 1))), starts, axis=1)
     return kp * mono[:, :n], km * mono[:, n:]
@@ -129,7 +153,8 @@ def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePa
     Rate constants default to the network's; pass kplus/kminus to
     evaluate the same topology under different rates.
     """
-    return EdgePair(*_one_way(net, _positive(x, "state", net.n_species), kplus, kminus))
+    m, n = one_way_kernel(net, kplus, kminus)(None, _positive(x, "state", net.n_species)), net.n_edges
+    return EdgePair(m[:n], m[n:])
 
 
 def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray:
@@ -138,8 +163,8 @@ def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray
     Equals mass_action_flux(...).flux on the positive orthant but does
     not require positivity, which keeps ODE right-hand sides total.
     """
-    jp, jm = _one_way(net, _vec(x, "state", net.n_species), kplus, kminus)
-    return jp - jm
+    m, n = one_way_kernel(net, kplus, kminus)(None, _vec(x, "state", net.n_species)), net.n_edges
+    return m[:n] - m[n:]
 
 
 def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_ref=None, ledger=False) -> dict:

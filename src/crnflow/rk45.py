@@ -60,12 +60,10 @@ def _rms(x):
 
 
 def _interpolate(segment, t):
-    """Dense output of one step at a 0-d t, or at a 1-d t as columns."""
+    """Dense output of one step at a 0-d t."""
     t_old, h, y_old, Q = segment
     x = (t - t_old) / h
-    if t.ndim == 0:
-        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
-    return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+    return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
 
 
 class DenseOutput:
@@ -73,7 +71,10 @@ class DenseOutput:
 
     Called with a scalar it returns a state of shape (n,); with a 1-d
     array of times, states as columns, shape (n, m). A time on a step
-    boundary is evaluated in the earlier step.
+    boundary is evaluated in the earlier step. The times of one step form
+    a group, as in scipy's OdeSolution; all groups of one size are
+    evaluated in one stacked product, (groups, n, 4) @ (groups, 4, size),
+    whose every slice is the per-group np.dot, bit for bit.
     """
 
     def __init__(self, ts, segments):
@@ -87,13 +88,21 @@ class DenseOutput:
             i = int(np.searchsorted(self.ts, t, side="left")) - 1
             return _interpolate(self.segments[min(max(i, 0), last)], t)
         order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
         seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
-        bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), seg.size]
-        ys = [_interpolate(self.segments[seg[a]], t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return np.hstack(ys)[:, reverse]
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))  # each group's first sorted time
+        sizes = np.diff(starts, append=seg.size)
+        t_old, h, y_old, Q = (np.array(v) for v in zip(*(self.segments[i] for i in seg[starts].tolist())))
+        ys = np.empty((t.size, y_old.shape[1]))  # row i: the state at t[i]
+        for k in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
+            pick = np.flatnonzero(sizes == k)
+            cols = starts[pick, None] + np.arange(k)  # (groups, k) sorted positions
+            hk = h[pick, None]
+            x = (t_sorted[cols] - t_old[pick, None]) / hk
+            powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)  # x, x^2, x^3, x^4
+            yk = hk[:, None] * np.matmul(Q[pick], powers) + y_old[pick, :, None]
+            ys[order[cols.ravel()]] = yk.transpose(0, 2, 1).reshape(-1, yk.shape[1])
+        return ys.T  # the layout of scipy's hstack(...)[:, reverse]
 
 
 @dataclass
@@ -191,14 +200,20 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
     t, y = t0, np.asarray(y0, dtype=float)
     f = fun(t, y)
     h_abs = float(_initial_step(fun, t, y, t1, f, rtol, atol))  # the loop's scalars stay Python floats
-    K = np.empty((7, y.size))  # filled in place: the views below are hoisted out of the loop
-    KT, KT_B, stages = K.T, K[:-1].T, [(float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 6)]
+    # bound once: K is filled in place, so its views, the stage constants with
+    # their index and the functions below serve every step
+    K = np.empty((7, y.size))
+    KT, KT_B, b, e, p = K.T, K[:-1].T, B, E, P
+    stages = [(s, float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 6)]
+    absolute, maximum, sqrt, nextafter, inf = np.abs, np.maximum, math.sqrt, math.nextafter, math.inf
+    root_n = y.size ** 0.5  # _rms's divisor
+    abs_y = absolute(y)  # carried from step to step: np.abs(y) of the accepted state
     ts, ys, segments = [t], [y], []
     g = event(t, y)
     steps = rejected = 0
     status = None
     while status is None:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        min_step = 10 * abs(nextafter(t, inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while h_abs >= min_step:  # False for NaN too, where scipy loops forever
@@ -206,13 +221,14 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s, (c, KT_s, a) in enumerate(stages, 1):
-                K[s] = fun(t + c * h, y + np.dot(KT_s, a) * h)
-            y_new = y + h * np.dot(KT_B, B)
+            for s, c, KT_s, a in stages:
+                K[s] = fun(t + c * h, y + KT_s.dot(a) * h)
+            y_new = y + h * KT_B.dot(b)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(KT, E) * h / scale)
+            abs_new = absolute(y_new)
+            err = KT.dot(e) * h / (atol + maximum(abs_y, abs_new) * rtol)
+            error_norm = sqrt(err.dot(err)) / root_n  # _rms(err)
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
                 h_abs *= min(1, factor) if step_rejected else factor
@@ -224,9 +240,9 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
             status = -1
             break
         steps += 1
-        segment = (t, h, y, KT.dot(P))
+        segment = (t, h, y, KT.dot(p))
         segments.append(segment)
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
         if t >= t1:
             status = 0
         g_new = event(t, y)
@@ -242,7 +258,7 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
     times = np.array(ts)
     return Solution(
         t=times,
-        y=np.vstack(ys),
+        y=np.array(ys),
         sol=DenseOutput(times, segments),
         status=status,
         message=MESSAGES[status],

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypergraphs import networks
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crnflow import (
@@ -234,6 +234,10 @@ def _schedules_and_times(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_schedules_and_times())
+# knots so close that a slope overflows, or slope * (t - knot) does before the first knot
+@example(drawn=(RateSchedule(np.array([0.0, 1e-308]), np.array([[1.0], [3.0]]), np.array([[3.0], [1.0]])), 5e-309))
+@example(drawn=(RateSchedule(np.array([0.0, 2.2250738585072014e-308]), np.array([[1.0], [3.0]]),
+                             np.array([[3.0], [1.0]])), -2.0))
 def test_scalar_schedule_lookup_matches_the_array_path_and_interp(drawn):
     sched, t = drawn
     got = sched(t)

@@ -224,18 +224,20 @@ def test_trajectory_csv_empty_is_header_only():
     assert emit_trajectory_csv(traj) == "t,x_A,x_B,D,epr,pepr,psi,psistar,eta_0\n"
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 255, 256, 257, 513])
 def test_csv_rows_match_the_per_value_format(n_rows):
-    # the row template against the per-value join it replaced, on awkward floats
+    # the row-block template against the per-value join it replaced, on awkward
+    # floats, for tables shorter than a block, a block long and past one or two
     values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, -7.0, 1 / 3, 2.0**53 + 2]
-    table = np.resize(np.array(values), (n_rows, len(values)))
+    table = np.resize(np.array(values), (n_rows, len(values) - 1))  # each row a rotation of the last
     if n_rows:
         table[-1] = table[-1][::-1]
-    header = [f"c{i}" for i in range(len(values))]
+    header = [f"c{i}" for i in range(table.shape[1])]
     oracle = "\n".join([",".join(header)] + [",".join(_format_float(v) for v in row) for row in table]) + "\n"
-    text = "".join(_csv(header, table))
-    assert text == oracle
-    assert text.count("\n") == n_rows + 1
+    chunks = list(_csv(header, table))
+    assert "".join(chunks) == oracle
+    assert oracle.count("\n") == n_rows + 1
+    assert len(chunks) == 1 + -(-n_rows // 256)  # the header, then one chunk per block of rows
 
 
 def test_simulated_trajectory_csv_parses_back(ab):

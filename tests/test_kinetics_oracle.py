@@ -1,4 +1,5 @@
-"""The batched kinetics against the per-sample code it replaced.
+"""The batched kinetics against the per-sample code it replaced, and the
+one-state flux closure against the flux functions and the batch rows.
 
 tests/kinetics_oracle.py keeps the previous per-row implementations of the
 fluxes, the ledger, the Lyapunov monitor, the energy balance, the rate
@@ -47,7 +48,8 @@ from crnflow import (
 )
 from crnflow import geometry
 from crnflow.geometry import _dual_projection
-from crnflow.dynamics import LEDGER_KEYS, _ledger_rows
+from crnflow.dynamics import LEDGER_KEYS, _ledger_rows, _rhs
+from crnflow.kinetics import _one_way, one_way_kernel
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -106,6 +108,52 @@ def test_fluxes_match_oracle(net, data):
             got, want = mass_action_flux(net, x), oracle.mass_action_flux(net, x)
             _same(got.jplus, want.jplus)
             _same(got.jminus, want.jminus)
+
+
+@st.composite
+def schedule_and_times(draw, n_edges):
+    """A schedule, and times on, between, before and after its knots, at
+    both signed zeros and NaN."""
+    rng = np.random.default_rng(draw(SEEDS))
+    knots = np.sort(rng.uniform(-2.0, 2.0, draw(st.integers(2, 6))))
+    shape = (knots.size, n_edges)
+    sched = RateSchedule(knots, rng.uniform(0.1, 5.0, shape), rng.uniform(0.1, 5.0, shape))
+    between = knots[:-1] + rng.random(knots.size - 1) * np.diff(knots)
+    edges = [np.nextafter(knots[0], np.inf), np.nextafter(knots[-1], -np.inf), knots[0] - 1.0, knots[-1] + 1.0]
+    return sched, [float(t) for t in [*knots, *between, *edges, 0.0, -0.0, np.nan]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_rhs_closure_matches_the_flux_functions(net, data):
+    """The right-hand side built once per integration against the one it
+    replaced, -stoich_f @ net_flux_raw(net, x, *rates), and the closure's
+    one-way fluxes against the batch rows of _one_way: the same bytes at
+    states with zero and negative components, under the network's rates
+    and a schedule's."""
+    xs = data.draw(states(net.n_species, max_rows=8))
+    sched, times = data.draw(schedule_and_times(net.n_edges))
+    n = net.n_edges
+    for schedule, ts in ((None, [0.0]), (sched, times)):
+        rhs = _rhs(net, schedule)
+        kernel = one_way_kernel(net, row=None if schedule is None else schedule._row)
+        for t in ts:
+            rates = (None, None) if schedule is None else schedule(t)
+            rows = [None if k is None else k[None] for k in rates]
+            for x in xs:
+                _same(rhs(t, x), -net.stoich_f @ net_flux_raw(net, x, *rates))
+                w = kernel(t, x)
+                jp, jm = _one_way(net, x[None], *rows)
+                _same(w[:n], jp[0])
+                _same(w[n:], jm[0])
+
+
+def test_rhs_keeps_the_sign_of_a_zero_on_one_species_one_edge():
+    """ndarray.dot takes a 1 x 1 matrix for a scalar: -1 * 0.0 is -0.0 there, where @ gives +0.0."""
+    net = build_network(["A"], [(1,), (2,)], [(0, 1)], [1.5], [1.5])
+    for x in ([0.0], [1.0], [-0.0], [2.0]):
+        x = np.array(x)
+        _same(_rhs(net, None)(0.0, x), -net.stoich_f @ net_flux_raw(net, x))
 
 
 # bound on the gap between the two force/activity formulas, in units of
