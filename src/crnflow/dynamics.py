@@ -14,7 +14,9 @@ also carries a ledger of scalar observables per sample time: relative
 entropy to an optional reference, entropy production rate and its
 quadratic lower bound, and the primal/dual dissipation values whose sum
 equals the EPR. The ledger, the Lyapunov monitor and the energy balance
-evaluate all their samples in one batched pass (kinetics.mass_action_batch).
+evaluate their samples through kinetics.mass_action_batch, in fixed-size
+blocks of rows; products over all rows (the conserved quantities, the
+monitor's force) stay one call each.
 """
 
 from __future__ import annotations
@@ -118,7 +120,9 @@ class Trajectory:
     psi, psistar. eta holds the conserved-quantity values, shape
     (n_times, n_conserved). stats counts the integrator's work: accepted
     steps, rejected steps and right-hand-side evaluations (nfev); it is
-    written to no artifact.
+    written to no artifact. When every time is an accepted step, times
+    and states are the dense output's own arrays: writing into them
+    changes what interpolate returns.
     """
 
     times: np.ndarray
@@ -225,12 +229,15 @@ def _integrate(
     # called on all times of their steps, since np.dot may round a smaller group differently
     step = np.searchsorted(sol.t, times)  # sol.t[step - 1] < times <= sol.t[step]
     accepted = sol.t[step] == times
-    seg = np.maximum(step, 1)  # DenseOutput's segment, plus one
-    grouped = np.bincount(seg[~accepted], minlength=sol.t.size)[seg] > 0
-    states = np.empty((times.size, net.n_species))
-    if grouped.any():
-        states[grouped] = sol.sol(times[grouped]).T
-    states[accepted] = sol.y
+    if times.size == sol.t.size and accepted.all():
+        states = sol.y  # every output time an accepted step: the stepper's array itself
+    else:
+        seg = np.maximum(step, 1)  # DenseOutput's segment, plus one
+        grouped = np.bincount(seg[~accepted], minlength=sol.t.size)[seg] > 0
+        states = np.empty((times.size, net.n_species))
+        if grouped.any():
+            states[grouped] = sol.sol(times[grouped]).T
+        states[accepted] = sol.y
 
     ledger, eta = _ledger_rows(net, times, states, x_ref, schedule)
     reason = None

@@ -374,8 +374,8 @@ class ScenarioConfig:
 #
 # Each artifact is a generator of text chunks, written as it is formatted
 # (cli._write), so no artifact is ever held whole in memory; a CSV chunk
-# is a block of up to _CSV_BLOCK rows. The emit_* functions join the same
-# chunks for callers that want one string.
+# is a block of up to _CSV_BLOCK rows, stacked from its columns only then.
+# The emit_* functions join the same chunks for callers that want one string.
 
 
 def trajectory_csv_chunks(traj: Trajectory):
@@ -383,17 +383,18 @@ def trajectory_csv_chunks(traj: Trajectory):
     header = ["t"] + [f"x_{name}" for name in traj.species] + ["D", *LEDGER_KEYS[1:]]
     header += [f"eta_{i}" for i in range(traj.eta.shape[1])]
     ledger = [traj.ledger[k][:, None] for k in LEDGER_KEYS]
-    return _csv(header, np.hstack([traj.times[:, None], traj.states, *ledger, traj.eta]))
+    return _csv(header, traj.times[:, None], traj.states, *ledger, traj.eta)
 
 
 _CSV_BLOCK = 256  # rows formatted by one %
 
 
-def _csv(header: list[str], table: np.ndarray):
-    row = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"  # one row's template
+def _csv(header: list[str], *columns: np.ndarray):
+    """The CSV of the (T, k) column groups side by side, a block of rows at a time."""
+    row = ",".join([_FLOAT_FORMAT] * sum(c.shape[1] for c in columns)) + "\n"  # one row's template
     yield ",".join(header) + "\n"
-    for start in range(0, len(table), _CSV_BLOCK):  # a chunk per block of rows, filled by one %
-        block = table[start:start + _CSV_BLOCK]
+    for start in range(0, len(columns[0]), _CSV_BLOCK):  # a chunk per block of rows, filled by one %
+        block = np.hstack([c[start:start + _CSV_BLOCK] for c in columns])
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -424,7 +425,7 @@ def report_json_chunks(report: dict):
 def schedule_csv_chunks(schedule: RateSchedule, edge_labels):
     """CSV lines for a rate schedule: t, kf_<label>..., kr_<label>..."""
     header = ["t"] + [f"kf_{l}" for l in edge_labels] + [f"kr_{l}" for l in edge_labels]
-    return _csv(header, np.hstack([schedule.times[:, None], schedule.kplus, schedule.kminus]))
+    return _csv(header, schedule.times[:, None], schedule.kplus, schedule.kminus)
 
 
 def emit_trajectory_csv(traj: Trajectory) -> str:

@@ -15,8 +15,9 @@ The fluxes at one state come from one closure per network and rate
 source, one_way_kernel, which the ODE right-hand side builds once per
 integration; net_flux_raw (any real state) and mass_action_flux (one
 positive state) build it per call. Batches of rows go through _one_way:
-mass_action_batch (positive rows, with the ledger columns). The callers
-differ only in their checks and in which coordinates they return.
+mass_action_batch (positive rows: edge coordinates, or the ledger
+columns). The callers differ only in their checks and in which
+coordinates they return.
 """
 
 from __future__ import annotations
@@ -167,37 +168,49 @@ def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray
     return m[:n] - m[n:]
 
 
+_BATCH_ROWS = 1024  # rows per block of mass_action_batch: its temporaries stay O(_BATCH_ROWS * nnz)
+
+
 def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_ref=None, ledger=False) -> dict:
     """Edge coordinates at every row of a (T, n_species) state array at once.
 
     Rows with a component at or below zero are skipped: NaN in every
     output, and "rows" marks the others. kplus/kminus may be (T, n_edges)
-    tables. Gives flux, force and activity, (T, n_edges); ledger=True adds
-    the (T,) columns epr, pepr, psi, psistar (the cosh dissipation of flux
-    and force weighted by the activity) and divergence (relative entropy
-    to x_ref, NaN without one). Rows are bit-identical to the per-state
-    functions, with the same ValueError on non-positive fluxes or weights.
+    tables. Gives flux, force and activity, (T, n_edges); ledger=True gives
+    instead the (T,) columns epr, pepr, psi, psistar (the cosh dissipation
+    of flux and force weighted by the activity) and divergence (relative
+    entropy to x_ref, NaN without one). Rows are bit-identical to the
+    per-state functions, with the same ValueError on non-positive fluxes or
+    weights. The rows are evaluated in blocks of _BATCH_ROWS into the
+    outputs, by elementwise work and sums over the last axis, which round
+    each row alone.
     """
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.n_species:
         raise ValueError(f"states must have shape (T, {net.n_species})")
     rows = np.all(x > 0, axis=1)
-    x = x[rows]
-    rates = [k if np.ndim(k) < 2 else np.asarray(k, dtype=float)[rows] for k in (kplus, kminus)]
-    pair = EdgePair(*_one_way(net, x, *rates))
-    cols = {"flux": pair.flux, "force": pair.force, "activity": pair.activity}
+    rates = [k if np.ndim(k) < 2 else np.asarray(k, dtype=float) for k in (kplus, kminus)]
     if ledger:
-        diss = CoshDissipation(cols["activity"])
-        cols["epr"] = entropy_production(pair)
-        cols["pepr"] = pseudo_entropy_production(pair)
-        cols["psi"] = diss.value(cols["flux"])
-        cols["psistar"] = diss.dual_value(cols["force"])
-        kl = KLPotential(n=net.n_species)
-        cols["divergence"] = np.full(len(x), np.nan) if x_ref is None else kl.bregman(x, x_ref)
-    out = {"rows": rows}
-    for key, val in cols.items():
-        out[key] = np.full(rows.shape + val.shape[1:], np.nan)
-        out[key][rows] = val
+        keys, shape = ("epr", "pepr", "psi", "psistar", "divergence"), len(x)
+    else:
+        keys, shape = ("flux", "force", "activity"), (len(x), net.n_edges)
+    out = {"rows": rows} | {key: np.full(shape, np.nan) for key in keys}
+    kl = KLPotential(n=net.n_species)
+    for start in range(0, len(x), _BATCH_ROWS):
+        block = slice(start, start + _BATCH_ROWS)
+        live = rows[block]
+        xb = x[block][live]
+        pair = EdgePair(*_one_way(net, xb, *(k if np.ndim(k) < 2 else k[block][live] for k in rates)))
+        if ledger:
+            diss = CoshDissipation(pair.activity)
+            cols = {"epr": entropy_production(pair), "pepr": pseudo_entropy_production(pair),
+                    "psi": diss.value(pair.flux), "psistar": diss.dual_value(pair.force)}
+            if x_ref is not None:
+                cols["divergence"] = kl.bregman(xb, x_ref)
+        else:
+            cols = {"flux": pair.flux, "force": pair.force, "activity": pair.activity}
+        for key, val in cols.items():
+            out[key][block][live] = val
     return out
 
 

@@ -11,7 +11,8 @@ stepper's states at the accepted times, the dense output those between.
 
 References: J. R. Dormand & P. J. Prince, J. Comput. Appl. Math. 6 (1980)
 (the pair); Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-6 (initial
-step, step control, Shampine's dense output); R. P. Brent, Algorithms for
+step, step control, Shampine's dense output); L. F. Shampine, Math. Comp. 46
+(1986) (the quartic dense-output coefficients); R. P. Brent, Algorithms for
 Minimization without Derivatives (1973), ch. 4 (the event root).
 """
 
@@ -70,37 +71,47 @@ class DenseOutput:
     """Piecewise quartic interpolant over the accepted steps.
 
     Called with a scalar it returns a state of shape (n,); with a 1-d
-    array of times, states as columns, shape (n, m). A time on a step
-    boundary is evaluated in the earlier step. The times of one step form
-    a group, as in scipy's OdeSolution; all groups of one size are
-    evaluated in one stacked product, (groups, n, 4) @ (groups, 4, size),
-    whose every slice is the per-group np.dot, bit for bit.
+    array of m times, states as columns, shape (n, m), (n, 0) for no
+    times. A time on a step boundary is evaluated in the earlier step.
+    The times of one step form a group, as in scipy's OdeSolution; all
+    groups of one size are evaluated in one stacked product,
+    (groups, n, 4) @ (groups, 4, size), whose every slice is the
+    per-group np.dot, bit for bit.
+
+    Layout, float64 arrays over k accepted times: t (k,) and y (k, n),
+    the times and states, which Solution shares; step i runs from t[i]
+    with size h[i], h (k - 1,), and Shampine's quartic coefficients
+    Q[i] = K.T @ P of its stages, Q (k - 1, n, 4). Each step holds
+    16 + 40 n bytes (136 at n = 3).
     """
 
-    def __init__(self, ts, segments):
-        self.ts = ts
-        self.segments = segments
+    def __init__(self, t, y, h, Q):
+        self.t, self.y, self.h, self.Q = t, y, h, Q
+
+    def segment(self, i):
+        """Step i as (t_old, h, y_old, Q)."""
+        return self.t[i], self.h[i], self.y[i], self.Q[i]
 
     def __call__(self, t):
         t = np.asarray(t)
-        last = len(self.segments) - 1
+        last = self.h.size - 1
         if t.ndim == 0:
-            i = int(np.searchsorted(self.ts, t, side="left")) - 1
-            return _interpolate(self.segments[min(max(i, 0), last)], t)
+            i = int(np.searchsorted(self.t, t, side="left")) - 1
+            return _interpolate(self.segment(min(max(i, 0), last)), t)
         order = np.argsort(t)
         t_sorted = t[order]
-        seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        seg = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, last)
         starts = np.flatnonzero(np.diff(seg, prepend=-1))  # each group's first sorted time
         sizes = np.diff(starts, append=seg.size)
-        t_old, h, y_old, Q = (np.array(v) for v in zip(*(self.segments[i] for i in seg[starts].tolist())))
-        ys = np.empty((t.size, y_old.shape[1]))  # row i: the state at t[i]
+        ys = np.empty((t.size, self.y.shape[1]))  # row i: the state at t[i]
         for k in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
             pick = np.flatnonzero(sizes == k)
             cols = starts[pick, None] + np.arange(k)  # (groups, k) sorted positions
-            hk = h[pick, None]
-            x = (t_sorted[cols] - t_old[pick, None]) / hk
+            step = seg[starts[pick]]
+            hk = self.h[step, None]
+            x = (t_sorted[cols] - self.t[step, None]) / hk
             powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)  # x, x^2, x^3, x^4
-            yk = hk[:, None] * np.matmul(Q[pick], powers) + y_old[pick, :, None]
+            yk = hk[:, None] * np.matmul(self.Q[step], powers) + self.y[step, :, None]
             ys[order[cols.ravel()]] = yk.transpose(0, 2, 1).reshape(-1, yk.shape[1])
         return ys.T  # the layout of scipy's hstack(...)[:, reverse]
 
@@ -111,10 +122,14 @@ class Solution:
 
     t: the accepted times, shape (k,), ending at the event root when
     status is 1. y: the states there, shape (k, n). sol: DenseOutput over
-    [t[0], t[-1]]. status: 0 reached t1, 1 the event fired, -1 the step
-    size fell below ten float spacings at t, or is NaN after a NaN
-    right-hand side (message says so). stats: accepted steps, rejected
-    steps and right-hand-side evaluations.
+    [t[0], t[-1]], which holds these same two arrays. status: 0 reached
+    t1, 1 the event fired, -1 the step size fell below ten float spacings
+    at t, or is NaN after a NaN right-hand side (message says so). stats:
+    accepted steps, rejected steps and right-hand-side evaluations.
+
+    Memory: 16 + 40 n bytes of float64 per accepted step (t, y, and the
+    dense output's h and Q), 136 bytes at n = 3; the total grows with
+    the step count.
     """
 
     t: np.ndarray
@@ -208,7 +223,14 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
     absolute, maximum, sqrt, nextafter, inf = np.abs, np.maximum, math.sqrt, math.nextafter, math.inf
     root_n = y.size ** 0.5  # _rms's divisor
     abs_y = absolute(y)  # carried from step to step: np.abs(y) of the accepted state
-    ts, ys, segments = [t], [y], []
+    # the accepted steps as rows of float64 arrays (DenseOutput's layout): times
+    # ts and states ys up to row k, the steps' h and Q below row k. They double
+    # in place (ndarray.resize reallocates the buffer, so no view of them may
+    # live across a resize, and none does: rows are copied in and scalars out)
+    cap = 16
+    ts, ys, hs, qs = np.empty(cap), np.empty((cap, y.size)), np.empty(cap), np.empty((cap, y.size, 4))
+    ts[0], ys[0] = t, y
+    k = 0
     g = event(t, y)
     steps = rejected = 0
     status = None
@@ -240,26 +262,31 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
             status = -1
             break
         steps += 1
-        segment = (t, h, y, KT.dot(p))
-        segments.append(segment)
+        if k + 1 == cap:
+            cap *= 2
+            for rows in (ts, ys, hs, qs):
+                rows.resize((cap, *rows.shape[1:]), refcheck=False)
+        q = KT.dot(p)
+        hs[k], qs[k] = h, q
+        t_old, y_old = t, y
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
         if t >= t1:
             status = 0
         g_new = event(t, y)
         if g >= 0 and g_new <= 0:
-            root = brentq(lambda s: event(s, _interpolate(segment, np.asarray(s))), segment[0], t)
+            segment = (t_old, h, y_old, q)
+            root = brentq(lambda s: event(s, _interpolate(segment, np.asarray(s))), t_old, t)
             status, t, y = 1, root, _interpolate(segment, np.asarray(root))
         g = g_new
-        if len(ts) > 1 and ts[-1] == t:  # a root on the previous step's end
-            segments.pop()
-        else:
-            ts.append(t)
-            ys.append(y)
-    times = np.array(ts)
+        if k == 0 or t != t_old:  # else a root on the previous step's end: the step is dropped
+            k += 1
+            ts[k], ys[k] = t, y
+    for rows, n in ((ts, k + 1), (ys, k + 1), (hs, k), (qs, k)):
+        rows.resize((n, *rows.shape[1:]), refcheck=False)  # shrinks in place
     return Solution(
-        t=times,
-        y=np.array(ys),
-        sol=DenseOutput(times, segments),
+        t=ts,
+        y=ys,
+        sol=DenseOutput(ts, ys, hs, qs),
         status=status,
         message=MESSAGES[status],
         stats={"steps": steps, "rejected": rejected, "nfev": 2 + 6 * (steps + rejected)},

@@ -17,15 +17,15 @@ def interpolate(segment, t):
 def dense_output(dense, t):
     """dense(t) for a crnflow.rk45.DenseOutput, a group at a time."""
     t = np.asarray(t)
-    last = len(dense.segments) - 1
+    last = dense.h.size - 1
     if t.ndim == 0:
-        i = int(np.searchsorted(dense.ts, t, side="left")) - 1
-        return interpolate(dense.segments[min(max(i, 0), last)], t)
+        i = int(np.searchsorted(dense.t, t, side="left")) - 1
+        return interpolate(dense.segment(min(max(i, 0), last)), t)
     order = np.argsort(t)
     reverse = np.empty_like(order)
     reverse[order] = np.arange(order.shape[0])
     t_sorted = t[order]
-    seg = np.clip(np.searchsorted(dense.ts, t_sorted, side="left") - 1, 0, last)
+    seg = np.clip(np.searchsorted(dense.t, t_sorted, side="left") - 1, 0, last)
     bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), seg.size]
-    ys = [interpolate(dense.segments[seg[a]], t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
+    ys = [interpolate(dense.segment(seg[a]), t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
     return np.hstack(ys)[:, reverse]

@@ -1,6 +1,7 @@
 """The stacked dense output against the per-group evaluation it replaced
 (tests/rk45_oracle.py): the same bytes and layout, for any times. Also
-pins the integrator's counts on a fixed stiff run."""
+pins the integrator's counts on a fixed stiff run, and the layout of an
+evaluation at no times against scipy's."""
 
 import itertools
 
@@ -9,6 +10,7 @@ import rk45_oracle as oracle
 from hypergraphs import networks
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from crnflow import parse_network, simulate
 from crnflow.dynamics import _rhs
@@ -65,13 +67,28 @@ def test_dense_output_matches_the_per_group_oracle(net, data, t1):
             _same(sol.sol(scalar), oracle.dense_output(sol.sol, scalar))
 
 
+# the benchmark's reversible Robertson network (perfbench/workloads.py), unjittered
+ROBERTSON = (
+    "species A B C\n"
+    "reaction r1: A <-> B ; kf=0.04 kr=400\n"
+    "reaction r2: 2 B <-> B + C ; kf=3e7 kr=1\n"
+    "reaction r3: B + C <-> A + C ; kf=1e4 kr=1\n"
+)
+
+
 def test_robertson_run_keeps_its_counts():
-    # the benchmark's reversible Robertson network (perfbench/workloads.py), unjittered
-    net = parse_network(
-        "species A B C\n"
-        "reaction r1: A <-> B ; kf=0.04 kr=400\n"
-        "reaction r2: 2 B <-> B + C ; kf=3e7 kr=1\n"
-        "reaction r3: B + C <-> A + C ; kf=1e4 kr=1\n"
-    )
-    traj = simulate(net, [1.0, 1e-6, 1e-6], 3.0)
+    traj = simulate(parse_network(ROBERTSON), [1.0, 1e-6, 1e-6], 3.0)
     assert traj.stats == {"steps": 3197, "rejected": 516, "nfev": 22280}
+
+
+def test_no_times_give_no_columns_in_scipys_layout():
+    """scipy's OdeSolution maps m times to states of shape (n, m); at m = 0
+    scipy 1.17 itself raises (np.hstack of no groups), so the reference is its
+    m = 1 result with the column sliced off."""
+    net, x0 = parse_network(ROBERTSON), [1.0, 1e-6, 1e-6]
+    traj = simulate(net, x0, 0.01)
+    ref = solve_ivp(_rhs(net, None), (0.0, 0.01), x0, method="RK45", rtol=1e-8, atol=1e-10, dense_output=True)
+    want = ref.sol(np.array([0.005]))[:, :0]
+    _same(traj.dense(np.array([])), want)
+    _same(traj.interpolate(np.array([])), want.T)
+    _same(traj.interpolate([]), np.empty((0, 3)))

@@ -49,7 +49,7 @@ from crnflow import (
 from crnflow import geometry
 from crnflow.geometry import _dual_projection
 from crnflow.dynamics import LEDGER_KEYS, _ledger_rows, _rhs
-from crnflow.kinetics import _one_way, one_way_kernel
+from crnflow.kinetics import _BATCH_ROWS, _one_way, one_way_kernel
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -189,13 +189,30 @@ def test_force_activity_match_log_domain_oracle(net, data):
 
 @settings(max_examples=60, deadline=None)
 @given(networks(), st.data())
-def test_ledger_rows_match_oracle(net, data):
+def _drawn_ledger_rows_match_oracle(net, data):
     xs = data.draw(states(net.n_species))
     times = np.cumsum(np.random.default_rng(data.draw(SEEDS)).uniform(0.01, 1.0, len(xs)))
     x_ref = data.draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=net.n_species, max_size=net.n_species))
     schedule = data.draw(st.none() | schedules(times, net.n_edges))
     got = _ledger_rows(net, times, xs, x_ref, schedule)
     _same_ledger(got, oracle._ledger_rows(net, times, xs, x_ref, schedule))
+
+
+def test_ledger_rows_match_oracle(brusselator):
+    _drawn_ledger_rows_match_oracle()
+    # and rows over three blocks of the batch and part of a fourth, skipped rows
+    # on both sides of two block boundaries, under a schedule's (T, n_edges) tables
+    b = _BATCH_ROWS
+    rng = np.random.default_rng(11)
+    xs = np.exp(rng.normal(0.0, 1.5, (3 * b + 17, brusselator.n_species)))
+    skipped = [b - 2, b - 1, b, 2 * b - 1, 2 * b + 1]
+    xs[skipped, [0, 1, 0, 1, 1]] = [0.0, -0.5, -1e-9, -0.0, 0.0]
+    times = np.cumsum(rng.uniform(0.01, 1.0, len(xs)))
+    knots = times[::50]
+    schedule = RateSchedule(knots, rng.uniform(0.1, 5.0, (knots.size, 3)), rng.uniform(0.1, 5.0, (knots.size, 3)))
+    got = _ledger_rows(brusselator, times, xs, [1.0, 3.0], schedule)
+    assert np.isnan(got[0]["epr"][skipped]).all() and np.isfinite(got[0]["epr"][b - 3]) and np.isfinite(got[0]["epr"][b + 1])
+    _same_ledger(got, oracle._ledger_rows(brusselator, times, xs, [1.0, 3.0], schedule))
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,8 @@ rule so that it needs no scipy at run time; these tests hold both to
 scipy.integrate.solve_ivp(method="RK45") and scipy.integrate.simpson.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypergraphs import networks
@@ -15,6 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
 from crnflow import build_network, parse_network
+from crnflow.dynamics import _rhs
 from crnflow.kinetics import net_flux_raw
 from crnflow.rk45 import EPS, brentq, integrate, simpson
 
@@ -106,19 +109,46 @@ def test_blow_up_fails_like_solve_ivp(y0, tols):
     assert ours.message == "Required step size is less than spacing between numbers."
 
 
+# the benchmark's reversible Robertson network (perfbench/workloads.py)
+ROBERTSON = (
+    "species A B C\n"
+    "reaction r1: A <-> B ; kf=0.04 kr=400\n"
+    "reaction r2: 2 B <-> B + C ; kf=3e7 kr=1\n"
+    "reaction r3: B + C <-> A + C ; kf=1e4 kr=1\n"
+)
+
+
 def test_stiff_robertson_run_matches_solve_ivp():
-    # the benchmark's reversible Robertson network (perfbench/workloads.py): stiff
-    # enough by t = 1 to reject over a hundred steps, which the drawn runs above
-    # rarely reach within their call budget
-    net = parse_network(
-        "species A B C\n"
-        "reaction r1: A <-> B ; kf=0.04 kr=400\n"
-        "reaction r2: 2 B <-> B + C ; kf=3e7 kr=1\n"
-        "reaction r3: B + C <-> A + C ; kf=1e4 kr=1\n"
-    )
+    # stiff enough by t = 1 to reject over a hundred steps, which the drawn runs
+    # above rarely reach within their call budget
+    net = parse_network(ROBERTSON)
     ours = _assert_matches_scipy(_mass_action(net), 1.0, np.array([1.0, 1e-6, 1e-6]), 1e-8, 1e-10, 0.0)
     assert ours.status == 0
     assert ours.stats["rejected"] >= 100
+
+
+def test_memory_per_accepted_step_is_its_numbers():
+    # each accepted step keeps t, h, its state and its 3 x 4 dense coefficients:
+    # 136 bytes of float64 at 3 species. The bounds, 200 bytes retained and 300
+    # at the peak, leave room for the spare rows of one doubling; a tuple of two
+    # floats and two small arrays per step came to 518 and 567
+    rhs, x0 = _rhs(parse_network(ROBERTSON), None), np.array([1.0, 1e-6, 1e-6])
+
+    def event(t, x):
+        return float(np.min(x))
+
+    integrate(rhs, 0.0, 0.01, x0, 1e-8, 1e-10, event)  # numpy's lazy set-up, outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = integrate(rhs, 0.0, 3.0, x0, 1e-8, 1e-10, event)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = sol.stats["steps"]
+    assert steps == 3197
+    assert (after - before) / steps <= 200
+    assert (peak - before) / steps <= 300
 
 
 def test_rtol_below_100_eps_is_raised_like_solve_ivp(brusselator):
