@@ -13,7 +13,8 @@ returned as their diagonals since every member of these families is
 separable except the quadratic potential, which returns a full matrix. The dual side
 (dual_value, dual_grad, dual_hessian_diag) also takes (T, n) batches, one
 vector per row, and then returns one value or vector per row, each equal
-bit for bit to the call on that row alone; so does the relative entropy.
+bit for bit to the call on that row alone; so do the relative entropy and
+the dissipations' value.
 """
 
 from __future__ import annotations
@@ -215,9 +216,7 @@ class CoshDissipation:
 
     def bregman(self, j, f_ref) -> float:
         """Mixed-form Bregman divergence value(j) + dual_value(f_ref) - <j, f_ref>."""
-        j = _vec(j, "j", self.n)
-        f_ref = _vec(f_ref, "f_ref", self.n)
-        return self.value(j) + self.dual_value(f_ref) - float(j @ f_ref)
+        return legendre_gap(self, _vec(j, "j", self.n), _vec(f_ref, "f_ref", self.n))
 
 
 class QuadraticDissipation:
@@ -227,9 +226,9 @@ class QuadraticDissipation:
         self.metric_diag = _positive(metric_diag, "metric_diag")
         self.n = self.metric_diag.size
 
-    def value(self, j) -> float:
-        j = _vec(j, "j", self.n)
-        return float(0.5 * np.sum(j * j / self.metric_diag))
+    def value(self, j):
+        j = _vec(j, "j", self.n, batch=True)
+        return _total(0.5 * np.sum(j * j / self.metric_diag, axis=-1))
 
     def dual_value(self, f):
         f = _vec(f, "f", self.n, batch=True)
@@ -249,9 +248,7 @@ class QuadraticDissipation:
         return np.broadcast_to(self.metric_diag, shape).copy()
 
     def bregman(self, j, f_ref) -> float:
-        j = _vec(j, "j", self.n)
-        f_ref = _vec(f_ref, "f_ref", self.n)
-        return self.value(j) + self.dual_value(f_ref) - float(j @ f_ref)
+        return legendre_gap(self, _vec(j, "j", self.n), _vec(f_ref, "f_ref", self.n))
 
 
 def legendre_gap(fn, primal, dual) -> float:

@@ -237,7 +237,8 @@ def _integrate(
         states = np.empty((times.size, net.n_species))
         if grouped.any():
             states[grouped] = sol.sol(times[grouped]).T
-        states[accepted] = sol.y
+        # a floor root at t0 repeats t0 in sol.t, and the union keeps it once
+        states[accepted] = sol.y[step[accepted]]
 
     ledger, eta = _ledger_rows(net, times, states, x_ref, schedule)
     reason = None

@@ -9,6 +9,8 @@ fn.dual_value(y0 + a.T @ lam) - <b, lam>. The solvers differ only in
 (a, b, y0): equilibrium_point passes (cons_basis, cons_basis @ x0,
 grad(x_ref)), velocity_dual (-reduced_stoich, stoich_image.T @ v, none)
 and force_split (reduced_stoich, 0, f).
+velocity_dual, flux_split and force_split also take (T, n) batches, every
+entry per row: one row is one cold pass, a batch a path (_edge_projection).
 
   * equilibrium_point: Bregman projection of a reference state onto the
     stoichiometric leaf through x0 (the unique equilibrium sharing x0's
@@ -27,11 +29,8 @@ and force_split (reduced_stoich, 0, f).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model. The samples' (a, b, y0), as for velocity_dual or force_split,
-    go to _dual_projection as one batch, twice: a predictor pass from
-    cold starts, then a pass starting each sample from the predictor's
-    answer for the sample before. The kinetics, rate tables and
-    certificates are evaluated for all samples at once.
+    model, from one velocity_dual or force_split batch over the samples;
+    the kinetics, rate tables and certificates too are batched.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -241,8 +240,8 @@ def pythagoras_gap(
     """
     pot = KLPotential(n=net.n_species) if potential is None else potential
     x, x_mid, x_far = (np.asarray(v, dtype=float) for v in (x, x_mid, x_far))
-    leaf_res = float(np.max(np.abs(net.conserved(x - x_mid)), initial=0.0))
-    dual_res = float(np.max(np.abs(net.grad(pot.grad(x_far) - pot.grad(x_mid))), initial=0.0))
+    leaf_res = _sup(net.conserved(x - x_mid))
+    dual_res = _sup(net.grad(pot.grad(x_far) - pot.grad(x_mid)))
     scale = 1.0 + float(np.max(np.abs(x)))
     if leaf_res > membership_tol * scale:
         raise ValueError(f"x and x_mid are on different leaves (residual {leaf_res:.3e})")
@@ -263,6 +262,20 @@ def pythagoras_gap(
     }
 
 
+def _edge_projection(dissip, a, b, y0, tol, max_iter, what):
+    """_dual_projection for velocity_dual and force_split: one row (1-d b, or a batch
+    of one) in one pass from lam = 0, a batch as a path. A predictor pass starts
+    every row from lam = 0 (a failing row hands over its last iterate); then a pass
+    reporting its iterations and earliest failure starts row i from the predictor's
+    answer for row i - 1, row 0 from zeros. Near the optimum Newton converges
+    quadratically: a start near row i's answer serves as well as row i - 1's."""
+    starts = None
+    if b.ndim == 2 and len(b) > 1:
+        cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
+        starts = np.concatenate([np.zeros_like(cold[:1]), cold[:-1]])
+    return _dual_projection(dissip, a, b, y0, starts, tol, max_iter, what)
+
+
 def velocity_dual(
     net: ReactionNetwork,
     dissip,
@@ -281,14 +294,16 @@ def velocity_dual(
 
     Returns dict with u, flux, force = -stoich.T u, value (primal
     dissipation of the flux), dual_value, mu (u = stoich_image @ mu),
-    iterations.
+    iterations, velocity_residual; per row for a (T, n_species) batch,
+    whose rows are checked for realizability each at its own scale.
     """
     v = np.asarray(v, dtype=float)
     q, qs = net.stoich_image, net.reduced_stoich
-    if _sup(v - q @ (q.T @ v)) > 1e-9 * (1.0 + _sup(v)):
+    b = matvec_rows(q.T, v)
+    if np.any(_sup(v - matvec_rows(q, b)) > 1e-9 * (1.0 + _sup(v))):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-    mu, _, iters = _dual_projection(dissip, -qs, q.T @ v, None, None, tol, max_iter, "velocity_dual")
-    u = q @ mu
+    mu, _, iters = _edge_projection(dissip, -qs, b, None, tol, max_iter, "velocity_dual")
+    u = matvec_rows(q, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
     return {
@@ -299,7 +314,7 @@ def velocity_dual(
         "dual_value": dissip.dual_value(force),
         "mu": mu,
         "iterations": iters,
-        "velocity_residual": float(np.max(np.abs(net.div(flux) + v), initial=0.0)),
+        "velocity_residual": _sup(net.div(flux) + v),
     }
 
 
@@ -318,8 +333,7 @@ def flux_split(
     """
     j = np.asarray(j, dtype=float)
     out = velocity_dual(net, dissip, -net.div(j), tol=tol, max_iter=max_iter)
-    out["j_input"] = j
-    out["cycle_part"] = j - out["flux"]
+    out.update(j_input=j, cycle_part=j - out["flux"])
     return out
 
 
@@ -339,22 +353,23 @@ def force_split(
 
     Returns dict with force (the shifted force), flux, shift (stoich.T
     y), y, mu (y = stoich_image @ mu), dual_value, value, iterations,
-    divergence_residual.
+    divergence_residual; per row for a (T, n_edges) batch.
     """
     f = np.asarray(f, dtype=float)
     q, qs = net.stoich_image, net.reduced_stoich
-    mu, force, iters = _dual_projection(dissip, qs, np.zeros(len(qs)), f, None, tol, max_iter, "force_split")
+    b = np.zeros(f.shape[:-1] + (len(qs),))
+    mu, force, iters = _edge_projection(dissip, qs, b, f, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     return {
         "force": force,
         "flux": flux,
         "shift": force - f,
-        "y": q @ mu,
+        "y": matvec_rows(q, mu),
         "mu": mu,
         "value": dissip.value(flux),
         "dual_value": dissip.dual_value(force),
         "iterations": iters,
-        "divergence_residual": float(np.max(np.abs(net.div(flux)), initial=0.0)),
+        "divergence_residual": _sup(net.div(flux)),
     }
 
 
@@ -390,7 +405,7 @@ def cycle_dual(
         "dual_value": fs["dual_value"],
         "mu": fs["mu"],
         "iterations": fs["iterations"],
-        "representation_residual": float(np.max(np.abs(lifted - flux), initial=0.0)),
+        "representation_residual": _sup(lifted - flux),
         "divergence_residual": fs["divergence_residual"],
     }
 
@@ -448,8 +463,7 @@ def complex_balance_force_split(
     positive x, making (f_sym, f_anti) a valid pseudo-Hilbert split.
     """
     x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
-    ref_pair = mass_action_flux(net, x_ref)
-    cb_residual = float(np.max(np.abs(net.incidence @ ref_pair.flux), initial=0.0))
+    cb_residual = _sup(net.incidence @ mass_action_flux(net, x_ref).flux)
     if cb_residual > tol:
         raise ValueError(
             f"reference state is not complex balanced (residual {cb_residual:.3e})"
@@ -462,7 +476,7 @@ def complex_balance_force_split(
         "f_sym": f_sym,
         "f_anti": f_anti,
         "force": pair.force,
-        "split_gap": float(np.max(np.abs(f_sym + f_anti - pair.force), initial=0.0)),
+        "split_gap": _sup(f_sym + f_anti - pair.force),
         "level_gap": dissip.dual_value(f_sym + f_anti) - dissip.dual_value(f_sym - f_anti),
         "cb_residual": cb_residual,
         "dissipation": dissip,
@@ -485,20 +499,6 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
     return ts, xs
 
 
-def _two_pass(base, a, b, y0, tol, max_iter, what):
-    """Projects every sample twice, under the cosh dissipation of its
-    mass-action activities. The predictor pass starts each row from
-    lam = 0 (a row that fails hands over its last iterate); the second pass
-    starts row i from the predictor's answer for row i - 1, row 0 from zeros,
-    and reports its iterations and the earliest failure. Damped Newton
-    converges quadratically near the optimum, so a start near row i's answer
-    serves as well as row i - 1's final one."""
-    fn = CoshDissipation(base["activity"])
-    cold, _, _ = _dual_projection(fn, a, b, y0, None, tol, max_iter, what, strict=False)
-    starts = np.concatenate([np.zeros_like(cold[:1]), cold[:-1]])
-    return _dual_projection(fn, a, b, y0, starts, tol, max_iter, what)
-
-
 def _rate_schedule(net, ts, xs, forces):
     """Rates with the network's kappa whose force at xs is forces, and their kinetics."""
     keq = np.exp(forces - net.grad(np.log(xs)))
@@ -506,8 +506,9 @@ def _rate_schedule(net, ts, xs, forces):
     return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), mass_action_batch(net, xs, kp_tab, km_tab)
 
 
-def _sup(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).max(axis=-1, initial=0.0)
+def _sup(a: np.ndarray):  # max|a| over the last axis: a float for one vector, else one per row
+    sup = np.abs(a).max(axis=-1, initial=0.0)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 def effective_equilibrium_rates(
@@ -525,13 +526,12 @@ def effective_equilibrium_rates(
     ts, xs = _trajectory_samples(traj, times)
     base = mass_action_batch(net, xs)
     v = -net.div(base["flux"])
-    q, qs = net.stoich_image, net.reduced_stoich
-    mus, _, iters = _two_pass(base, -qs, matvec_rows(q.T, v), None, tol, max_iter, "velocity_dual")
-    schedule, new = _rate_schedule(net, ts, xs, -net.grad(matvec_rows(q, mus)))
+    out = velocity_dual(net, CoshDissipation(base["activity"]), v, tol, max_iter)
+    schedule, new = _rate_schedule(net, ts, xs, out["force"])
     return schedule, {
         "zeta_residual": _sup(net.curl(new["force"])),
         "velocity_residual": _sup(-net.div(new["flux"]) - v) / (1.0 + _sup(v)),
-        "iterations": iters,
+        "iterations": out["iterations"],
     }
 
 
@@ -549,11 +549,10 @@ def effective_steady_rates(
     """
     ts, xs = _trajectory_samples(traj, times)
     base = mass_action_batch(net, xs)
-    f, qs = base["force"], net.reduced_stoich
-    _, forces, iters = _two_pass(base, qs, np.zeros((len(f), len(qs))), f, tol, max_iter, "force_split")
-    schedule, new = _rate_schedule(net, ts, xs, forces)
+    out = force_split(net, CoshDissipation(base["activity"]), base["force"], tol, max_iter)
+    schedule, new = _rate_schedule(net, ts, xs, out["force"])
     return schedule, {
         "steady_residual": _sup(net.div(new["flux"])),
-        "affinity_residual": _sup(net.curl(new["force"]) - net.curl(f)),
-        "iterations": iters,
+        "affinity_residual": _sup(net.curl(new["force"]) - net.curl(base["force"])),
+        "iterations": out["iterations"],
     }

@@ -233,6 +233,21 @@ def test_floor_halt_exits_three(tmp_path, capsys):
     assert "halted" in capsys.readouterr().out
 
 
+def test_floor_halt_at_t0_on_a_grid_exits_three(tmp_path, capsys):
+    scen = _scenario(
+        tmp_path,
+        network_text="species A B\nreaction r1: A <-> B ; kf=1 kr=1e-15\n",
+        x0=[1e-12, 1.0],
+        t_end=0.5,
+        positivity_floor=1e-12,
+        grid={"start": 0, "stop": 0.5, "num": 2},
+    )
+    code, out = _run(tmp_path, "simulate", scen)
+    assert code == 3
+    assert (out / "trajectory.csv").read_text().count("\n") == 2  # header and the row at t0
+    assert "halted: state reached positivity floor 1e-12 at t=0" in capsys.readouterr().out
+
+
 def test_sweep_runs_each_value(tmp_path):
     scen = _scenario(tmp_path, grid={"start": 0, "stop": 2, "num": 11})
     code, out = _run(tmp_path, "simulate", scen, "--sweep", "r1.kf=1,2")

@@ -129,6 +129,19 @@ def test_states_match_the_dense_then_pinned_oracle(net, data, t1):
     assert traj.states.flags.c_contiguous and oracle.flags.c_contiguous
 
 
+def test_positivity_floor_at_t0_halts_on_a_grid():
+    """A component starting at the floor and falling halts the run at t0: the
+    stepper gives t0 twice, and a grid's times keep it once."""
+    net = build_network(["A", "B"], [(1, 0), (0, 1)], [(0, 1)], [1.0], [1e-15])
+    gridless = simulate(net, [1e-12, 1.0], 0.5, positivity_floor=1e-12)
+    assert gridless.halted and gridless.times.tolist() == [0.0, 0.0]
+    assert gridless.states.tolist() == [[1e-12, 1.0], [1e-12, 1.0]]
+    traj = simulate(net, [1e-12, 1.0], 0.5, grid=[0.0, 0.5], positivity_floor=1e-12)
+    assert traj.halted and traj.halt_reason == gridless.halt_reason
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.tobytes() == gridless.states[:1].tobytes()
+
+
 def test_positivity_floor_halts_integration():
     net = build_network(["A", "B"], [(1, 0), (0, 1)], [(0, 1)], [1.0], [1e-15])
     traj = simulate(net, [1.0, 1.0], 200.0, positivity_floor=1e-6)

@@ -170,6 +170,11 @@ def test_velocity_dual_rejects_unrealizable(abc):
     diss = _mass_action_dissipation(abc, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="not realizable"):
         velocity_dual(abc, diss, np.array([1.0, 0.0, 0.0]))
+    # in a batch each row is checked at its own scale: the small row's
+    # defect would pass at the large row's
+    rows = np.array([[-1e9, -1e9, 1e9], [1e-3, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="not realizable"):
+        velocity_dual(abc, CoshDissipation(np.ones((2, 1))), rows)
 
 
 def test_velocity_dual_zero_velocity(brusselator):
@@ -185,9 +190,13 @@ def test_velocity_dual_zero_velocity(brusselator):
 def test_flux_split_certificates(brusselator, rand5):
     rng = np.random.default_rng(21)
     for net in (brusselator, rand5):
-        for _ in range(20):
-            x = rng.uniform(0.2, 3.0, net.n_species)
-            j = rng.normal(0.0, 1.5, net.n_edges)
+        xs = rng.uniform(0.2, 3.0, (20, net.n_species))
+        js = rng.normal(0.0, 1.5, (20, net.n_edges))
+        # all samples as one batch: every row's cycle part lies in the cycle space
+        out = flux_split(net, CoshDissipation([mass_action_flux(net, x).activity for x in xs]), js)
+        for part in out["cycle_part"]:
+            assert _outside(net.cycle_basis.astype(float), part) < 1e-9
+        for x, j in zip(xs, js):
             diss = _mass_action_dissipation(net, x)
             out = flux_split(net, diss, j)
             # same divergence

@@ -276,6 +276,30 @@ def _assert_effective_match(net, traj, times=None, max_iter=100):
         assert list(cert) == list(want_cert)
         for key in cert:
             _same(cert[key], want_cert[key])
+    _assert_paths_match(net, traj, times, max_iter)
+
+
+def _assert_paths_match(net, traj, times, max_iter):
+    """velocity_dual and force_split on the samples as one batch, a path,
+    against the oracle's two passes of one-row solves: the same force and
+    iterations, bit for bit, residuals one per row, the same error."""
+    _, xs = geometry._trajectory_samples(traj, times)
+    pairs = [oracle.mass_action_flux(net, x) for x in xs]
+    dissip = CoshDissipation(np.array([pair.activity for pair in pairs]))
+    velocities = np.array([-net.stoich.astype(float) @ pair.flux for pair in pairs])
+    forces = np.array([pair.force for pair in pairs])
+    for name, rows in (("velocity_dual", velocities), ("force_split", forces)):
+        problems = [(net, CoshDissipation(pair.activity), row) for pair, row in zip(pairs, rows)]
+        try:
+            outs = oracle._two_pass(getattr(oracle, name), problems, 1e-10, max_iter)
+        except ConvergenceError as err:
+            _same_outcome(_outcome(name, net, dissip, rows, max_iter=max_iter), err)
+            continue
+        got = getattr(geometry, name)(net, dissip, rows, max_iter=max_iter)
+        _same(got["force"], np.array([out["force"] for out in outs]))
+        _same(got["iterations"], np.array([out["iterations"] for out in outs]))
+        for key in (key for key in got if key.endswith("_residual")):
+            assert got[key].shape == (len(xs),)
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,10 +347,34 @@ def test_large_velocities_match_oracle(brusselator):
 # schedules and the serial chain on the Brusselator grids below: measured
 # 6.8e-16 (801 points) and 7.4e-16 (8001 points).
 CHAIN_RATE_RTOL = 1e-15
-# Certificates there are max-norms of sums of O(1) terms near 1e-15 or
-# 1e-10; the 801-point steady_residual maximum rounds 4 eps higher
-# (5.33e-15 -> 6.22e-15), every other maximum is equal or lower.
-CHAIN_CERT_SLACK = 8 * np.finfo(float).eps
+# A certificate is a function of the samples and the rates alone, so the
+# two sides' maxima differ by their evaluations' rounding and by the rates'
+# difference, each bounded in eps units of the certificate's scale s, the
+# magnitudes it sums in a row (_cert_scales). A one-way flux, a rate times a
+# monomial of degree <= 3, rounds by 2 eps relative (4 products). So a net
+# flux rounds by 2.5 eps (jplus + jminus), and a divergence, a sum over <= 3
+# edges, by 3.5 eps s with s = |stoich| @ (jplus + jminus). A force
+# log(jplus / jminus) rounds by 4.5 eps + 0.5 eps |force|, and a cycle
+# affinity by 5.5 eps s with s = |cycles.T| @ (1 + |force|). Rates that
+# differ by CHAIN_RATE_RTOL (< 4.5 eps) move a divergence by 4.5 eps s and
+# a force, two logs, by 9 eps. So the maxima differ by at most
+# (2 * 5.5 + 9) eps s = 20 eps s, at most 1.2e-13 on these grids.
+CHAIN_CERT_ULPS = 20
+
+
+def _cert_scales(net, xs, schedule):
+    """Per certificate, its scale s at its worst row (see CHAIN_CERT_ULPS)."""
+    jp, jm = _one_way(net, xs, schedule.kplus, schedule.kminus)
+    bp, bm = _one_way(net, xs, None, None)
+    stoich, cycles = np.abs(net.stoich_f), np.abs(net.cycle_f.T)
+    v = np.abs((bp - bm) @ net.stoich_f.T)
+    div, curl = (jp + jm) @ stoich.T, (1.0 + np.abs(np.log(jp / jm))) @ cycles.T
+    return {
+        "steady_residual": div.max(),
+        "velocity_residual": np.max((div + v).max(axis=1) / (1.0 + v.max(axis=1))),
+        "zeta_residual": curl.max(),
+        "affinity_residual": np.max(curl + np.abs(np.log(bp / bm)) @ cycles.T),
+    }
 
 
 def _chain_and_two_pass(net, traj, times=None):
@@ -343,7 +391,8 @@ def test_two_pass_schedules_track_the_serial_chain(brusselator):
     sample started from the previous sample's final answer: on the
     Brusselator's 801- and 8001-point grids the iteration totals are
     equal, the rates agree to CHAIN_RATE_RTOL and no certificate maximum
-    is worse beyond rounding."""
+    is worse beyond rounding (CHAIN_CERT_ULPS)."""
+    eps = np.finfo(float).eps
     for t_end, num in ((8.0, 801), (40.0, 8001)):
         grid = np.linspace(0.0, t_end, num)
         traj = simulate(brusselator, [1.0, 4.0], (0.0, t_end), grid=grid)
@@ -351,8 +400,9 @@ def test_two_pass_schedules_track_the_serial_chain(brusselator):
             assert cert["iterations"].sum() == want["iterations"].sum()
             for got, table in ((schedule.kplus, kp), (schedule.kminus, km)):
                 assert np.max(np.abs(got - table) / table) <= CHAIN_RATE_RTOL
-            for key in want:
-                assert cert[key].max() <= want[key].max() + CHAIN_CERT_SLACK, (num, key)
+            scales = _cert_scales(brusselator, traj.interpolate(grid), schedule)
+            for key in scales.keys() & want.keys():
+                assert cert[key].max() <= want[key].max() + CHAIN_CERT_ULPS * eps * scales[key], (num, key)
 
 
 @settings(max_examples=25, deadline=None)
@@ -469,6 +519,17 @@ def test_projections_match_oracle(net, data):
     with mock.patch.multiple(geometry, **old):
         want = {name: _outcome(name, *args, **limits) for name, args in calls.items()}
     got = {name: _outcome(name, *args, **limits) for name, args in calls.items()}
+    # a batch of one row is that row's call, bit for bit, with every entry per row
+    batch = CoshDissipation(dissip.weights[None]) if isinstance(dissip, CoshDissipation) else dissip
+    for name in ("velocity_dual", "flux_split", "force_split"):
+        one, row = got[name], _outcome(name, net, batch, calls[name][2][None], **limits)
+        if isinstance(one, ConvergenceError):
+            _same_outcome(row, one)
+            continue
+        assert list(row) == list(one)
+        for key in one:
+            assert np.shape(row[key]) == (1,) + np.shape(one[key])
+            _same(row[key][0], one[key])
     if isinstance(potential, KLPotential) and net.n_conserved > 1:
         # off-diagonal Hessian entries may round differently: see
         # test_projection_kl_hessian_rounding
