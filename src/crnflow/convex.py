@@ -40,7 +40,7 @@ def _positive(x, name: str, n: int | None = None, batch: bool = False) -> np.nda
 
 
 def _total(sums):
-    """A sum over the last axis: a float for one vector, else one per row."""
+    """A reduction over the last axis: a float for one vector, else one per row."""
     return float(sums) if np.ndim(sums) == 0 else sums
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convex import CoshDissipation, KLPotential
+from .convex import CoshDissipation, KLPotential, _total
 from .dynamics import RateSchedule, Trajectory
 from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
 from .network import ReactionNetwork, dot_rows, matvec_rows
@@ -333,7 +333,8 @@ def flux_split(
     """
     j = np.asarray(j, dtype=float)
     out = velocity_dual(net, dissip, -net.div(j), tol=tol, max_iter=max_iter)
-    out.update(j_input=j, cycle_part=j - out["flux"])
+    out["j_input"] = j
+    out["cycle_part"] = j - out["flux"]
     return out
 
 
@@ -463,7 +464,8 @@ def complex_balance_force_split(
     positive x, making (f_sym, f_anti) a valid pseudo-Hilbert split.
     """
     x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
-    cb_residual = _sup(net.incidence @ mass_action_flux(net, x_ref).flux)
+    ref_pair = mass_action_flux(net, x_ref)
+    cb_residual = _sup(net.incidence @ ref_pair.flux)
     if cb_residual > tol:
         raise ValueError(
             f"reference state is not complex balanced (residual {cb_residual:.3e})"
@@ -506,9 +508,8 @@ def _rate_schedule(net, ts, xs, forces):
     return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), mass_action_batch(net, xs, kp_tab, km_tab)
 
 
-def _sup(a: np.ndarray):  # max|a| over the last axis: a float for one vector, else one per row
-    sup = np.abs(a).max(axis=-1, initial=0.0)
-    return float(sup) if sup.ndim == 0 else sup
+def _sup(a: np.ndarray):  # max|a| over the last axis
+    return _total(np.abs(a).max(axis=-1, initial=0.0))
 
 
 def effective_equilibrium_rates(
