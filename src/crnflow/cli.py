@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import geometry
-from .convex import CoshDissipation
+from .convex import CoshDissipation, _sup
 from .dynamics import Trajectory, energy_dissipation_balance, lyapunov_monitor, simulate, simulate_timedep
 from .fileio import (
     NetworkParseError,
@@ -133,8 +133,7 @@ def _cmd_info(scenario: ScenarioConfig, outdir, suffix) -> int:
     for col in net.cycle_basis.T.tolist():
         print(f"  {col}")
     verdict = "equilibrium" if wc["is_equilibrium"] else "nonequilibrium"
-    print(f"rate constants: {verdict} (max cycle affinity "
-          f"{_format_float(float(np.max(np.abs(wc['cycle_affinity']), initial=0.0)))})")
+    print(f"rate constants: {verdict} (max cycle affinity {_format_float(_sup(wc['cycle_affinity']))})")
     return 0
 
 
@@ -158,7 +157,7 @@ def _cmd_equilibrium(scenario: ScenarioConfig, outdir, suffix) -> int:
         "x0": scenario.x0,
         "x_ref": x_ref,
         "x_eq": x_eq,
-        "conserved_residual": float(np.max(np.abs(net.conserved(x_eq) - net.conserved(scenario.x0)), initial=0.0)),
+        "conserved_residual": _sup(net.conserved(x_eq) - net.conserved(scenario.x0)),
         "pythagoras": cert,
     })
     print(f"x_eq: {_fmt_vec(x_eq)}")

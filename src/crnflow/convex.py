@@ -44,6 +44,10 @@ def _total(sums):
     return float(sums) if np.ndim(sums) == 0 else sums
 
 
+def _sup(a: np.ndarray):  # max|a| over the last axis
+    return _total(np.abs(a).max(axis=-1, initial=0.0))
+
+
 def stable_asinh(u) -> np.ndarray:
     """asinh via log formula, with a series branch for small arguments.
 

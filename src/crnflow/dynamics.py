@@ -34,6 +34,14 @@ from .rk45 import integrate, simpson
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
 
 
+def _schedule_times(times) -> np.ndarray:
+    """Sample times of a rate schedule as a float array: finite, strictly increasing, length >= 2."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise ValueError("schedule times must be finite and strictly increasing, length >= 2")
+    return t
+
+
 @dataclass(frozen=True)
 class RateSchedule:
     """Tabulated time-dependent rate constants, linearly interpolated.
@@ -51,11 +59,9 @@ class RateSchedule:
     kminus: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _schedule_times(self.times)
         kp = np.asarray(self.kplus, dtype=float)
         km = np.asarray(self.kminus, dtype=float)
-        if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
-            raise ValueError("schedule times must be finite and strictly increasing, length >= 2")
         if kp.ndim != 2 or kp.shape[0] != t.size or km.shape != kp.shape:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
         if not np.all((kp > 0) & (km > 0) & np.isfinite(kp) & np.isfinite(km)):

@@ -15,9 +15,11 @@ entry per row: one row is one cold pass, a batch a path (_edge_projection).
   * equilibrium_point: Bregman projection of a reference state onto the
     stoichiometric leaf through x0 (the unique equilibrium sharing x0's
     conserved quantities).
-  * velocity_dual: given a species velocity v in the image of stoich,
-    find the species potential u whose induced flux realizes v; this is
-    the Legendre dual pair induced on (velocity, potential) coordinates.
+  * velocity_dual: given a species velocity v in the image of stoich
+    (tested: flux_split and the equilibrium schedule skip the test, since
+    -div(flux) is in it by construction), find the species potential u
+    whose induced flux realizes v; this is the Legendre dual pair induced
+    on (velocity, potential) coordinates.
   * flux_split: complementary projection of an edge flux onto the set of
     fluxes realizing the same velocity, minimizing dual dissipation.
   * force_split: projection of an edge force along the image of stoich.T
@@ -39,8 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convex import CoshDissipation, KLPotential, _total
-from .dynamics import RateSchedule, Trajectory
+from .convex import CoshDissipation, KLPotential, _sup
+from .dynamics import RateSchedule, Trajectory, _schedule_times
 from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
 from .network import ReactionNetwork, dot_rows, matvec_rows
 
@@ -105,12 +107,11 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
     y = y_of(lam)
     g, dual = grad(y)
     iters, live = np.zeros(len(b), dtype=int), np.ones(len(b), dtype=bool)
-    failed = {}  # row -> (message, residual)
+    stuck = np.zeros(len(b), dtype=bool)  # rows whose line search stalled
     for it in range(max_iter + 1):
+        iters[live] = it  # a row keeps the iteration it stopped at, and its y and g
         gnorm = _sup(g)
-        done = live & (gnorm < tol)
-        iters[done] = it
-        live &= ~done
+        live &= ~(gnorm < tol)
         if it == max_iter or not live.any():
             break
         hess = fn.dual_hessian_diag(y) if diag else fn.dual_hessian(y)
@@ -131,8 +132,7 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
         r = r if y0 is None else np.abs(y0) + r
         spread = np.abs(dual) + (hess * r if diag else (np.abs(hess) @ r[:, :, None])[:, :, 0])
         stalled = rest & (gnorm < 64.0 * eps * np.fmax(_sup(b), _sup(matvec_rows(abs_a, spread))))
-        iters[stalled] = it  # Newton stalls at the gradient's rounding
-        live &= ~stalled
+        live &= ~stalled  # Newton stalls at the gradient's rounding
 
         todo = rest & ~stalled
         if not todo.any():
@@ -156,19 +156,14 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
             alpha *= 0.5
             if not todo.any():
                 break
-        for row in np.flatnonzero(todo):
-            failed[row] = ("line search stalled", float(gnorm[row]))
-        iters[todo] = it
+        stuck |= todo
         live &= ~todo
         g, dual = grad(y)
-    for row in np.flatnonzero(live):
-        failed[row] = (f"no convergence in {max_iter} iterations", float(gnorm[row]))
-    iters[live] = max_iter
-    if strict and failed:
-        row = min(failed)
-        message, residual = failed[row]
+    if strict and (stuck | live).any():
+        row = np.argmax(stuck | live)
+        message = "line search stalled" if stuck[row] else f"no convergence in {max_iter} iterations"
         raise ConvergenceError(
-            f"{what}: {message}", best=lam[row].copy(), residual=residual, iterations=int(iters[row])
+            f"{what}: {message}", best=lam[row].copy(), residual=float(gnorm[row]), iterations=int(iters[row])
         )
     return (lam[0], y[0], int(iters[0])) if one else (lam, y, iters)
 
@@ -242,7 +237,7 @@ def pythagoras_gap(
     x, x_mid, x_far = (np.asarray(v, dtype=float) for v in (x, x_mid, x_far))
     leaf_res = _sup(net.conserved(x - x_mid))
     dual_res = _sup(net.grad(pot.grad(x_far) - pot.grad(x_mid)))
-    scale = 1.0 + float(np.max(np.abs(x)))
+    scale = 1.0 + _sup(x)
     if leaf_res > membership_tol * scale:
         raise ValueError(f"x and x_mid are on different leaves (residual {leaf_res:.3e})")
     if dual_res > membership_tol:
@@ -298,12 +293,19 @@ def velocity_dual(
     whose rows are checked for realizability each at its own scale.
     """
     v = np.asarray(v, dtype=float)
-    q, qs = net.stoich_image, net.reduced_stoich
-    b = matvec_rows(q.T, v)
-    if np.any(_sup(v - matvec_rows(q, b)) > 1e-9 * (1.0 + _sup(v))):
+    b = matvec_rows(net.stoich_image.T, v)
+    if np.any(_sup(v - matvec_rows(net.stoich_image, b)) > 1e-9 * (1.0 + _sup(v))):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-    mu, _, iters = _edge_projection(dissip, -qs, b, None, tol, max_iter, "velocity_dual")
-    u = matvec_rows(q, mu)
+    return _velocity_dual(net, dissip, v, tol, max_iter, b)
+
+
+def _velocity_dual(net, dissip, v, tol, max_iter, b=None) -> dict:
+    """velocity_dual past its realizability test, for v = -div(j), in the image of
+    stoich by construction: the test's bound does not follow the rounding of large
+    fluxes. b = stoich_image.T @ v, computed here unless given."""
+    b = matvec_rows(net.stoich_image.T, v) if b is None else b
+    mu, _, iters = _edge_projection(dissip, -net.reduced_stoich, b, None, tol, max_iter, "velocity_dual")
+    u = matvec_rows(net.stoich_image, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
     return {
@@ -329,10 +331,11 @@ def flux_split(
 
     The equilibrium part is the unique flux with the same divergence
     whose force is a pure gradient (-stoich.T u); the remainder lies in
-    the cycle space. Reduces to velocity_dual at v = -stoich @ j.
+    the cycle space. Reduces to velocity_dual at v = -stoich @ j, without
+    its realizability test: v is realizable by construction.
     """
     j = np.asarray(j, dtype=float)
-    out = velocity_dual(net, dissip, -net.div(j), tol=tol, max_iter=max_iter)
+    out = _velocity_dual(net, dissip, -net.div(j), tol, max_iter)
     out["j_input"] = j
     out["cycle_part"] = j - out["flux"]
     return out
@@ -486,16 +489,14 @@ def complex_balance_force_split(
 
 
 def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule's sample times, checked as RateSchedule checks them, and the states there."""
+    ts = _schedule_times(traj.times if times is None else times)
     if times is None:
-        ts = np.asarray(traj.times, dtype=float)
         xs = np.asarray(traj.states, dtype=float)
     else:
-        ts = np.asarray(times, dtype=float)
         if not np.all((ts >= traj.times[0]) & (ts <= traj.times[-1])):  # no extrapolated states
             raise ValueError("schedule sample times must lie within the trajectory's time span")
         xs = traj.interpolate(ts)
-    if ts.size < 2:
-        raise ValueError("need at least two sample times to build a schedule")
     if not np.all(xs > 0):
         raise ValueError("trajectory samples must be strictly positive")
     return ts, xs
@@ -506,10 +507,6 @@ def _rate_schedule(net, ts, xs, forces):
     keq = np.exp(forces - net.grad(np.log(xs)))
     kp_tab, km_tab = KineticSplit(KineticSplit.from_rates(net.kplus, net.kminus).kappa, keq).rates()
     return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), mass_action_batch(net, xs, kp_tab, km_tab)
-
-
-def _sup(a: np.ndarray):  # max|a| over the last axis
-    return _total(np.abs(a).max(axis=-1, initial=0.0))
 
 
 def effective_equilibrium_rates(
@@ -527,7 +524,7 @@ def effective_equilibrium_rates(
     ts, xs = _trajectory_samples(traj, times)
     base = mass_action_batch(net, xs)
     v = -net.div(base["flux"])
-    out = velocity_dual(net, CoshDissipation(base["activity"]), v, tol, max_iter)
+    out = _velocity_dual(net, CoshDissipation(base["activity"]), v, tol, max_iter)
     schedule, new = _rate_schedule(net, ts, xs, out["force"])
     return schedule, {
         "zeta_residual": _sup(net.curl(new["force"])),

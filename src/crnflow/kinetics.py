@@ -17,7 +17,9 @@ integration; net_flux_raw (any real state) and mass_action_flux (one
 positive state) build it per call. Batches of rows go through _one_way:
 mass_action_batch (positive rows: edge coordinates, or the ledger
 columns). The callers differ only in their checks and in which
-coordinates they return.
+coordinates they return. Rates enter checked, as a network's
+(build_network, ReactionNetwork.with_rates) or as a RateSchedule's rows
+or tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CoshDissipation, KLPotential, _positive, _total, _vec
+from .convex import CoshDissipation, KLPotential, _positive, _sup, _total, _vec
 from .network import ReactionNetwork
 
 
@@ -104,7 +106,7 @@ class KineticSplit:
         return self.kappa * root, self.kappa / root
 
 
-def one_way_kernel(net: ReactionNetwork, kplus=None, kminus=None, row=None):
+def one_way_kernel(net: ReactionNetwork, row=None):
     """The one-way fluxes at one state, as a closure built once per network
     and rate source.
 
@@ -113,16 +115,12 @@ def one_way_kernel(net: ReactionNetwork, kplus=None, kminus=None, row=None):
     x_i^tail[i, e]. The sparse net.factors multiply in ascending species
     order with integer powers: bit-equal to the dense product over all
     species, and finite for trial states at or below zero. The rates are
-    the network's, or explicit kplus/kminus, or row(t) when a row lookup
-    t -> [kplus | kminus] is given (RateSchedule._row); t is read only then.
+    the network's, or row(t) when a row lookup t -> [kplus | kminus] is
+    given (RateSchedule._row); t is read only then.
     """
     species, powers, starts = net.factors
-    power, reduceat, n = np.power, np.multiply.reduceat, net.n_edges
-    k = None
-    if row is None:
-        kp = net.kplus if kplus is None else np.broadcast_to(np.asarray(kplus, dtype=float), n)
-        km = net.kminus if kminus is None else np.broadcast_to(np.asarray(kminus, dtype=float), n)
-        k = np.concatenate([kp, km])
+    power, reduceat = np.power, np.multiply.reduceat
+    k = np.concatenate([net.kplus, net.kminus])
 
     def kernel(t, x):
         m = reduceat(power(x[species], powers), starts)
@@ -148,23 +146,23 @@ def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.nda
     return kp * mono[:, :n], km * mono[:, n:]
 
 
-def mass_action_flux(net: ReactionNetwork, x, kplus=None, kminus=None) -> EdgePair:
-    """One-way mass-action fluxes at state x > 0.
+def mass_action_flux(net: ReactionNetwork, x) -> EdgePair:
+    """One-way mass-action fluxes at state x > 0, under the network's rates.
 
-    Rate constants default to the network's; pass kplus/kminus to
-    evaluate the same topology under different rates.
+    For the same topology under other rates, pass net.with_rates(kplus,
+    kminus): it checks them and shares the network's structure.
     """
-    m, n = one_way_kernel(net, kplus, kminus)(None, _positive(x, "state", net.n_species)), net.n_edges
+    m, n = one_way_kernel(net)(None, _positive(x, "state", net.n_species)), net.n_edges
     return EdgePair(m[:n], m[n:])
 
 
-def net_flux_raw(net: ReactionNetwork, x, kplus=None, kminus=None) -> np.ndarray:
+def net_flux_raw(net: ReactionNetwork, x) -> np.ndarray:
     """Net flux as a polynomial in x, defined for any real state of shape (n_species,).
 
     Equals mass_action_flux(...).flux on the positive orthant but does
     not require positivity, which keeps ODE right-hand sides total.
     """
-    m, n = one_way_kernel(net, kplus, kminus)(None, _vec(x, "state", net.n_species)), net.n_edges
+    m, n = one_way_kernel(net)(None, _vec(x, "state", net.n_species)), net.n_edges
     return m[:n] - m[n:]
 
 
@@ -175,8 +173,8 @@ def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_r
     """Edge coordinates at every row of a (T, n_species) state array at once.
 
     Rows with a component at or below zero are skipped: NaN in every
-    output, and "rows" marks the others. kplus/kminus may be (T, n_edges)
-    tables. Gives flux, force and activity, (T, n_edges); ledger=True gives
+    output, and "rows" marks the others. kplus/kminus, when given, are a
+    RateSchedule's (T, n_edges) tables. Gives flux, force and activity, (T, n_edges); ledger=True gives
     instead the (T,) columns epr, pepr, psi, psistar (the cosh dissipation
     of flux and force weighted by the activity) and divergence (relative
     entropy to x_ref, NaN without one). Rows are bit-identical to the
@@ -239,7 +237,7 @@ def wegscheider_check(net: ReactionNetwork, tol: float = 1e-10) -> dict:
     y, *_ = np.linalg.lstsq(net.stoich_f.T, -logk, rcond=None)
     residual = logk + net.grad(y)
     return {
-        "is_equilibrium": bool(np.max(np.abs(affinity), initial=0.0) < tol),
+        "is_equilibrium": bool(_sup(affinity) < tol),
         "cycle_affinity": affinity,
         "potential": y,
         "residual_force": residual,
@@ -260,9 +258,9 @@ def classify_state(net: ReactionNetwork, x, tol: float = 1e-8) -> dict:
     """
     pair = mass_action_flux(net, x)
     j = pair.flux
-    flux_residual = float(np.max(np.abs(j), initial=0.0))
-    complex_residual = float(np.max(np.abs(net.incidence @ j), initial=0.0))
-    species_residual = float(np.max(np.abs(net.div(j)), initial=0.0))
+    flux_residual = _sup(j)
+    complex_residual = _sup(net.incidence @ j)
+    species_residual = _sup(net.div(j))
     if flux_residual < tol:
         label = "detailed_balance"
     elif complex_residual < tol:
@@ -308,9 +306,9 @@ def find_steady_state(
         return np.concatenate([net.div(pair.flux), net.conserved(xv) - target]), pair
 
     r, pair = residual(x)
-    scale = 1.0 + float(np.max(np.abs(r)))
+    scale = 1.0 + _sup(r)
     for it in range(max_iter):
-        norm = float(np.max(np.abs(r)))
+        norm = _sup(r)
         if norm < tol * scale:
             return x
         jac = np.vstack([net.stoich_f @ _flux_jacobian(net, x, pair), net.cons_f])
@@ -320,7 +318,7 @@ def find_steady_state(
             trial = x + alpha * step
             if np.all(trial > 0):
                 r_trial, pair_trial = residual(trial)
-                if np.max(np.abs(r_trial)) < (1.0 - 1e-4 * alpha) * norm or norm == 0.0:
+                if _sup(r_trial) < (1.0 - 1e-4 * alpha) * norm or norm == 0.0:
                     x, r, pair = trial, r_trial, pair_trial
                     break
             alpha *= 0.5
@@ -328,9 +326,4 @@ def find_steady_state(
             raise ConvergenceError(
                 "steady-state search stalled", best=x, residual=norm, iterations=it
             )
-    raise ConvergenceError(
-        "steady-state search did not converge",
-        best=x,
-        residual=float(np.max(np.abs(r))),
-        iterations=max_iter,
-    )
+    raise ConvergenceError("steady-state search did not converge", best=x, residual=_sup(r), iterations=max_iter)

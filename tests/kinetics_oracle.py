@@ -4,13 +4,15 @@ as they were before the batched implementation: kept as a test oracle.
 The bodies are the previous code, copied verbatim. Only what they read
 from the network changes form: head/tail compositions are recomputed
 from the incidence matrix on every call, as the old properties did, and
-velocity_dual / force_split redo their SVD on every call. Products with
-stoich.T use a float copy of stoich, as the package's grad does. The
-effective loops return their (times, kplus, kminus) tables instead of a
-schedule. They chain each sample's solve from the previous sample's final
-answer; effective_*_two_pass instead run the package's two passes (every
-sample from a cold start, then each from that pass's answer for the
-sample before) through the same per-sample solvers.
+velocity_dual / force_split redo their SVD on every call. flux_split
+runs velocity_dual, realizability test included, as the package once
+did. Products with stoich.T use a float copy of stoich, as the package's
+grad does. The effective loops return their (times, kplus, kminus)
+tables instead of a schedule. They chain each sample's solve from the
+previous sample's final answer; effective_*_two_pass instead run the
+package's two passes (every sample from a cold start, then each from
+that pass's answer for the sample before) through the same per-sample
+solvers.
 
 The geometry solvers keep their own generic Newton loop (_newton_minimize)
 with per-solver closures. KLPotential here is the ledger's subset, so
@@ -457,6 +459,14 @@ def velocity_dual(net, dissip, v, mu0=None, tol: float = 1e-10, max_iter: int = 
         "iterations": iters,
         "velocity_residual": float(np.max(np.abs(s @ flux + v), initial=0.0)),
     }
+
+
+def flux_split(net, dissip, j, tol: float = 1e-10, max_iter: int = 100) -> dict:
+    j = np.asarray(j, dtype=float)
+    out = velocity_dual(net, dissip, -net.div(j), tol=tol, max_iter=max_iter)
+    out["j_input"] = j
+    out["cycle_part"] = j - out["flux"]
+    return out
 
 
 def force_split(net, dissip, f, mu0=None, tol: float = 1e-10, max_iter: int = 100) -> dict:

@@ -227,10 +227,12 @@ def test_floor_halt_exits_three(tmp_path, capsys):
         t_end=30.0,
         positivity_floor=1e-6,
     )
-    code, out = _run(tmp_path, "simulate", scen)
-    assert code == 3
-    assert (out / "trajectory.csv").exists()  # partial artifact still written
-    assert "halted" in capsys.readouterr().out
+    for command, artifacts in (("simulate", ["trajectory.csv"]), ("ledger", ["ledger_trajectory.csv", "ledger.json"])):
+        code, out = _run(tmp_path, command, scen)
+        assert code == 3
+        for name in artifacts:  # partial artifacts still written
+            assert (out / name).exists()
+        assert "halted" in capsys.readouterr().out
 
 
 def test_floor_halt_at_t0_on_a_grid_exits_three(tmp_path, capsys):

@@ -109,16 +109,17 @@ def test_hessians_match_gradient_differences():
 
 
 def test_bregman_positivity_and_identity():
-    pot = KLPotential(n=3)
-    for _ in range(200):
-        x = RNG.uniform(0.1, 5.0, 3)
-        xr = RNG.uniform(0.1, 5.0, 3)
-        d = pot.bregman(x, xr)
-        assert d >= 0.0
-        # Bregman from the primal function directly
-        direct = pot.value(x) - pot.value(xr) - float(pot.grad(xr) @ (x - xr))
-        assert abs(d - direct) < 1e-10 * (1.0 + abs(d))
-    assert pot.bregman([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+    metric = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]]
+    for pot in (KLPotential(n=3), QuadraticPotential(metric, [0.5, -1.0, 2.0])):
+        for _ in range(200):
+            x = RNG.uniform(0.1, 5.0, 3)
+            xr = RNG.uniform(0.1, 5.0, 3)
+            d = pot.bregman(x, xr)
+            assert d >= 0.0
+            # Bregman from the primal function directly
+            direct = pot.value(x) - pot.value(xr) - float(pot.grad(xr) @ (x - xr))
+            assert abs(d - direct) < 1e-10 * (1.0 + abs(d))
+        assert pot.bregman([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
 
 def test_mixed_bregman_on_edges():

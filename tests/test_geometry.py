@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypergraphs import networks
@@ -11,6 +13,8 @@ from crnflow import (
     KLPotential,
     QuadraticDissipation,
     QuadraticPotential,
+    Trajectory,
+    build_network,
     complex_balance_force_split,
     cycle_dual,
     effective_equilibrium_rates,
@@ -27,6 +31,7 @@ from crnflow import (
     velocity_dual,
     wegscheider_check,
 )
+from crnflow import geometry
 from crnflow.geometry import _dual_projection, _newton_steps
 
 
@@ -415,6 +420,21 @@ def test_effective_schedules_refuse_to_extrapolate(brusselator, rates, times):
         rates(brusselator, traj, times=times)
 
 
+@pytest.mark.parametrize("rates", [effective_equilibrium_rates, effective_steady_rates])
+def test_effective_schedules_check_samples_before_projecting(rates):
+    """Sample times that no RateSchedule takes, and a sample at zero, are
+    refused before any projection."""
+    net = build_network("AB", np.eye(2, dtype=int), [(0, 1)], [1.0], [1e-15])
+    halted = simulate(net, [1e-12, 1.0], 1.0, positivity_floor=1e-12)
+    assert halted.halted and halted.times.tolist() == [0.0, 0.0]  # the floor root repeats t0
+    zero = Trajectory(np.arange(2.0), np.array([[1.0, 1.0], [0.0, 2.0]]), {}, np.zeros((2, 1)), net.species)
+    for traj, match in ((halted, "strictly increasing"), (zero, "strictly positive")):
+        with mock.patch.object(geometry, "_dual_projection", wraps=geometry._dual_projection) as kernel:
+            with pytest.raises(ValueError, match=match):
+                rates(net, traj)
+        assert kernel.call_count == 0
+
+
 # -- caller errors and solver failures -------------------------------------
 
 
@@ -466,6 +486,31 @@ def test_solver_failure_reports_the_last_iterate(brusselator, abc):
         assert err.value.iterations == 1
         assert err.value.best.shape == (n_reduced,)
         assert err.value.residual > 1e-10
+
+
+class _FlatDual:
+    """A dual whose value is flat while its gradient is not: no step lowers it."""
+
+    def dual_value(self, y):
+        return np.zeros(len(y))
+
+    def dual_grad(self, y):
+        return np.ones_like(y)
+
+    def dual_hessian_diag(self, y):
+        return np.ones_like(y)
+
+
+@pytest.mark.parametrize("b", [np.zeros(2), np.zeros((3, 2))])
+def test_line_search_stall_is_reported(b):
+    """Every trial of the first line search fails the Armijo test: the
+    earliest row raises, with its residual at the stall."""
+    with pytest.raises(ConvergenceError, match="^demo: line search stalled$") as err:
+        _dual_projection(_FlatDual(), np.eye(2), b, None, None, 1e-10, 100, "demo")
+    assert err.value.iterations == 0
+    assert err.value.residual == 1.0
+    _, _, iters = _dual_projection(_FlatDual(), np.eye(2), np.zeros((3, 2)), None, None, 1e-10, 100, "demo", strict=False)
+    assert iters.tolist() == [0, 0, 0]
 
 
 def test_singular_newton_rows_take_the_least_squares_step():

@@ -40,6 +40,7 @@ from crnflow import (
     effective_equilibrium_rates,
     effective_steady_rates,
     energy_dissipation_balance,
+    flux_split,
     lyapunov_monitor,
     mass_action_flux,
     net_flux_raw,
@@ -99,11 +100,11 @@ def _trajectory(net, xs, times=None):
 @given(networks(), st.data())
 def test_fluxes_match_oracle(net, data):
     xs = data.draw(states(net.n_species))
-    # explicit rates, as the scheduled right-hand side passes them
+    # other rates, through the checked door
     kp, km = np.exp(np.random.default_rng(data.draw(SEEDS)).normal(0.0, 2.0, (2, net.n_edges)))
     for x in xs:
         _same(net_flux_raw(net, x), oracle.net_flux_raw(net, x))
-        _same(net_flux_raw(net, x, kp, km), oracle.net_flux_raw(net, x, kp, km))
+        _same(net_flux_raw(net.with_rates(kp, km), x), oracle.net_flux_raw(net, x, kp, km))
         if np.all(x > 0):
             got, want = mass_action_flux(net, x), oracle.mass_action_flux(net, x)
             _same(got.jplus, want.jplus)
@@ -127,7 +128,7 @@ def schedule_and_times(draw, n_edges):
 @given(networks(), st.data())
 def test_rhs_closure_matches_the_flux_functions(net, data):
     """The right-hand side built once per integration against the one it
-    replaced, -stoich_f @ net_flux_raw(net, x, *rates), and the closure's
+    replaced, -stoich_f @ net_flux_raw under the rates at t, and the closure's
     one-way fluxes against the batch rows of _one_way: the same bytes at
     states with zero and negative components, under the network's rates
     and a schedule's."""
@@ -140,8 +141,9 @@ def test_rhs_closure_matches_the_flux_functions(net, data):
         for t in ts:
             rates = (None, None) if schedule is None else schedule(t)
             rows = [None if k is None else k[None] for k in rates]
+            at_t = net if schedule is None else net.with_rates(*rates)
             for x in xs:
-                _same(rhs(t, x), -net.stoich_f @ net_flux_raw(net, x, *rates))
+                _same(rhs(t, x), -net.stoich_f @ net_flux_raw(at_t, x))
                 w = kernel(t, x)
                 jp, jm = _one_way(net, x[None], *rows)
                 _same(w[:n], jp[0])
@@ -343,27 +345,51 @@ def test_large_velocities_match_oracle(brusselator):
     _assert_effective_match(brusselator, traj)
 
 
+def _branched_loop(rng, flux):
+    """B -> A, C -> A, A -> D, D -> B, D -> C, each nearly irreversible, so
+    species A sums two inflows, with one-way fluxes near `flux` around the
+    cycles; and a state near its circulating steady state."""
+    kplus = flux * 10.0 ** rng.uniform(-2.0, 2.0, 5)
+    j1, j2 = flux * rng.uniform(0.5, 2.0, 2)  # the steady one-way fluxes
+    x = np.array([(j1 + j2) / kplus[2], j1 / kplus[0], j2 / kplus[1], j1 / kplus[3]])
+    kplus[4] = j2 / x[3]
+    return build_network("ABCD", np.eye(4, dtype=int), [(1, 0), (2, 0), (0, 3), (3, 1), (3, 2)], kplus, np.full(5, 1e-3)), x
+
+
+NEAR_STEADY = 1.0 + np.array([[0.0], [1e-9], [3e-7]])  # three samples drifting off the state
+
+
 def test_circulating_fluxes_match_oracle():
-    """One-way fluxes near J = 1e5 around the cycles of a loop whose
-    species A sums two inflows, at states near a circulating steady state.
-    velocity_dual checks realizability against 1e-9 (1 + |v|), not against
-    the fluxes whose rounding v = -div(flux) carries: v lies off the
-    stoichiometric image by up to about 1e-16 J (below 1e-11 here; at
-    J = 1e8 it reaches 7e-9, and the check fires). Both schedules return,
-    and match the oracle."""
+    """One-way fluxes near J = 1e5 around the cycles of the branched loop.
+    A velocity v = -div(flux) lies off the stoichiometric image by its
+    fluxes' rounding, up to about 1e-16 J (below 1e-11 here). Both
+    schedules return, and match the oracle."""
     rng = np.random.default_rng(1)
     off = []
     for _ in range(10):
-        # B -> A, C -> A, A -> D, D -> B, D -> C, each nearly irreversible
-        kplus = 1e5 * 10.0 ** rng.uniform(-2.0, 2.0, 5)
-        j1, j2 = 1e5 * rng.uniform(0.5, 2.0, 2)  # the steady one-way fluxes
-        x = np.array([(j1 + j2) / kplus[2], j1 / kplus[0], j2 / kplus[1], j1 / kplus[3]])
-        kplus[4] = j2 / x[3]
-        net = build_network("ABCD", np.eye(4, dtype=int), [(1, 0), (2, 0), (0, 3), (3, 1), (3, 2)], kplus, np.full(5, 1e-3))
+        net, x = _branched_loop(rng, 1e5)
         v = -net.div(mass_action_flux(net, x).flux)
         off.append(np.max(np.abs(v - net.stoich_image @ (net.stoich_image.T @ v))))
-        _assert_effective_match(net, _trajectory(net, x * (1.0 + np.array([[0.0], [1e-9], [3e-7]]))))
+        _assert_effective_match(net, _trajectory(net, x * NEAR_STEADY))
     assert 1e-12 < max(off) < 1e-10  # 7.3e-12: the rounding is there
+
+
+def test_circulating_fluxes_near_1e8_are_projected():
+    """At J = 1e8 the rounding of v = -div(flux) reaches 7e-9, past the
+    bound 1e-9 (1 + |v|) of velocity_dual's realizability test for outside
+    velocities, which fires on 4 of these 10 loops. Such a v is an image of
+    stoich by construction, and both schedules and flux_split project it
+    untested: they return, and the equilibrium model's force carries no
+    cycle affinity."""
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        net, x = _branched_loop(rng, 1e8)
+        traj = _trajectory(net, x * NEAR_STEADY)
+        assert effective_equilibrium_rates(net, traj)[1]["zeta_residual"].max() < 1e-8
+        assert np.all(effective_steady_rates(net, traj)[1]["iterations"] < 100)
+        pair = mass_action_flux(net, x)
+        out = flux_split(net, CoshDissipation(pair.activity), pair.flux)
+        assert np.max(np.abs(net.curl(out["force"]))) < 1e-8
 
 
 # Largest relative difference of the rate tables between the two-pass
@@ -538,8 +564,8 @@ def test_projections_match_oracle(net, data):
         "force_split": (net, dissip, rng.normal(0.0, 2.0, m)),
         "cycle_dual": (net, dissip, rng.normal(0.0, 2.0, net.n_cycles)),
     }
-    # flux_split and cycle_dual reach the oracle through the names they call
-    old = {name: getattr(oracle, name) for name in ("equilibrium_point", "velocity_dual", "force_split")}
+    # cycle_dual reaches the oracle through force_split
+    old = {name: getattr(oracle, name) for name in ("equilibrium_point", "velocity_dual", "flux_split", "force_split")}
     with mock.patch.multiple(geometry, **old):
         want = {name: _outcome(name, *args, **limits) for name, args in calls.items()}
     got = {name: _outcome(name, *args, **limits) for name, args in calls.items()}
