@@ -42,13 +42,18 @@ def _schedule_times(times) -> np.ndarray:
     return t
 
 
+def _positive_rates(table) -> None:  # RateSchedule's check, also on the effective schedules' blocks
+    if not np.all((table > 0) & np.isfinite(table)):
+        raise ValueError("scheduled rates must be finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class RateSchedule:
     """Tabulated time-dependent rate constants, linearly interpolated.
 
     Attributes:
         times: strictly increasing sample times, shape (n,).
-        kplus, kminus: rate samples, shape (n, n_edges), all positive.
+        kplus, kminus: positive rate samples, read-only (n, n_edges) views of the table evaluated.
 
     Evaluation clamps to the end values outside the tabulated range.
     Linear interpolation of positive samples stays positive.
@@ -64,16 +69,16 @@ class RateSchedule:
         km = np.asarray(self.kminus, dtype=float)
         if kp.ndim != 2 or kp.shape[0] != t.size or km.shape != kp.shape:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
-        if not np.all((kp > 0) & (km > 0) & np.isfinite(kp) & np.isfinite(km)):
-            raise ValueError("scheduled rates must be finite and strictly positive")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "kplus", kp)
-        object.__setattr__(self, "kminus", km)
-        table = np.hstack([kp, km])
+        table = np.hstack([kp, km])  # a copy: a caller's array stays the caller's
+        _positive_rates(table)
         with np.errstate(over="ignore"):  # a slope past the float range is inf, as in np.interp
-            slopes = np.diff(table, axis=0) / np.diff(t)[:, None]
+            slopes = np.diff(table, axis=0)
+            slopes /= np.diff(t)[:, None]
         for arr in (table, slopes):
             arr.flags.writeable = False  # __call__ hands out views of their rows
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "kplus", table[:, :kp.shape[1]])
+        object.__setattr__(self, "kminus", table[:, kp.shape[1]:])
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_knots", t.tolist())  # Python floats: bisect on them is cheap

@@ -31,8 +31,8 @@ entry per row: one row is one cold pass, a batch a path (_edge_projection).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model, from one velocity_dual or force_split batch over the samples;
-    the kinetics, rate tables and certificates too are batched.
+    model, by velocity_dual's or force_split's projection, streamed over
+    the samples in blocks of rows with the kinetics, rates and certificates.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -42,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from .convex import CoshDissipation, KLPotential, _sup
-from .dynamics import RateSchedule, Trajectory, _schedule_times
-from .kinetics import ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
+from .dynamics import RateSchedule, Trajectory, _positive_rates, _schedule_times
+from .kinetics import _BATCH_ROWS, ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
 from .network import ReactionNetwork, dot_rows, matvec_rows
 
 # Longest first trial of a line search, as a max-norm move of the dual
@@ -257,18 +257,19 @@ def pythagoras_gap(
     }
 
 
-def _edge_projection(dissip, a, b, y0, tol, max_iter, what):
-    """_dual_projection for velocity_dual and force_split: one row (1-d b, or a batch
-    of one) in one pass from lam = 0, a batch as a path. A predictor pass starts
-    every row from lam = 0 (a failing row hands over its last iterate); then a pass
-    reporting its iterations and earliest failure starts row i from the predictor's
-    answer for row i - 1, row 0 from zeros. Near the optimum Newton converges
-    quadratically: a start near row i's answer serves as well as row i - 1's."""
-    starts = None
-    if b.ndim == 2 and len(b) > 1:
+def _edge_projection(dissip, a, b, y0, tol, max_iter, what, start=None):
+    """_dual_projection for velocity_dual, force_split and the effective schedules: one
+    row (1-d b, or a batch of one and no start) in one pass from lam = 0, a batch as a
+    path: a predictor pass starts every row from lam = 0 (a failing row hands over its
+    last iterate), then a pass reporting iterations and the earliest failure starts row
+    i from the predictor's answer for row i - 1, row 0 from start (zeros when None); near
+    the optimum a start near row i's answer serves as well as row i - 1's. Returns (lam,
+    y, iterations, carry), carry the predictor's last row (the next block's start) or None."""
+    starts = cold = None
+    if b.ndim == 2 and (len(b) > 1 or start is not None):
         cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
-        starts = np.concatenate([np.zeros_like(cold[:1]), cold[:-1]])
-    return _dual_projection(dissip, a, b, y0, starts, tol, max_iter, what)
+        starts = np.concatenate([np.zeros_like(cold[:1]) if start is None else start[None], cold[:-1]])
+    return (*_dual_projection(dissip, a, b, y0, starts, tol, max_iter, what), None if cold is None else cold[-1].copy())
 
 
 def velocity_dual(
@@ -304,7 +305,7 @@ def _velocity_dual(net, dissip, v, tol, max_iter, b=None) -> dict:
     stoich by construction: the test's bound does not follow the rounding of large
     fluxes. b = stoich_image.T @ v, computed here unless given."""
     b = matvec_rows(net.stoich_image.T, v) if b is None else b
-    mu, _, iters = _edge_projection(dissip, -net.reduced_stoich, b, None, tol, max_iter, "velocity_dual")
+    mu, _, iters, _ = _edge_projection(dissip, -net.reduced_stoich, b, None, tol, max_iter, "velocity_dual")
     u = matvec_rows(net.stoich_image, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
@@ -362,7 +363,7 @@ def force_split(
     f = np.asarray(f, dtype=float)
     q, qs = net.stoich_image, net.reduced_stoich
     b = np.zeros(f.shape[:-1] + (len(qs),))
-    mu, force, iters = _edge_projection(dissip, qs, b, f, tol, max_iter, "force_split")
+    mu, force, iters, _ = _edge_projection(dissip, qs, b, f, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     return {
         "force": force,
@@ -502,11 +503,23 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
     return ts, xs
 
 
-def _rate_schedule(net, ts, xs, forces):
-    """Rates with the network's kappa whose force at xs is forces, and their kinetics."""
-    keq = np.exp(forces - net.grad(np.log(xs)))
-    kp_tab, km_tab = KineticSplit(KineticSplit.from_rates(net.kplus, net.kminus).kappa, keq).rates()
-    return RateSchedule(times=ts, kplus=kp_tab, kminus=km_tab), mass_action_batch(net, xs, kp_tab, km_tab)
+def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
+    """The effective schedules over blocks of _BATCH_ROWS samples: per block the kinetics,
+    model(kinetics, start) -> (forces, carry, certify), rates with the network's kappa giving
+    those forces and certify(their kinetics), into (T, 2 n_edges) rates, (T,) certificates.
+    The carry continues the path: rows keep their bits, errors (in block order) the earliest."""
+    ts, xs = _trajectory_samples(traj, times)
+    kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
+    table, cert, start = np.empty((len(xs), 2 * n)), {}, np.zeros(len(net.reduced_stoich))
+    for lo in range(0, len(xs), _BATCH_ROWS):
+        rows = slice(lo, lo + _BATCH_ROWS)
+        x, rates = xs[rows], table[rows]
+        force, start, certify = model(mass_action_batch(net, x), start)
+        rates[:, :n], rates[:, n:] = KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates()
+        _positive_rates(rates)
+        for key, val in certify(mass_action_batch(net, x, rates[:, :n], rates[:, n:])).items():
+            cert.setdefault(key, np.empty(len(xs), val.dtype))[rows] = val
+    return RateSchedule(times=ts, kplus=table[:, :n], kminus=table[:, n:]), cert
 
 
 def effective_equilibrium_rates(
@@ -514,23 +527,25 @@ def effective_equilibrium_rates(
 ) -> tuple[RateSchedule, dict]:
     """Equilibrium-model rate constants reproducing a trajectory's motion.
 
-    At each sample the instantaneous velocity is matched by a flux whose
-    force is a pure gradient (velocity_dual), and the network's kinetic
-    split is recombined: the frenetic part kappa is kept, the
-    equilibrium constants are replaced so the new mass-action force
-    equals that gradient. Certificates per sample: the new force's
-    cycle affinities (zeta_residual) and the relative velocity mismatch.
+    At each sample, streamed in blocks (_streamed_schedule), the velocity
+    is matched by a flux whose force is a pure gradient (velocity_dual's
+    projection); the frenetic part kappa is kept and the equilibrium
+    constants replaced so the mass-action force equals that gradient.
+    Certificates per sample: the new force's cycle affinities
+    (zeta_residual) and the relative velocity mismatch.
     """
-    ts, xs = _trajectory_samples(traj, times)
-    base = mass_action_batch(net, xs)
-    v = -net.div(base["flux"])
-    out = _velocity_dual(net, CoshDissipation(base["activity"]), v, tol, max_iter)
-    schedule, new = _rate_schedule(net, ts, xs, out["force"])
-    return schedule, {
-        "zeta_residual": _sup(net.curl(new["force"])),
-        "velocity_residual": _sup(-net.div(new["flux"]) - v) / (1.0 + _sup(v)),
-        "iterations": out["iterations"],
-    }
+
+    def model(base, start):
+        v, dissip, q = -net.div(base["flux"]), CoshDissipation(base["activity"]), net.stoich_image
+        mu, _, iters, start = _edge_projection(dissip, -net.reduced_stoich, matvec_rows(q.T, v), None, tol, max_iter,
+                                               "velocity_dual", start)
+        return -net.grad(matvec_rows(q, mu)), start, lambda new: {
+            "zeta_residual": _sup(net.curl(new["force"])),
+            "velocity_residual": _sup(-net.div(new["flux"]) - v) / (1.0 + _sup(v)),
+            "iterations": iters,
+        }
+
+    return _streamed_schedule(net, traj, times, model)
 
 
 def effective_steady_rates(
@@ -538,19 +553,22 @@ def effective_steady_rates(
 ) -> tuple[RateSchedule, dict]:
     """Steady-model rate constants reproducing a trajectory's affinities.
 
-    At each sample the mass-action force is shifted along the image of
-    stoich.T to the divergence-free model (force_split), keeping every
-    cycle affinity; the network's frenetic part kappa is kept and the
-    equilibrium constants replaced to realize the shifted force.
-    Certificates per sample: the new flux's divergence
+    At each sample, streamed in blocks (_streamed_schedule), the force is
+    shifted along the image of stoich.T to the divergence-free model
+    (force_split's projection), keeping every cycle affinity; the frenetic
+    part kappa is kept and the equilibrium constants replaced to realize
+    the shifted force. Certificates per sample: the new flux's divergence
     (steady_residual) and the affinity drift (affinity_residual).
     """
-    ts, xs = _trajectory_samples(traj, times)
-    base = mass_action_batch(net, xs)
-    out = force_split(net, CoshDissipation(base["activity"]), base["force"], tol, max_iter)
-    schedule, new = _rate_schedule(net, ts, xs, out["force"])
-    return schedule, {
-        "steady_residual": _sup(net.div(new["flux"])),
-        "affinity_residual": _sup(net.curl(new["force"]) - net.curl(base["force"])),
-        "iterations": out["iterations"],
-    }
+
+    def model(base, start):
+        f, dissip, qs = base["force"], CoshDissipation(base["activity"]), net.reduced_stoich
+        _, force, iters, start = _edge_projection(dissip, qs, np.zeros((len(f), len(qs))), f, tol, max_iter,
+                                                  "force_split", start)
+        return force, start, lambda new: {
+            "steady_residual": _sup(net.div(new["flux"])),
+            "affinity_residual": _sup(net.curl(new["force"]) - net.curl(f)),
+            "iterations": iters,
+        }
+
+    return _streamed_schedule(net, traj, times, model)

@@ -166,15 +166,15 @@ def net_flux_raw(net: ReactionNetwork, x) -> np.ndarray:
     return m[:n] - m[n:]
 
 
-_BATCH_ROWS = 1024  # rows per block of mass_action_batch: its temporaries stay O(_BATCH_ROWS * nnz)
+_BATCH_ROWS = 1024  # rows per block of mass_action_batch and the effective schedules: temporaries scale with it, not T
 
 
 def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_ref=None, ledger=False) -> dict:
     """Edge coordinates at every row of a (T, n_species) state array at once.
 
     Rows with a component at or below zero are skipped: NaN in every
-    output, and "rows" marks the others. kplus/kminus, when given, are a
-    RateSchedule's (T, n_edges) tables. Gives flux, force and activity, (T, n_edges); ledger=True gives
+    output, and "rows" marks the others. kplus/kminus are None (the network's rates)
+    or checked (T, n_edges) tables, as a RateSchedule's. Gives flux, force and activity, (T, n_edges); ledger=True gives
     instead the (T,) columns epr, pepr, psi, psistar (the cosh dissipation
     of flux and force weighted by the activity) and divergence (relative
     entropy to x_ref, NaN without one). Rows are bit-identical to the
@@ -187,7 +187,9 @@ def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_r
     if x.ndim != 2 or x.shape[1] != net.n_species:
         raise ValueError(f"states must have shape (T, {net.n_species})")
     rows = np.all(x > 0, axis=1)
-    rates = [k if np.ndim(k) < 2 else np.asarray(k, dtype=float) for k in (kplus, kminus)]
+    rates = [k if k is None else np.asarray(k, dtype=float) for k in (kplus, kminus)]
+    if any(k is not None and k.shape != (len(x), net.n_edges) for k in rates):
+        raise ValueError(f"rate tables must have shape ({len(x)}, {net.n_edges})")
     if ledger:
         keys, shape = ("epr", "pepr", "psi", "psistar", "divergence"), len(x)
     else:
@@ -198,7 +200,7 @@ def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_r
         block = slice(start, start + _BATCH_ROWS)
         live = rows[block]
         xb = x[block][live]
-        pair = EdgePair(*_one_way(net, xb, *(k if np.ndim(k) < 2 else k[block][live] for k in rates)))
+        pair = EdgePair(*_one_way(net, xb, *(k if k is None else k[block][live] for k in rates)))
         if ledger:
             diss = CoshDissipation(pair.activity)
             cols = {"epr": entropy_production(pair), "pepr": pseudo_entropy_production(pair),

@@ -213,6 +213,19 @@ def test_rate_schedule_interpolation():
         RateSchedule(np.array([0.0, 1.0]), np.ones((2, 1)), np.array([[1.0], [np.inf]]))
 
 
+def test_rate_schedule_holds_its_rates_once_read_only():
+    # kplus used to be a writable copy beside the evaluated table, and a caller's array stayed aliased
+    kp, km = np.array([[1.0], [3.0]]), np.array([[2.0], [1.0]])
+    sch = RateSchedule(np.array([0.0, 1.0]), kp, km)
+    for col in (sch.kplus, sch.kminus):
+        assert col.base is sch._table
+        with pytest.raises(ValueError, match="read-only"):
+            col[0, 0] = 5.0
+    kp[0, 0], km[1, 0] = -7.0, np.nan
+    assert sch.kplus.tolist() == [[1.0], [3.0]] and sch.kminus.tolist() == [[2.0], [1.0]]
+    assert [k.tolist() for k in sch(0.0)] == [[1.0], [2.0]]
+
+
 def _searchsorted_rates(sched, t):
     """RateSchedule.__call__'s scalar path as it was, on np.searchsorted: the oracle."""
     knots, n = sched.times, sched.n_edges

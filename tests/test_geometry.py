@@ -435,6 +435,19 @@ def test_effective_schedules_check_samples_before_projecting(rates):
         assert kernel.call_count == 0
 
 
+def test_effective_rates_past_the_float_range_are_refused():
+    """A sample 1e310 from the steady model's equilibrium asks for an
+    equilibrium constant of 1e310: the schedule refuses the rates before
+    it evaluates their kinetics, in whatever block the sample sits."""
+    net = build_network("AB", np.eye(2, dtype=int), [(0, 1)], [1e10], [1e-10])
+    xs = np.array([[1.0, 1.0], [1.0, 2.0], [1e-155, 1e155]])
+    traj = Trajectory(np.arange(3.0), xs, {}, np.zeros((3, 1)), net.species)
+    for rows in (geometry._BATCH_ROWS, 2):
+        with mock.patch.object(geometry, "_BATCH_ROWS", rows), np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="scheduled rates must be finite and strictly positive"):
+                effective_steady_rates(net, traj, max_iter=1000)
+
+
 # -- caller errors and solver failures -------------------------------------
 
 
