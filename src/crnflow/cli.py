@@ -10,7 +10,8 @@ validation error, 2 solver failure, 3 integration halted at the
 positivity floor (partial artifacts are still written).
 
 --tol overrides the scenario's `tol`, the tolerance `classify` labels
-the state with (default 1e-8); other commands reject it.
+the state with (default 1e-8); other commands reject it. Likewise a
+scenario's `schedule` drives `simulate` only; other commands reject it.
 
 --sweep runs the command once per value of one rate constant:
 `<label>.<kf|kr>=v1,v2,...` or `<label>.<kf|kr>=lo:hi:n` (n linearly
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
         scenario = ScenarioConfig.load(args.scenario)
     except (OSError, json.JSONDecodeError, NetworkParseError, ValueError) as e:
         print(f"error: invalid scenario: {e}", file=sys.stderr)
+        return 1
+    if scenario.schedule is not None and args.command != "simulate":
+        print(f"error: the scenario's schedule applies to simulate only, not to {args.command}", file=sys.stderr)
         return 1
     if args.tol is not None:
         scenario = replace(scenario, tol=args.tol)

@@ -13,10 +13,11 @@ dense output gives only the grid times between steps. Each trajectory
 also carries a ledger of scalar observables per sample time: relative
 entropy to an optional reference, entropy production rate and its
 quadratic lower bound, and the primal/dual dissipation values whose sum
-equals the EPR. The ledger, the Lyapunov monitor and the energy balance
-evaluate their samples through kinetics.mass_action_batch, in fixed-size
-blocks of rows; products over all rows (the conserved quantities, the
-monitor's force) stay one call each.
+equals the EPR. The ledger and the Lyapunov monitor each make one pass
+over kinetics.mass_action_blocks, computing their columns from each
+block's EdgePair (the energy balance integrates the ledger's psi +
+psistar), so temporaries scale with the block size, not the sample
+count; the conserved quantities stay one matrix product over all rows.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import KLPotential, _positive
-from .kinetics import ConvergenceError, mass_action_batch, one_way_kernel, wegscheider_check
+from .convex import CoshDissipation, KLPotential, _positive
+from .kinetics import ConvergenceError, entropy_production, mass_action_blocks, one_way_kernel
+from .kinetics import pseudo_entropy_production, wegscheider_check
 from .network import ReactionNetwork, dot_rows
 from .rk45 import integrate, simpson
 
@@ -163,9 +165,25 @@ def _ledger_rows(
     net: ReactionNetwork, times, states, x_ref, schedule: RateSchedule | None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     rates = (None, None) if schedule is None else schedule(times)
-    cols = mass_action_batch(net, states, *rates, x_ref=x_ref, ledger=True)
+    ledger = {key: np.full(len(states), np.nan) for key in LEDGER_KEYS}
+    kl = KLPotential(n=net.n_species)
+    for rows, live, pair in mass_action_blocks(net, states, *rates):
+        diss = CoshDissipation(pair.activity)
+        cols = {"epr": entropy_production(pair), "pepr": pseudo_entropy_production(pair),
+                "psi": diss.value(pair.flux), "psistar": diss.dual_value(pair.force)}
+        if x_ref is not None:
+            cols["divergence"] = kl.bregman(states[rows][live], x_ref)
+        for key, val in cols.items():
+            ledger[key][rows][live] = val
     eta = states @ net.cons_f.T  # one matrix product: row-wise conserved() rounds some rows differently
-    return {k: cols[k] for k in LEDGER_KEYS}, eta
+    return ledger, eta
+
+
+def _reference(x_ref, name: str, n: int) -> np.ndarray:
+    v = _positive(x_ref, name, n)  # a reference state must also be finite
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,8 +236,7 @@ def _integrate(
         raise ValueError("rtol must be finite and positive")
     if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
         raise ValueError("atol and positivity_floor must be finite and non-negative")
-    if x_ref is not None and np.shape(x_ref) != (net.n_species,):
-        raise ValueError(f"x_ref must have length {net.n_species}")
+    x_ref = None if x_ref is None else _reference(x_ref, "x_ref", net.n_species)
 
     minimum = np.minimum.reduce  # x.min(), without its Python-level wrapper
 
@@ -284,7 +301,8 @@ def simulate(
         t_span: final time, or a (t0, t1) pair.
         grid: optional extra sample times; the ledger is evaluated at the
             union of the integrator's accepted steps and this grid.
-        x_ref: optional reference state for the divergence column.
+        x_ref: optional reference state for the divergence column,
+            finite and strictly positive.
         rtol, atol: integrator tolerances; rtol finite and positive,
             atol finite and non-negative.
         positivity_floor: integration halts (Trajectory.halted = True)
@@ -323,6 +341,7 @@ def energy_dissipation_balance(
 
         D(x(t0)) - D(x(t1)) = integral of [psi + psistar] dt.
 
+    The rates are the network's, also for a run under a schedule.
     Returns lhs, rhs, their gap, and the reference state used. Raises
     ValueError when the rate constants carry nonzero cycle affinity,
     since no equilibrium reference exists then.
@@ -348,9 +367,8 @@ def energy_dissipation_balance(
         xs = traj.states
     if not np.all(xs > 0):
         raise ValueError("state must be strictly positive")
-    cols = mass_action_batch(net, xs, ledger=True)
-    integrand = cols["psi"] + cols["psistar"]
-    rhs = float(simpson(integrand, x=ts))
+    ledger = _ledger_rows(net, ts, xs, None, None)[0]
+    rhs = float(simpson(ledger["psi"] + ledger["psistar"], x=ts))
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "reference": x_eq}
 
 
@@ -363,17 +381,16 @@ def lyapunov_monitor(
     """Track d/dt of the relative entropy to a fixed reference state.
 
     The derivative is evaluated analytically at each ledger time as
-    -<flux(x), stoich.T log(x / x_ref)>; for a complex-balanced
+    -<flux(x), stoich.T log(x / x_ref)> under the network's rates (also
+    for a run under a schedule), NaN at samples with a component at or
+    below zero; x_ref must be finite and positive. For a complex-balanced
     reference this is non-positive along every trajectory.
     """
-    x_ref = _positive(x_ref, "reference state", net.n_species)
-    cols = mass_action_batch(net, traj.states)
-    rows = cols["rows"]
-    force = net.grad(np.log(traj.states[rows] / x_ref))
+    x_ref = _reference(x_ref, "reference state", net.n_species)
     deriv = np.full(traj.times.size, np.nan)
-    deriv[rows] = -dot_rows(cols["flux"][rows], force)
-    finite = deriv[np.isfinite(deriv)]
-    max_deriv = float(np.max(finite, initial=-np.inf))
+    for rows, live, pair in mass_action_blocks(net, traj.states):
+        deriv[rows][live] = -dot_rows(pair.flux, net.grad(np.log(traj.states[rows][live] / x_ref)))
+    max_deriv = float(np.max(deriv, initial=-np.inf, where=np.isfinite(deriv)))
     return {
         "times": traj.times,
         "derivative": deriv,

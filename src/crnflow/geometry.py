@@ -31,8 +31,9 @@ entry per row: one row is one cold pass, a batch a path (_edge_projection).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model, by velocity_dual's or force_split's projection, streamed over
-    the samples in blocks of rows with the kinetics, rates and certificates.
+    model, by velocity_dual's or force_split's projection, in one pass
+    over kinetics.mass_action_blocks: per block of samples the kinetics,
+    the projection, the rates and their certificates.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -43,7 +44,7 @@ import numpy as np
 
 from .convex import CoshDissipation, KLPotential, _sup
 from .dynamics import RateSchedule, Trajectory, _positive_rates, _schedule_times
-from .kinetics import _BATCH_ROWS, ConvergenceError, KineticSplit, mass_action_batch, mass_action_flux
+from .kinetics import ConvergenceError, EdgePair, KineticSplit, _one_way, mass_action_blocks, mass_action_flux
 from .network import ReactionNetwork, dot_rows, matvec_rows
 
 # Longest first trial of a line search, as a max-norm move of the dual
@@ -504,20 +505,19 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
 
 
 def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
-    """The effective schedules over blocks of _BATCH_ROWS samples: per block the kinetics,
-    model(kinetics, start) -> (forces, carry, certify), rates with the network's kappa giving
-    those forces and certify(their kinetics), into (T, 2 n_edges) rates, (T,) certificates.
+    """The effective schedules in one pass over mass_action_blocks: per block its EdgePair,
+    model(pair, start) -> (forces, carry, certify), rates with the network's kappa giving
+    those forces and certify(their EdgePair), into (T, 2 n_edges) rates, (T,) certificates.
     The carry continues the path: rows keep their bits, errors (in block order) the earliest."""
     ts, xs = _trajectory_samples(traj, times)
     kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
     table, cert, start = np.empty((len(xs), 2 * n)), {}, np.zeros(len(net.reduced_stoich))
-    for lo in range(0, len(xs), _BATCH_ROWS):
-        rows = slice(lo, lo + _BATCH_ROWS)
+    for rows, _, base in mass_action_blocks(net, xs):  # every sample live
         x, rates = xs[rows], table[rows]
-        force, start, certify = model(mass_action_batch(net, x), start)
+        force, start, certify = model(base, start)
         rates[:, :n], rates[:, n:] = KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates()
         _positive_rates(rates)
-        for key, val in certify(mass_action_batch(net, x, rates[:, :n], rates[:, n:])).items():
+        for key, val in certify(EdgePair(*_one_way(net, x, rates[:, :n], rates[:, n:]))).items():
             cert.setdefault(key, np.empty(len(xs), val.dtype))[rows] = val
     return RateSchedule(times=ts, kplus=table[:, :n], kminus=table[:, n:]), cert
 
@@ -536,12 +536,12 @@ def effective_equilibrium_rates(
     """
 
     def model(base, start):
-        v, dissip, q = -net.div(base["flux"]), CoshDissipation(base["activity"]), net.stoich_image
+        v, dissip, q = -net.div(base.flux), CoshDissipation(base.activity), net.stoich_image
         mu, _, iters, start = _edge_projection(dissip, -net.reduced_stoich, matvec_rows(q.T, v), None, tol, max_iter,
                                                "velocity_dual", start)
         return -net.grad(matvec_rows(q, mu)), start, lambda new: {
-            "zeta_residual": _sup(net.curl(new["force"])),
-            "velocity_residual": _sup(-net.div(new["flux"]) - v) / (1.0 + _sup(v)),
+            "zeta_residual": _sup(net.curl(new.force)),
+            "velocity_residual": _sup(-net.div(new.flux) - v) / (1.0 + _sup(v)),
             "iterations": iters,
         }
 
@@ -562,12 +562,12 @@ def effective_steady_rates(
     """
 
     def model(base, start):
-        f, dissip, qs = base["force"], CoshDissipation(base["activity"]), net.reduced_stoich
+        f, dissip, qs = base.force, CoshDissipation(base.activity), net.reduced_stoich
         _, force, iters, start = _edge_projection(dissip, qs, np.zeros((len(f), len(qs))), f, tol, max_iter,
                                                   "force_split", start)
         return force, start, lambda new: {
-            "steady_residual": _sup(net.div(new["flux"])),
-            "affinity_residual": _sup(net.curl(new["force"]) - net.curl(f)),
+            "steady_residual": _sup(net.div(new.flux)),
+            "affinity_residual": _sup(net.curl(new.force) - net.curl(f)),
             "iterations": iters,
         }
 

@@ -15,9 +15,10 @@ The fluxes at one state come from one closure per network and rate
 source, one_way_kernel, which the ODE right-hand side builds once per
 integration; net_flux_raw (any real state) and mass_action_flux (one
 positive state) build it per call. Batches of rows go through _one_way:
-mass_action_batch (positive rows: edge coordinates, or the ledger
-columns). The callers differ only in their checks and in which
-coordinates they return. Rates enter checked, as a network's
+mass_action_blocks yields the EdgePair of each block of positive rows,
+and every pass over samples (the ledger, the Lyapunov monitor, the
+energy balance, the effective schedules) iterates it and computes its
+own columns. Rates enter checked, as a network's
 (build_network, ReactionNetwork.with_rates) or as a RateSchedule's rows
 or tables.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import CoshDissipation, KLPotential, _positive, _sup, _total, _vec
+from .convex import _positive, _sup, _total, _vec
 from .network import ReactionNetwork
 
 
@@ -166,52 +167,28 @@ def net_flux_raw(net: ReactionNetwork, x) -> np.ndarray:
     return m[:n] - m[n:]
 
 
-_BATCH_ROWS = 1024  # rows per block of mass_action_batch and the effective schedules: temporaries scale with it, not T
+_BATCH_ROWS = 1024  # rows per block of mass_action_blocks: temporaries scale with it, not T
 
 
-def mass_action_batch(net: ReactionNetwork, states, kplus=None, kminus=None, x_ref=None, ledger=False) -> dict:
-    """Edge coordinates at every row of a (T, n_species) state array at once.
+def mass_action_blocks(net: ReactionNetwork, states, kplus=None, kminus=None):
+    """The edge coordinates of a (T, n_species) state array, in blocks of _BATCH_ROWS rows.
 
-    Rows with a component at or below zero are skipped: NaN in every
-    output, and "rows" marks the others. kplus/kminus are None (the network's rates)
-    or checked (T, n_edges) tables, as a RateSchedule's. Gives flux, force and activity, (T, n_edges); ledger=True gives
-    instead the (T,) columns epr, pepr, psi, psistar (the cosh dissipation
-    of flux and force weighted by the activity) and divergence (relative
-    entropy to x_ref, NaN without one). Rows are bit-identical to the
-    per-state functions, with the same ValueError on non-positive fluxes or
-    weights. The rows are evaluated in blocks of _BATCH_ROWS into the
-    outputs, by elementwise work and sums over the last axis, which round
-    each row alone.
+    Yields (rows, live, pair) per block: the block's slice, the mask of
+    its rows with every component positive, and the EdgePair at those
+    rows. kplus/kminus are None (the network's rates) or checked
+    (T, n_edges) tables, as a RateSchedule's. Each row is bit-equal to
+    one_way_kernel's at that state; a non-positive flux raises EdgePair's ValueError.
     """
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.n_species:
         raise ValueError(f"states must have shape (T, {net.n_species})")
-    rows = np.all(x > 0, axis=1)
     rates = [k if k is None else np.asarray(k, dtype=float) for k in (kplus, kminus)]
     if any(k is not None and k.shape != (len(x), net.n_edges) for k in rates):
         raise ValueError(f"rate tables must have shape ({len(x)}, {net.n_edges})")
-    if ledger:
-        keys, shape = ("epr", "pepr", "psi", "psistar", "divergence"), len(x)
-    else:
-        keys, shape = ("flux", "force", "activity"), (len(x), net.n_edges)
-    out = {"rows": rows} | {key: np.full(shape, np.nan) for key in keys}
-    kl = KLPotential(n=net.n_species)
     for start in range(0, len(x), _BATCH_ROWS):
-        block = slice(start, start + _BATCH_ROWS)
-        live = rows[block]
-        xb = x[block][live]
-        pair = EdgePair(*_one_way(net, xb, *(k if k is None else k[block][live] for k in rates)))
-        if ledger:
-            diss = CoshDissipation(pair.activity)
-            cols = {"epr": entropy_production(pair), "pepr": pseudo_entropy_production(pair),
-                    "psi": diss.value(pair.flux), "psistar": diss.dual_value(pair.force)}
-            if x_ref is not None:
-                cols["divergence"] = kl.bregman(xb, x_ref)
-        else:
-            cols = {"flux": pair.flux, "force": pair.force, "activity": pair.activity}
-        for key, val in cols.items():
-            out[key][block][live] = val
-    return out
+        rows = slice(start, start + _BATCH_ROWS)
+        live = np.all(x[rows] > 0, axis=1)
+        yield rows, live, EdgePair(*_one_way(net, x[rows][live], *(k if k is None else k[rows][live] for k in rates)))
 
 
 def entropy_production(pair: EdgePair):

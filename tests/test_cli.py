@@ -397,6 +397,29 @@ def test_tol_flag_is_rejected_outside_classify(tmp_path, capsys, command):
     assert not out.exists()
 
 
+SCHEDULED = {"schedule": {"times": [0.0, 5.0], "kplus": [[0.5], [0.5]], "kminus": [[4.0], [4.0]]}}
+
+
+@pytest.mark.parametrize(
+    "command", ["info", "equilibrium", "decompose", "effective-eq", "effective-cycle", "ledger", "classify"]
+)
+def test_schedule_is_rejected_outside_simulate(tmp_path, capsys, command):
+    # ledger judged a scheduled run by the constant rates ("nonincreasing" while D rose),
+    # the effective schedules mixed both, and the other commands ignored the schedule
+    scen = _scenario(tmp_path, state=[1.0, 1.0], x_ref=[1.0, 2.0], **SCHEDULED)
+    for sweep in ((), ("--sweep", "r1.kf=1,2")):
+        code, out = _run(tmp_path, command, scen, *sweep)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: the scenario's schedule applies to simulate only, not to {command}\n"
+        assert not out.exists()
+
+
+def test_schedule_drives_simulate(tmp_path):
+    code, out = _run(tmp_path, "simulate", _scenario(tmp_path, state=[1.0, 1.0], x_ref=[1.0, 2.0], **SCHEDULED))
+    assert code == 0
+    assert (out / "trajectory.csv").exists()
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
     code, _ = _run(tmp_path, "classify", scen, "--seed", "3")

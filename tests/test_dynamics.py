@@ -369,3 +369,24 @@ def test_lyapunov_monitor_flags_bad_reference(ab):
     mon = lyapunov_monitor(ab, traj, [1.5, 0.5])
     assert not mon["nonincreasing"]
     assert mon["max_derivative"] > 0.1
+
+
+
+@pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0], [0.0, 1.0], [-1.0, 1.0]])
+def test_reference_state_is_checked_up_front(ab, bad):
+    """A reference with an infinite, NaN, zero or negative component is
+    refused before any integration (an infinite one gave a NaN divergence
+    column, a zero one an error after the whole run), and by the monitor
+    (which called an infinite one nonincreasing)."""
+    schedule = RateSchedule.constant([2.0], [1.0], 0.0, 1.0)
+    runs = (
+        lambda: simulate(ab, [1.0, 1.0], 1.0, x_ref=bad),
+        lambda: simulate_timedep(ab, [1.0, 1.0], 1.0, schedule, x_ref=bad),
+    )
+    for run in runs:
+        with mock.patch.object(dynamics, "integrate") as stepper, pytest.raises(ValueError, match="x_ref must be"):
+            run()
+        assert stepper.call_count == 0
+    traj = simulate(ab, [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="reference state must be"):
+        lyapunov_monitor(ab, traj, bad)

@@ -31,7 +31,7 @@ from crnflow import (
     velocity_dual,
     wegscheider_check,
 )
-from crnflow import geometry
+from crnflow import geometry, kinetics
 from crnflow.geometry import _dual_projection, _newton_steps
 
 
@@ -442,8 +442,8 @@ def test_effective_rates_past_the_float_range_are_refused():
     net = build_network("AB", np.eye(2, dtype=int), [(0, 1)], [1e10], [1e-10])
     xs = np.array([[1.0, 1.0], [1.0, 2.0], [1e-155, 1e155]])
     traj = Trajectory(np.arange(3.0), xs, {}, np.zeros((3, 1)), net.species)
-    for rows in (geometry._BATCH_ROWS, 2):
-        with mock.patch.object(geometry, "_BATCH_ROWS", rows), np.errstate(over="ignore"):
+    for rows in (kinetics._BATCH_ROWS, 2):
+        with mock.patch.object(kinetics, "_BATCH_ROWS", rows), np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="scheduled rates must be finite and strictly positive"):
                 effective_steady_rates(net, traj, max_iter=1000)
 

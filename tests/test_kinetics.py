@@ -18,7 +18,7 @@ from crnflow import (
     wegscheider_check,
 )
 from crnflow.convex import CoshDissipation
-from crnflow.kinetics import mass_action_batch
+from crnflow.kinetics import mass_action_blocks
 
 
 def test_brusselator_fluxes_at_reference_state(brusselator):
@@ -52,17 +52,21 @@ def test_net_flux_raw_refuses_a_state_of_the_wrong_length():
             net_flux_raw(net, bad)
 
 
-def test_mass_action_batch_takes_only_rate_tables(brusselator):
+def _block_flux(net, xs, *rates):
+    return np.concatenate([pair.flux for _, _, pair in mass_action_blocks(net, xs, *rates)])
+
+
+def test_mass_action_blocks_take_only_rate_tables(brusselator):
     # a scalar or a vector used to broadcast unchecked: kplus=np.inf gave infinite fluxes
     xs = np.array([[1.0, 4.0], [2.0, 1.0]])
     table = np.full((2, 3), 2.0)
-    want = mass_action_batch(brusselator, xs)["flux"]
-    assert mass_action_batch(brusselator, xs, None, None)["flux"].tobytes() == want.tobytes()
-    assert np.isfinite(mass_action_batch(brusselator, xs, table, table)["flux"]).all()
+    want = _block_flux(brusselator, xs)
+    assert _block_flux(brusselator, xs, None, None).tobytes() == want.tobytes()
+    assert np.isfinite(_block_flux(brusselator, xs, table, table)).all()
     for bad in (2.0, np.inf, np.full(3, 2.0), np.full((3, 3), 2.0), np.full((2, 2), 2.0)):
         for rates in ((bad, None), (None, bad), (bad, table)):
             with pytest.raises(ValueError, match=r"rate tables must have shape \(2, 3\)"):
-                mass_action_batch(brusselator, xs, *rates)
+                _block_flux(brusselator, xs, *rates)
 
 
 def test_edge_pair_validation():

@@ -48,7 +48,7 @@ from crnflow import (
     simulate,
     simulate_timedep,
 )
-from crnflow import geometry
+from crnflow import geometry, kinetics
 from crnflow.geometry import _dual_projection
 from crnflow.dynamics import LEDGER_KEYS, _ledger_rows, _rhs
 from crnflow.kinetics import _BATCH_ROWS, _one_way, one_way_kernel
@@ -260,14 +260,50 @@ def test_monitors_match_oracle(net, data):
         _same(got[key], want[key])
 
 
-# Block sizes the schedules stream their samples in, besides the package's own:
+# Block sizes the passes over samples run in, besides the package's own:
 # two and three rows put block boundaries, and one-row last blocks, in short runs.
 BLOCKS = (_BATCH_ROWS, 2, 3)
 
 
 def _blocks_of(rows):
-    """The schedules in blocks of `rows` samples."""
-    return mock.patch.object(geometry, "_BATCH_ROWS", rows)
+    """Every pass over samples (kinetics.mass_action_blocks) in blocks of `rows` samples."""
+    return mock.patch.object(kinetics, "_BATCH_ROWS", rows)
+
+
+def test_sample_passes_keep_their_bits_in_any_block_size(brusselator, brusselator_eq):
+    """The ledger columns (with and without a reference and a schedule), the
+    Lyapunov monitor and the energy balance in blocks of 2 and 3 rows equal
+    the package's blocks bit for bit; rows with a zero or negative component
+    stay NaN, at block boundaries and inside blocks."""
+    rng = np.random.default_rng(5)
+    xs = np.exp(rng.normal(0.0, 1.0, (11, brusselator.n_species)))
+    skipped = [0, 3, 4, 10]
+    xs[skipped, [0, 1, 0, 1]] = [0.0, -0.0, -1e-9, 0.0]
+    times = np.cumsum(rng.uniform(0.01, 1.0, len(xs)))
+    schedule = RateSchedule(times[::5], rng.uniform(0.1, 5.0, (3, 3)), rng.uniform(0.1, 5.0, (3, 3)))
+    traj = simulate(brusselator_eq, [1.0, 4.0], 4.0)
+
+    def passes():
+        return (
+            _ledger_rows(brusselator, times, xs, [1.0, 3.0], schedule),
+            _ledger_rows(brusselator, times, xs, None, None),
+            lyapunov_monitor(brusselator, _trajectory(brusselator, xs, times), [1.0, 3.0]),
+            energy_dissipation_balance(brusselator_eq, traj),
+        )
+
+    want = passes()
+    for ledger, _ in want[:2]:
+        assert all(np.isnan(ledger[key][skipped]).all() for key in LEDGER_KEYS)
+    assert np.isnan(want[2]["derivative"][skipped]).all() and np.isfinite(want[2]["derivative"][[1, 2, 5]]).all()
+    for rows in BLOCKS[1:]:
+        with _blocks_of(rows):
+            got = passes()
+        for g, w in zip(got[:2], want[:2]):
+            _same_ledger(g, w)
+        for g, w in zip(got[2:], want[2:]):
+            assert g.keys() == w.keys()
+            for key in w:
+                _same(g[key], w[key])
 
 
 def _assert_effective_match(net, traj, times=None, max_iter=100):
@@ -512,31 +548,52 @@ def test_schedules_make_two_projection_calls(brusselator, num):
         assert kernel.call_count == {3: 2, 8001: 16}[num] == 2 * -(-num // _BATCH_ROWS)
 
 
-def test_schedules_stream_in_flat_memory():
-    """The schedules' transient memory (tracemalloc's peak less what the
-    results keep) does not grow with the sample count: 8 and 64 samples in
-    blocks of 8 rows, on a 20 x 40 hypergraph, agree within 25%. Projecting
-    all samples in one batch grew it 4.4x."""
+def _hypergraph_path():
+    """A 20 x 40 hypergraph and a 64-sample positive path on it."""
     verts, edges, _ = chain_hypergraph(20, 40, 3)
     rng = np.random.default_rng(3)
     rates = rng.uniform(0.5, 2.0, (2, len(edges)))
     net = build_network([f"S{i}" for i in range(20)], verts, edges, *rates)
-    path = np.exp(rng.normal(0.0, 0.5, 20) + np.cumsum(rng.normal(0.0, 0.02, (64, 20)), axis=0))
+    return net, np.exp(rng.normal(0.0, 0.5, 20) + np.cumsum(rng.normal(0.0, 0.02, (64, 20)), axis=0))
+
+
+def _transients(net, call, path):
+    """Transient memory of call(traj) (tracemalloc's peak less what its result
+    keeps) on the first 8 and 64 samples of path, in blocks of 8 rows."""
+    transient = []
+    for num in (8, 64):
+        traj = _trajectory(net, path[:num])
+        with _blocks_of(8):
+            call(traj)  # numpy's first-call caches stay out of the count
+            tracemalloc.start()
+            try:
+                result = call(traj)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        del result
+        transient.append(peak - kept)
+    return transient
+
+
+def test_schedules_stream_in_flat_memory():
+    """The schedules' transient memory does not grow with the sample count:
+    8 and 64 samples in blocks of 8 rows, on a 20 x 40 hypergraph, agree
+    within 25%. Projecting all samples in one batch grew it 4.4x."""
+    net, path = _hypergraph_path()
     for schedule in (effective_equilibrium_rates, effective_steady_rates):
-        transient = []
-        for num in (8, 64):
-            traj = _trajectory(net, path[:num])
-            with _blocks_of(8):
-                schedule(net, traj)  # numpy's first-call caches stay out of the count
-                tracemalloc.start()
-                try:
-                    result = schedule(net, traj)
-                    kept, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-            del result
-            transient.append(peak - kept)
+        transient = _transients(net, lambda traj: schedule(net, traj), path)
         assert 0.75 < transient[1] / transient[0] < 1.25, transient
+
+
+def test_lyapunov_monitor_streams_in_flat_memory():
+    """The monitor's transient memory does not grow with the sample count:
+    8 and 64 samples in blocks of 8 rows, on a 20 x 40 hypergraph, agree
+    within 25%. Taking the fluxes of all samples as (T, n_edges) arrays
+    grew it 2.4x."""
+    net, path = _hypergraph_path()
+    transient = _transients(net, lambda traj: lyapunov_monitor(net, traj, path[0]), path)
+    assert 0.75 < transient[1] / transient[0] < 1.25, transient
 
 
 def test_earliest_failing_sample_is_reported(brusselator):
