@@ -11,7 +11,8 @@ positivity floor (partial artifacts are still written).
 
 --tol overrides the scenario's `tol`, the tolerance `classify` labels
 the state with (default 1e-8); other commands reject it. Likewise a
-scenario's `schedule` drives `simulate` only; other commands reject it.
+scenario's `schedule` drives `simulate` only; other commands reject it,
+and so does --sweep, whose rates the schedule would replace.
 
 --sweep runs the command once per value of one rate constant:
 `<label>.<kf|kr>=v1,v2,...` or `<label>.<kf|kr>=lo:hi:n` (n linearly
@@ -31,13 +32,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import geometry
+from .checks import _floats
 from .convex import CoshDissipation, _sup
 from .dynamics import Trajectory, energy_dissipation_balance, lyapunov_monitor, simulate, simulate_timedep
 from .fileio import (
     NetworkParseError,
     ScenarioConfig,
     _format_float,
-    _positive,
     report_json_chunks,
     schedule_csv_chunks,
     trajectory_csv_chunks,
@@ -58,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     try:
-        return _positive(text, "tol")
+        return float(_floats(text, "tol", 0, positive=True))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -324,6 +325,19 @@ def _apply_sweep_value(net: ReactionNetwork, label: str, which: str, value: floa
     return net.with_rates(kp, km)
 
 
+def _misuse(args, scenario: ScenarioConfig) -> str | None:
+    """Why the command cannot run as asked, found before any work; None when it can."""
+    scheduled, command = scenario.schedule is not None, args.command
+    for misused, message in (
+        (args.tol is not None and command != "classify", f"--tol applies to classify only, not to {command}"),
+        (scheduled and command != "simulate", f"the scenario's schedule applies to simulate only, not to {command}"),
+        (scheduled and args.sweep is not None, "--sweep varies the network's rates, which the schedule replaces"),
+    ):
+        if misused:
+            return message
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -331,17 +345,14 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.tol is not None and args.command != "classify":
-        print(f"error: --tol applies to classify only, not to {args.command}", file=sys.stderr)
-        return 1
-
     try:
         scenario = ScenarioConfig.load(args.scenario)
     except (OSError, json.JSONDecodeError, NetworkParseError, ValueError) as e:
         print(f"error: invalid scenario: {e}", file=sys.stderr)
         return 1
-    if scenario.schedule is not None and args.command != "simulate":
-        print(f"error: the scenario's schedule applies to simulate only, not to {args.command}", file=sys.stderr)
+    misuse = _misuse(args, scenario)
+    if misuse is not None:
+        print(f"error: {misuse}", file=sys.stderr)
         return 1
     if args.tol is not None:
         scenario = replace(scenario, tol=args.tol)

@@ -21,22 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _vec(x, name: str, n: int | None = None, batch: bool = False) -> np.ndarray:
-    """x as a float vector (or (T, n) batch with batch=True) of length n if given."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 and not (batch and v.ndim == 2):
-        raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if n is not None and v.shape[-1] != n:
-        raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
-    return v
-
-
-def _positive(x, name: str, n: int | None = None, batch: bool = False) -> np.ndarray:
-    v = _vec(x, name, n, batch)
-    if not np.all(v > 0):
-        raise ValueError(f"{name} must be strictly positive")
-    return v
+from .checks import _positive, _vec
 
 
 def _total(sums):

@@ -13,11 +13,12 @@ dense output gives only the grid times between steps. Each trajectory
 also carries a ledger of scalar observables per sample time: relative
 entropy to an optional reference, entropy production rate and its
 quadratic lower bound, and the primal/dual dissipation values whose sum
-equals the EPR. The ledger and the Lyapunov monitor each make one pass
-over kinetics.mass_action_blocks, computing their columns from each
-block's EdgePair (the energy balance integrates the ledger's psi +
-psistar), so temporaries scale with the block size, not the sample
-count; the conserved quantities stay one matrix product over all rows.
+equals the EPR. The ledger and the Lyapunov monitor are per-block
+functions of kinetics.map_blocks, which hands them each block's EdgePair
+and writes their columns back (the energy balance integrates the
+ledger's psi + psistar), so temporaries scale with the block size, not
+the sample count; the conserved quantities stay one matrix product over
+all rows.
 """
 
 from __future__ import annotations
@@ -27,26 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import CoshDissipation, KLPotential, _positive
-from .kinetics import ConvergenceError, entropy_production, mass_action_blocks, one_way_kernel
+from .checks import _positive, _schedule_times
+from .convex import CoshDissipation, KLPotential
+from .kinetics import ConvergenceError, entropy_production, map_blocks, one_way_kernel
 from .kinetics import pseudo_entropy_production, wegscheider_check
 from .network import ReactionNetwork, dot_rows
 from .rk45 import integrate, simpson
 
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
-
-
-def _schedule_times(times) -> np.ndarray:
-    """Sample times of a rate schedule as a float array: finite, strictly increasing, length >= 2."""
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
-        raise ValueError("schedule times must be finite and strictly increasing, length >= 2")
-    return t
-
-
-def _positive_rates(table) -> None:  # RateSchedule's check, also on the effective schedules' blocks
-    if not np.all((table > 0) & np.isfinite(table)):
-        raise ValueError("scheduled rates must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -71,8 +60,7 @@ class RateSchedule:
         km = np.asarray(self.kminus, dtype=float)
         if kp.ndim != 2 or kp.shape[0] != t.size or km.shape != kp.shape:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
-        table = np.hstack([kp, km])  # a copy: a caller's array stays the caller's
-        _positive_rates(table)
+        table = _positive(np.hstack([kp, km]), "scheduled rates", batch=True, finite=True)  # a copy, not the caller's
         with np.errstate(over="ignore"):  # a slope past the float range is inf, as in np.interp
             slopes = np.diff(table, axis=0)
             slopes /= np.diff(t)[:, None]
@@ -164,26 +152,20 @@ class Trajectory:
 def _ledger_rows(
     net: ReactionNetwork, times, states, x_ref, schedule: RateSchedule | None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    rates = (None, None) if schedule is None else schedule(times)
-    ledger = {key: np.full(len(states), np.nan) for key in LEDGER_KEYS}
     kl = KLPotential(n=net.n_species)
-    for rows, live, pair in mass_action_blocks(net, states, *rates):
+
+    def block(rows, live, pair):
         diss = CoshDissipation(pair.activity)
         cols = {"epr": entropy_production(pair), "pepr": pseudo_entropy_production(pair),
                 "psi": diss.value(pair.flux), "psistar": diss.dual_value(pair.force)}
         if x_ref is not None:
             cols["divergence"] = kl.bregman(states[rows][live], x_ref)
-        for key, val in cols.items():
-            ledger[key][rows][live] = val
+        return cols
+
+    cols = map_blocks(net, states, block, *((None, None) if schedule is None else schedule(times)))
+    ledger = {key: cols[key] if key in cols else np.full(len(states), np.nan) for key in LEDGER_KEYS}
     eta = states @ net.cons_f.T  # one matrix product: row-wise conserved() rounds some rows differently
     return ledger, eta
-
-
-def _reference(x_ref, name: str, n: int) -> np.ndarray:
-    v = _positive(x_ref, name, n)  # a reference state must also be finite
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,7 +218,7 @@ def _integrate(
         raise ValueError("rtol must be finite and positive")
     if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
         raise ValueError("atol and positivity_floor must be finite and non-negative")
-    x_ref = None if x_ref is None else _reference(x_ref, "x_ref", net.n_species)
+    x_ref = None if x_ref is None else _positive(x_ref, "x_ref", net.n_species, finite=True)
 
     minimum = np.minimum.reduce  # x.min(), without its Python-level wrapper
 
@@ -365,9 +347,7 @@ def energy_dissipation_balance(
     else:
         ts = traj.times
         xs = traj.states
-    if not np.all(xs > 0):
-        raise ValueError("state must be strictly positive")
-    ledger = _ledger_rows(net, ts, xs, None, None)[0]
+    ledger = _ledger_rows(net, ts, _positive(xs, "state", batch=True), None, None)[0]
     rhs = float(simpson(ledger["psi"] + ledger["psistar"], x=ts))
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "reference": x_eq}
 
@@ -386,10 +366,13 @@ def lyapunov_monitor(
     below zero; x_ref must be finite and positive. For a complex-balanced
     reference this is non-positive along every trajectory.
     """
-    x_ref = _reference(x_ref, "reference state", net.n_species)
-    deriv = np.full(traj.times.size, np.nan)
-    for rows, live, pair in mass_action_blocks(net, traj.states):
-        deriv[rows][live] = -dot_rows(pair.flux, net.grad(np.log(traj.states[rows][live] / x_ref)))
+    x_ref = _positive(x_ref, "reference state", net.n_species, finite=True)
+    xs = traj.states
+
+    def block(rows, live, pair):
+        return {"derivative": -dot_rows(pair.flux, net.grad(np.log(xs[rows][live] / x_ref)))}
+
+    deriv = map_blocks(net, xs, block)["derivative"]
     max_deriv = float(np.max(deriv, initial=-np.inf, where=np.isfinite(deriv)))
     return {
         "times": traj.times,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _floats, _positive, _vec
 from .dynamics import LEDGER_KEYS, RateSchedule, Trajectory
 from .network import ReactionNetwork, network_from_reactions
 
@@ -209,25 +210,6 @@ def load_network(path) -> ReactionNetwork:
 # -- scenario configs ---------------------------------------------------
 
 
-def _floats(value, what: str, ndim: int):
-    """value as a float array of ndim dimensions with finite entries."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim or not np.all(np.isfinite(arr)):
-        kind = ("a finite number", "a list of finite numbers", "a table of finite numbers")[ndim]
-        raise ValueError(f"{what} must be {kind}")
-    return arr
-
-
-def _positive(value, what: str) -> float:
-    value = float(_floats(value, what, 0))
-    if value <= 0:
-        raise ValueError(f"{what} must be positive")
-    return value
-
-
 def _known_keys(data: dict, keys, prefix: str = "") -> None:
     """ValueError naming the first key of data that is not in keys."""
     unknown = sorted(str(k) for k in set(data) - set(keys))
@@ -244,10 +226,7 @@ def _vector_from(value, net: ReactionNetwork, what: str) -> np.ndarray:
         if missing:
             raise ValueError(f"{what}: missing species {sorted(missing)}")
         value = [value[s] for s in net.species]
-    vec = _floats(value, what, 1)
-    if vec.shape != (net.n_species,):
-        raise ValueError(f"{what} must have length {net.n_species}")
-    return vec
+    return _vec(_floats(value, what, 1), what, net.n_species)
 
 
 @dataclass
@@ -303,14 +282,10 @@ class ScenarioConfig:
 
         if "x0" not in data:
             raise ValueError("scenario needs 'x0'")
-        x0 = _vector_from(data["x0"], net, "x0")
-        if not np.all(x0 > 0):
-            raise ValueError("x0 must be strictly positive")
+        x0 = _positive(_vector_from(data["x0"], net, "x0"), "x0")
 
         if "t_span" in data:
-            span = _floats(data["t_span"], "t_span", 1)
-            if span.size != 2:
-                raise ValueError("t_span must be [t0, t1]")
+            span = _vec(_floats(data["t_span"], "t_span", 1), "t_span", 2)
             t0, t1 = (float(v) for v in span)
         else:
             t0, t1 = 0.0, float(_floats(data.get("t_end", 10.0), "t_end", 0))
@@ -348,7 +323,7 @@ class ScenarioConfig:
         for key in ("rtol", "atol", "positivity_floor", "tol"):
             value = data.get(key, getattr(cls, key))  # the class holds the defaults
             if value is not None:
-                kwargs[key] = _positive(value, key)
+                kwargs[key] = float(_floats(value, key, 0, positive=True))
 
         return cls(
             network=net,

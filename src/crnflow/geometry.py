@@ -31,9 +31,10 @@ entry per row: one row is one cold pass, a batch a path (_edge_projection).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model, by velocity_dual's or force_split's projection, in one pass
-    over kinetics.mass_action_blocks: per block of samples the kinetics,
-    the projection, the rates and their certificates.
+    model, by velocity_dual's or force_split's projection, as per-block
+    functions of kinetics.map_blocks: per block of samples the
+    projection, the rates and their certificates, the path carried from
+    block to block.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -42,9 +43,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import _positive, _schedule_times, _vec
 from .convex import CoshDissipation, KLPotential, _sup
-from .dynamics import RateSchedule, Trajectory, _positive_rates, _schedule_times
-from .kinetics import ConvergenceError, EdgePair, KineticSplit, _one_way, mass_action_blocks, mass_action_flux
+from .dynamics import RateSchedule, Trajectory
+from .kinetics import ConvergenceError, EdgePair, KineticSplit, _one_way, map_blocks, mass_action_flux
 from .network import ReactionNetwork, dot_rows, matvec_rows
 
 # Longest first trial of a line search, as a max-norm move of the dual
@@ -394,9 +396,7 @@ def cycle_dual(
     divergence-free flux. (value, dual_value) are the induced conjugate
     pair on the cycle space.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (net.n_cycles,):
-        raise ValueError(f"expected {net.n_cycles} cycle affinities, got shape {zeta.shape}")
+    zeta = _vec(zeta, "cycle affinities", net.n_cycles)
     gram = net.cycle_f.T @ net.cycle_f  # (0, 0) without cycles: solve gives z = 0
     fs = force_split(net, dissip, net.curl_adjoint(np.linalg.solve(gram, zeta)), tol=tol, max_iter=max_iter)
     flux = fs["flux"]
@@ -493,32 +493,30 @@ def complex_balance_force_split(
 def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray]:
     """The schedule's sample times, checked as RateSchedule checks them, and the states there."""
     ts = _schedule_times(traj.times if times is None else times)
-    if times is None:
-        xs = np.asarray(traj.states, dtype=float)
-    else:
-        if not np.all((ts >= traj.times[0]) & (ts <= traj.times[-1])):  # no extrapolated states
-            raise ValueError("schedule sample times must lie within the trajectory's time span")
-        xs = traj.interpolate(ts)
-    if not np.all(xs > 0):
-        raise ValueError("trajectory samples must be strictly positive")
-    return ts, xs
+    if times is not None and not np.all((ts >= traj.times[0]) & (ts <= traj.times[-1])):  # no extrapolated states
+        raise ValueError("schedule sample times must lie within the trajectory's time span")
+    return ts, _positive(traj.states if times is None else traj.interpolate(ts), "trajectory samples", batch=True)
 
 
 def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
-    """The effective schedules in one pass over mass_action_blocks: per block its EdgePair,
-    model(pair, start) -> (forces, carry, certify), rates with the network's kappa giving
-    those forces and certify(their EdgePair), into (T, 2 n_edges) rates, (T,) certificates.
-    The carry continues the path: rows keep their bits, errors (in block order) the earliest."""
+    """The effective schedules through map_blocks: per block its EdgePair, model(pair, start)
+    -> (forces, carry, certify), rates with the network's kappa giving those forces and
+    certify(their EdgePair), into (T, 2 n_edges) rates, (T,) certificates. The carry, from
+    block to block, continues the path: rows keep their bits, errors (in block order) the earliest."""
     ts, xs = _trajectory_samples(traj, times)
     kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
-    table, cert, start = np.empty((len(xs), 2 * n)), {}, np.zeros(len(net.reduced_stoich))
-    for rows, _, base in mass_action_blocks(net, xs):  # every sample live
-        x, rates = xs[rows], table[rows]
+    start = np.zeros(len(net.reduced_stoich))
+
+    def block(rows, _, base):  # every sample live
+        nonlocal start
+        x = xs[rows]
         force, start, certify = model(base, start)
-        rates[:, :n], rates[:, n:] = KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates()
-        _positive_rates(rates)
-        for key, val in certify(EdgePair(*_one_way(net, x, rates[:, :n], rates[:, n:]))).items():
-            cert.setdefault(key, np.empty(len(xs), val.dtype))[rows] = val
+        rates = np.hstack(KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates())
+        _positive(rates, "scheduled rates", batch=True, finite=True)
+        return {"rates": rates, **certify(EdgePair(*_one_way(net, x, rates[:, :n], rates[:, n:])))}
+
+    cert = map_blocks(net, xs, block)
+    table = cert.pop("rates")
     return RateSchedule(times=ts, kplus=table[:, :n], kminus=table[:, n:]), cert
 
 

@@ -14,13 +14,13 @@ and a frenetic part kappa = sqrt(kplus kminus).
 The fluxes at one state come from one closure per network and rate
 source, one_way_kernel, which the ODE right-hand side builds once per
 integration; net_flux_raw (any real state) and mass_action_flux (one
-positive state) build it per call. Batches of rows go through _one_way:
-mass_action_blocks yields the EdgePair of each block of positive rows,
-and every pass over samples (the ledger, the Lyapunov monitor, the
-energy balance, the effective schedules) iterates it and computes its
-own columns. Rates enter checked, as a network's
-(build_network, ReactionNetwork.with_rates) or as a RateSchedule's rows
-or tables.
+positive state) build it per call. Batches of rows go through _one_way,
+in one driver: map_blocks hands a per-block function the EdgePair of
+each block of positive rows and writes its columns back at full length.
+Every pass over samples (the ledger, the Lyapunov monitor, the energy
+balance, the effective schedules) is such a function. Rates enter
+checked, as a network's (build_network, ReactionNetwork.with_rates) or
+as a RateSchedule's rows or tables.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import _positive, _sup, _total, _vec
+from .checks import _positive, _vec
+from .convex import _sup, _total
 from .network import ReactionNetwork
 
 
@@ -60,12 +61,9 @@ class EdgePair:
     jminus: np.ndarray
 
     def __post_init__(self):
-        jp = np.asarray(self.jplus, dtype=float)
-        jm = np.asarray(self.jminus, dtype=float)
-        if jp.shape != jm.shape or jp.ndim not in (1, 2):
+        jp, jm = (_positive(j, "one-way fluxes", batch=True) for j in (self.jplus, self.jminus))
+        if jp.shape != jm.shape:
             raise ValueError("jplus and jminus must be 1-d vectors (or 2-d batches) of equal length")
-        if not (np.all(jp > 0) and np.all(jm > 0)):
-            raise ValueError("one-way fluxes must be strictly positive")
         object.__setattr__(self, "jplus", jp)
         object.__setattr__(self, "jminus", jm)
 
@@ -96,10 +94,7 @@ class KineticSplit:
 
     @classmethod
     def from_rates(cls, kplus, kminus) -> "KineticSplit":
-        kp = np.asarray(kplus, dtype=float)
-        km = np.asarray(kminus, dtype=float)
-        if not (np.all(kp > 0) and np.all(km > 0)):
-            raise ValueError("rates must be strictly positive")
+        kp, km = (_positive(k, "rates", batch=True) for k in (kplus, kminus))
         return cls(kappa=np.sqrt(kp * km), keq=kp / km)
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,17 +162,17 @@ def net_flux_raw(net: ReactionNetwork, x) -> np.ndarray:
     return m[:n] - m[n:]
 
 
-_BATCH_ROWS = 1024  # rows per block of mass_action_blocks: temporaries scale with it, not T
+_BATCH_ROWS = 1024  # rows per block of map_blocks, read at each call: temporaries scale with it, not T
 
 
-def mass_action_blocks(net: ReactionNetwork, states, kplus=None, kminus=None):
-    """The edge coordinates of a (T, n_species) state array, in blocks of _BATCH_ROWS rows.
+def map_blocks(net: ReactionNetwork, states, fn, kplus=None, kminus=None) -> dict[str, np.ndarray]:
+    """fn's columns over a (T, n_species) state array, computed a block of _BATCH_ROWS rows at a time.
 
-    Yields (rows, live, pair) per block: the block's slice, the mask of
-    its rows with every component positive, and the EdgePair at those
-    rows. kplus/kminus are None (the network's rates) or checked
-    (T, n_edges) tables, as a RateSchedule's. Each row is bit-equal to
-    one_way_kernel's at that state; a non-positive flux raises EdgePair's ValueError.
+    fn(rows, live, pair) gets a block's slice, the mask of its rows with every
+    component positive and the EdgePair there (rows bit-equal to one_way_kernel's),
+    and returns a dict of arrays, one entry or row per live row; each comes back at
+    full length T, NaN at the rows not live (so an int column needs every row live).
+    kplus/kminus are None (the network's rates) or checked (T, n_edges) tables.
     """
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.n_species:
@@ -185,10 +180,19 @@ def mass_action_blocks(net: ReactionNetwork, states, kplus=None, kminus=None):
     rates = [k if k is None else np.asarray(k, dtype=float) for k in (kplus, kminus)]
     if any(k is not None and k.shape != (len(x), net.n_edges) for k in rates):
         raise ValueError(f"rate tables must have shape ({len(x)}, {net.n_edges})")
-    for start in range(0, len(x), _BATCH_ROWS):
+    columns = {}
+    for start in range(0, max(len(x), 1), _BATCH_ROWS):  # one block at T = 0, so fn's columns exist
         rows = slice(start, start + _BATCH_ROWS)
         live = np.all(x[rows] > 0, axis=1)
-        yield rows, live, EdgePair(*_one_way(net, x[rows][live], *(k if k is None else k[rows][live] for k in rates)))
+        pair = EdgePair(*_one_way(net, x[rows][live], *(k if k is None else k[rows][live] for k in rates)))
+        for key, val in fn(rows, live, pair).items():  # fn's dict is dropped with the loop
+            if key not in columns:
+                columns[key] = np.empty((len(x), *val.shape[1:]), val.dtype)
+            if not live.all():
+                columns[key][rows][~live] = np.nan
+            columns[key][rows][live] = val
+        del pair  # before the next block's kinetics are built
+    return columns
 
 
 def entropy_production(pair: EdgePair):
@@ -275,9 +279,7 @@ def find_steady_state(
     [stoich @ flux(x); cons_basis @ (x - x0)] = 0, solved in the least
     squares sense per step with backtracking that keeps x positive.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (net.n_species,) or not np.all(x > 0):
-        raise ValueError("x0 must be a strictly positive state")
+    x = _positive(x0, "x0", net.n_species).copy()
     target = net.conserved(x)
 
     def residual(xv):

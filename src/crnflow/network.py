@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import _positive
 from .exact import kernel_basis
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -123,8 +124,8 @@ class ReactionNetwork:
         return matvec_rows(self.cycle_f, z)
 
     def with_rates(self, kplus, kminus) -> "ReactionNetwork":
-        """Same topology with new rate constants."""
-        kp, km = _check_rates(kplus, kminus, self.n_edges)
+        """Same topology with new rate constants, one per edge, finite and strictly positive."""
+        kp, km = (_positive(np.reshape(k, -1), "rate constants", self.n_edges, finite=True) for k in (kplus, kminus))
         return replace(self, kplus=kp, kminus=km)
 
 
@@ -145,16 +146,6 @@ def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     (n, 1) products: each rounds as the 1-d dot (einsum and sum(u * v,
     axis=-1) round differently)."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _check_rates(kplus, kminus, n_edges: int) -> tuple[np.ndarray, np.ndarray]:
-    kp = np.asarray(kplus, dtype=float).reshape(-1)
-    km = np.asarray(kminus, dtype=float).reshape(-1)
-    if kp.shape != (n_edges,) or km.shape != (n_edges,):
-        raise ValueError(f"rate vectors must have length {n_edges}, got {kp.shape} and {km.shape}")
-    if not (np.all(kp > 0) and np.all(km > 0) and np.all(np.isfinite(kp)) and np.all(np.isfinite(km))):
-        raise ValueError("rate constants must be finite and strictly positive")
-    return kp, km
 
 
 def _orthonormal_image(mat: np.ndarray) -> np.ndarray:
@@ -243,7 +234,7 @@ def build_network(
             raise ValueError(f"edge {idx} is a self-loop")
         pairs.append((h, t))
 
-    kp, km = _check_rates(kplus, kminus, len(pairs))
+    kp, km = (_positive(np.reshape(k, -1), "rate constants", len(pairs), finite=True) for k in (kplus, kminus))
 
     if edge_labels is None:
         labels = tuple(f"r{i + 1}" for i in range(len(pairs)))

@@ -224,9 +224,10 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
     root_n = y.size ** 0.5  # _rms's divisor
     abs_y = absolute(y)  # carried from step to step: np.abs(y) of the accepted state
     # the accepted steps as rows of float64 arrays (DenseOutput's layout): times
-    # ts and states ys up to row k, the steps' h and Q below row k. They double
-    # in place (ndarray.resize reallocates the buffer, so no view of them may
-    # live across a resize, and none does: rows are copied in and scalars out)
+    # ts and states ys up to row k, the steps' h and Q below row k. They grow in
+    # place by a quarter: ndarray.resize zero-fills, so memory backs the spare rows,
+    # at most a quarter of the rows. No view of them may live across a resize, which
+    # reallocates, and none does: rows are copied in and scalars out
     cap = 16
     ts, ys, hs, qs = np.empty(cap), np.empty((cap, y.size)), np.empty(cap), np.empty((cap, y.size, 4))
     ts[0], ys[0] = t, y
@@ -263,7 +264,7 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
             break
         steps += 1
         if k + 1 == cap:
-            cap *= 2
+            cap += cap // 4
             for rows in (ts, ys, hs, qs):
                 rows.resize((cap, *rows.shape[1:]), refcheck=False)
         q = KT.dot(p)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from crnflow.convex import _positive, _sqrt1p_sq_minus_1, _vec, stable_asinh
+from crnflow.checks import _positive, _vec
+from crnflow.convex import _sqrt1p_sq_minus_1, stable_asinh
 from crnflow.geometry import _trajectory_samples
 from crnflow.kinetics import ConvergenceError, KineticSplit, wegscheider_check
 from crnflow.network import ReactionNetwork

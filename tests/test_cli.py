@@ -420,6 +420,14 @@ def test_schedule_drives_simulate(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_sweep_is_rejected_with_a_schedule(tmp_path, capsys):
+    # the schedule replaces the network's rates: each swept run wrote the same trajectory
+    code, out = _run(tmp_path, "simulate", _scenario(tmp_path, **SCHEDULED), "--sweep", "r1.kf=1,7")
+    assert code == 1
+    assert capsys.readouterr().err == "error: --sweep varies the network's rates, which the schedule replaces\n"
+    assert not out.exists()
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
     code, _ = _run(tmp_path, "classify", scen, "--seed", "3")

@@ -1,3 +1,6 @@
+import weakref
+from unittest import mock
+
 import kinetics_oracle as oracle
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from crnflow import (
     wegscheider_check,
 )
 from crnflow.convex import CoshDissipation
-from crnflow.kinetics import mass_action_blocks
+from crnflow import kinetics
+from crnflow.kinetics import map_blocks
 
 
 def test_brusselator_fluxes_at_reference_state(brusselator):
@@ -53,10 +57,10 @@ def test_net_flux_raw_refuses_a_state_of_the_wrong_length():
 
 
 def _block_flux(net, xs, *rates):
-    return np.concatenate([pair.flux for _, _, pair in mass_action_blocks(net, xs, *rates)])
+    return map_blocks(net, xs, lambda rows, live, pair: {"flux": pair.flux}, *rates)["flux"]
 
 
-def test_mass_action_blocks_take_only_rate_tables(brusselator):
+def test_map_blocks_take_only_rate_tables(brusselator):
     # a scalar or a vector used to broadcast unchecked: kplus=np.inf gave infinite fluxes
     xs = np.array([[1.0, 4.0], [2.0, 1.0]])
     table = np.full((2, 3), 2.0)
@@ -67,6 +71,46 @@ def test_mass_action_blocks_take_only_rate_tables(brusselator):
         for rates in ((bad, None), (None, bad), (bad, table)):
             with pytest.raises(ValueError, match=r"rate tables must have shape \(2, 3\)"):
                 _block_flux(brusselator, xs, *rates)
+
+
+def test_map_blocks_fill_columns_at_full_length(brusselator):
+    """Columns come back with T entries (or rows) in fn's dtype, NaN at the
+    rows with a component at or below zero, in blocks of 2 rows as in one,
+    and empty with no samples; an int column needs every row live."""
+    xs = np.array([[1.0, 4.0], [0.0, 1.0], [2.0, 1.0], [3.0, 2.0], [1.0, -1.0]])
+    live, first = np.all(xs > 0, axis=1), mass_action_flux(brusselator, xs[0])
+
+    def fn(rows, live, pair):
+        return {"flux": pair.flux, "epr": entropy_production(pair)}
+
+    def counts(rows, live, pair):
+        return {"n": np.full(live.sum(), 4)}
+
+    for rows in (kinetics._BATCH_ROWS, 2):
+        with mock.patch.object(kinetics, "_BATCH_ROWS", rows):
+            cols, ints = map_blocks(brusselator, xs, fn), map_blocks(brusselator, xs[live], counts)["n"]
+            with pytest.raises(ValueError, match="NaN to integer"):
+                map_blocks(brusselator, xs, counts)
+        assert cols["flux"].shape == (5, 3) and cols["epr"].shape == (5,)
+        assert np.isnan(cols["flux"][~live]).all() and np.isnan(cols["epr"][~live]).all()
+        assert cols["flux"][0].tobytes() == first.flux.tobytes() and cols["epr"][0] == entropy_production(first)
+        assert ints.dtype == int and ints.tolist() == [4, 4, 4]
+    assert map_blocks(brusselator, xs[:0], fn)["flux"].shape == (0, 3)  # no samples, empty columns
+
+
+def test_map_blocks_drop_each_pair_before_the_next(brusselator):
+    """No block's EdgePair is alive while the next block's kinetics run."""
+    pairs = []
+    one_way = kinetics._one_way
+
+    def checked(*args):
+        assert all(pair() is None for pair in pairs)
+        return one_way(*args)
+
+    xs = np.exp(np.random.default_rng(1).normal(size=(7, 2)))
+    with mock.patch.object(kinetics, "_BATCH_ROWS", 2), mock.patch.object(kinetics, "_one_way", checked):
+        map_blocks(brusselator, xs, lambda rows, live, pair: pairs.append(weakref.ref(pair)) or {})
+    assert len(pairs) == 4
 
 
 def test_edge_pair_validation():

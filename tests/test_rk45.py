@@ -130,7 +130,7 @@ def test_stiff_robertson_run_matches_solve_ivp():
 def test_memory_per_accepted_step_is_its_numbers():
     # each accepted step keeps t, h, its state and its 3 x 4 dense coefficients:
     # 136 bytes of float64 at 3 species. The bounds, 200 bytes retained and 300
-    # at the peak, leave room for the spare rows of one doubling; a tuple of two
+    # at the peak, leave room for the spare rows of one growth; a tuple of two
     # floats and two small arrays per step came to 518 and 567
     rhs, x0 = _rhs(parse_network(ROBERTSON), None), np.array([1.0, 1e-6, 1e-6])
 
