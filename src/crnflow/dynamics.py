@@ -13,12 +13,11 @@ dense output gives only the grid times between steps. Each trajectory
 also carries a ledger of scalar observables per sample time: relative
 entropy to an optional reference, entropy production rate and its
 quadratic lower bound, and the primal/dual dissipation values whose sum
-equals the EPR. The ledger and the Lyapunov monitor are per-block
-functions of kinetics.map_blocks, which hands them each block's EdgePair
-and writes their columns back (the energy balance integrates the
-ledger's psi + psistar), so temporaries scale with the block size, not
-the sample count; the conserved quantities stay one matrix product over
-all rows.
+equals the EPR. The ledger, the Lyapunov monitor and the energy
+balance's psi + psistar are per-block functions of kinetics.map_blocks,
+which hands them each block's EdgePair and writes their columns back, so
+temporaries scale with the block size, not the sample count; the
+conserved quantities stay one matrix product over all rows.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _positive, _schedule_times
+from .checks import _positive, _schedule_edges, _schedule_times, _time_span
 from .convex import CoshDissipation, KLPotential
-from .kinetics import ConvergenceError, entropy_production, map_blocks, one_way_kernel
+from .kinetics import ConvergenceError, _all_live, entropy_production, map_blocks, one_way_kernel
 from .kinetics import pseudo_entropy_production, wegscheider_check
 from .network import ReactionNetwork, dot_rows
 from .rk45 import integrate, simpson
@@ -208,12 +207,7 @@ def _integrate(
     positivity_floor: float,
 ) -> Trajectory:
     x0 = _positive(x0, "initial state", net.n_species)
-    if np.isscalar(t_span):
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = (float(v) for v in t_span)
-    if not -np.inf < t0 < t1 < np.inf:  # False for NaN too
-        raise ValueError("time span must be finite with t1 > t0")
+    t0, t1 = _time_span(t_span)
     if not 0.0 < rtol < np.inf:
         raise ValueError("rtol must be finite and positive")
     if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
@@ -305,8 +299,7 @@ def simulate_timedep(
     positivity_floor: float = 1e-12,
 ) -> Trajectory:
     """Same as simulate, with rate constants driven by a RateSchedule."""
-    if schedule.n_edges != net.n_edges:
-        raise ValueError("schedule edge count does not match network")
+    schedule = _schedule_edges(schedule, net.n_edges)
     return _integrate(net, x0, t_span, schedule, grid, x_ref, rtol, atol, positivity_floor)
 
 
@@ -347,8 +340,13 @@ def energy_dissipation_balance(
     else:
         ts = traj.times
         xs = traj.states
-    ledger = _ledger_rows(net, ts, _positive(xs, "state", batch=True), None, None)[0]
-    rhs = float(simpson(ledger["psi"] + ledger["psistar"], x=ts))
+
+    def block(rows, live, pair):  # every sample: the integral reads them all
+        _all_live(live)
+        diss = CoshDissipation(pair.activity)
+        return {"power": diss.value(pair.flux) + diss.dual_value(pair.force)}
+
+    rhs = float(simpson(map_blocks(net, _positive(xs, "state", batch=True), block)["power"], x=ts))
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "reference": x_eq}
 
 
@@ -362,9 +360,10 @@ def lyapunov_monitor(
 
     The derivative is evaluated analytically at each ledger time as
     -<flux(x), stoich.T log(x / x_ref)> under the network's rates (also
-    for a run under a schedule), NaN at samples with a component at or
-    below zero; x_ref must be finite and positive. For a complex-balanced
-    reference this is non-positive along every trajectory.
+    for a run under a schedule), NaN at samples that map_blocks leaves
+    out (a component or a one-way flux at or below zero); x_ref must be
+    finite and positive. For a complex-balanced reference this is
+    non-positive along every trajectory.
     """
     x_ref = _positive(x_ref, "reference state", net.n_species, finite=True)
     xs = traj.states

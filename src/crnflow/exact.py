@@ -19,6 +19,8 @@ from math import gcd
 
 import numpy as np
 
+from .checks import _integers
+
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -92,13 +94,14 @@ def kernel_basis(mat) -> np.ndarray:
         empty matrix yields the identity basis.
 
     Raises:
-        ValueError: `mat` is not 2-d, or a basis entry does not fit in int64.
+        ValueError: `mat` is not 2-d, has an entry that is not an integer,
+            or a basis entry does not fit in int64.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     m = a.shape[1]
-    rows, pivot_cols, d = _gauss_jordan([[int(v) for v in reversed(row)] for row in a.tolist()])
+    rows, pivot_cols, d = _gauss_jordan([_integers(reversed(row), "matrix entries") for row in a.tolist()])
     pivots = set(pivot_cols)
     basis = []
     for f in reversed(range(m)):
@@ -118,5 +121,5 @@ def kernel_basis(mat) -> np.ndarray:
 def integer_rank(mat) -> int:
     """Exact rank of an integer matrix."""
     a = np.asarray(mat)
-    _, pivot_cols, _ = _gauss_jordan([[int(v) for v in row] for row in a.tolist()])
+    _, pivot_cols, _ = _gauss_jordan([_integers(row, "matrix entries") for row in a.tolist()])
     return len(pivot_cols)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _floats, _positive, _vec
+from .checks import _floats, _positive, _schedule_edges, _time_span, _vec
 from .dynamics import LEDGER_KEYS, RateSchedule, Trajectory
 from .network import ReactionNetwork, network_from_reactions
 
@@ -285,12 +285,9 @@ class ScenarioConfig:
         x0 = _positive(_vector_from(data["x0"], net, "x0"), "x0")
 
         if "t_span" in data:
-            span = _vec(_floats(data["t_span"], "t_span", 1), "t_span", 2)
-            t0, t1 = (float(v) for v in span)
+            t0, t1 = _time_span(_vec(_floats(data["t_span"], "t_span", 1), "t_span", 2))
         else:
-            t0, t1 = 0.0, float(_floats(data.get("t_end", 10.0), "t_end", 0))
-        if not t1 > t0:
-            raise ValueError("time span must have t1 > t0")
+            t0, t1 = _time_span(_floats(data.get("t_end", 10.0), "t_end", 0))
 
         grid = None
         if "grid" in data:
@@ -316,8 +313,7 @@ class ScenarioConfig:
             ndims = {"times": 1, "kplus": 2, "kminus": 2}
             _known_keys(s, ndims, "schedule.")
             schedule = RateSchedule(**{k: _floats(s.get(k), f"schedule.{k}", n) for k, n in ndims.items()})
-            if schedule.n_edges != net.n_edges:
-                raise ValueError("schedule edge count does not match network")
+            schedule = _schedule_edges(schedule, net.n_edges)
 
         kwargs = {}
         for key in ("rtol", "atol", "positivity_floor", "tol"):

@@ -9,8 +9,10 @@ fn.dual_value(y0 + a.T @ lam) - <b, lam>. The solvers differ only in
 (a, b, y0): equilibrium_point passes (cons_basis, cons_basis @ x0,
 grad(x_ref)), velocity_dual (-reduced_stoich, stoich_image.T @ v, none)
 and force_split (reduced_stoich, 0, f).
-velocity_dual, flux_split and force_split also take (T, n) batches, every
-entry per row: one row is one cold pass, a batch a path (_edge_projection).
+velocity_dual, flux_split and force_split also take (T, n) batches of
+independent rows: every entry per row, bit for bit that row's one-row call,
+and the earliest failing row's ConvergenceError. Only the effective
+schedules read their samples as a path (_path_projection).
 
   * equilibrium_point: Bregman projection of a reference state onto the
     stoichiometric leaf through x0 (the unique equilibrium sharing x0's
@@ -46,7 +48,7 @@ import numpy as np
 from .checks import _positive, _schedule_times, _vec
 from .convex import CoshDissipation, KLPotential, _sup
 from .dynamics import RateSchedule, Trajectory
-from .kinetics import ConvergenceError, EdgePair, KineticSplit, _one_way, map_blocks, mass_action_flux
+from .kinetics import ConvergenceError, EdgePair, KineticSplit, _all_live, _one_way, map_blocks, mass_action_flux
 from .network import ReactionNetwork, dot_rows, matvec_rows
 
 # Longest first trial of a line search, as a max-norm move of the dual
@@ -260,19 +262,16 @@ def pythagoras_gap(
     }
 
 
-def _edge_projection(dissip, a, b, y0, tol, max_iter, what, start=None):
-    """_dual_projection for velocity_dual, force_split and the effective schedules: one
-    row (1-d b, or a batch of one and no start) in one pass from lam = 0, a batch as a
-    path: a predictor pass starts every row from lam = 0 (a failing row hands over its
-    last iterate), then a pass reporting iterations and the earliest failure starts row
-    i from the predictor's answer for row i - 1, row 0 from start (zeros when None); near
-    the optimum a start near row i's answer serves as well as row i - 1's. Returns (lam,
-    y, iterations, carry), carry the predictor's last row (the next block's start) or None."""
-    starts = cold = None
-    if b.ndim == 2 and (len(b) > 1 or start is not None):
-        cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
-        starts = np.concatenate([np.zeros_like(cold[:1]) if start is None else start[None], cold[:-1]])
-    return (*_dual_projection(dissip, a, b, y0, starts, tol, max_iter, what), None if cold is None else cold[-1].copy())
+def _path_projection(dissip, a, b, y0, tol, max_iter, what, start):
+    """_dual_projection along the effective schedules' path of samples, b of shape (T, r):
+    a predictor pass starts every row from lam = 0 (a failing row hands over its last
+    iterate), then a pass reporting iterations and the earliest failure starts row i from
+    the predictor's answer for row i - 1, row 0 from start; near the optimum a start near
+    row i's answer serves as well as row i - 1's. Returns (lam, y, iterations, carry),
+    carry the predictor's last row (the next block's start)."""
+    cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
+    starts = np.concatenate([start[None], cold[:-1]])
+    return (*_dual_projection(dissip, a, b, y0, starts, tol, max_iter, what), cold[-1].copy())
 
 
 def velocity_dual(
@@ -293,8 +292,8 @@ def velocity_dual(
 
     Returns dict with u, flux, force = -stoich.T u, value (primal
     dissipation of the flux), dual_value, mu (u = stoich_image @ mu),
-    iterations, velocity_residual; per row for a (T, n_species) batch,
-    whose rows are checked for realizability each at its own scale.
+    iterations, velocity_residual; per row for a (T, n_species) batch of
+    independent rows, each tested for realizability at its own scale.
     """
     v = np.asarray(v, dtype=float)
     b = matvec_rows(net.stoich_image.T, v)
@@ -308,7 +307,7 @@ def _velocity_dual(net, dissip, v, tol, max_iter, b=None) -> dict:
     stoich by construction: the test's bound does not follow the rounding of large
     fluxes. b = stoich_image.T @ v, computed here unless given."""
     b = matvec_rows(net.stoich_image.T, v) if b is None else b
-    mu, _, iters, _ = _edge_projection(dissip, -net.reduced_stoich, b, None, tol, max_iter, "velocity_dual")
+    mu, _, iters = _dual_projection(dissip, -net.reduced_stoich, b, None, None, tol, max_iter, "velocity_dual")
     u = matvec_rows(net.stoich_image, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
@@ -361,12 +360,12 @@ def force_split(
 
     Returns dict with force (the shifted force), flux, shift (stoich.T
     y), y, mu (y = stoich_image @ mu), dual_value, value, iterations,
-    divergence_residual; per row for a (T, n_edges) batch.
+    divergence_residual; per row for a (T, n_edges) batch of independent rows.
     """
     f = np.asarray(f, dtype=float)
     q, qs = net.stoich_image, net.reduced_stoich
     b = np.zeros(f.shape[:-1] + (len(qs),))
-    mu, force, iters, _ = _edge_projection(dissip, qs, b, f, tol, max_iter, "force_split")
+    mu, force, iters = _dual_projection(dissip, qs, b, f, None, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     return {
         "force": force,
@@ -507,8 +506,9 @@ def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
     kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
     start = np.zeros(len(net.reduced_stoich))
 
-    def block(rows, _, base):  # every sample live
+    def block(rows, live, base):
         nonlocal start
+        _all_live(live)
         x = xs[rows]
         force, start, certify = model(base, start)
         rates = np.hstack(KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates())
@@ -535,7 +535,7 @@ def effective_equilibrium_rates(
 
     def model(base, start):
         v, dissip, q = -net.div(base.flux), CoshDissipation(base.activity), net.stoich_image
-        mu, _, iters, start = _edge_projection(dissip, -net.reduced_stoich, matvec_rows(q.T, v), None, tol, max_iter,
+        mu, _, iters, start = _path_projection(dissip, -net.reduced_stoich, matvec_rows(q.T, v), None, tol, max_iter,
                                                "velocity_dual", start)
         return -net.grad(matvec_rows(q, mu)), start, lambda new: {
             "zeta_residual": _sup(net.curl(new.force)),
@@ -561,7 +561,7 @@ def effective_steady_rates(
 
     def model(base, start):
         f, dissip, qs = base.force, CoshDissipation(base.activity), net.reduced_stoich
-        _, force, iters, start = _edge_projection(dissip, qs, np.zeros((len(f), len(qs))), f, tol, max_iter,
+        _, force, iters, start = _path_projection(dissip, qs, np.zeros((len(f), len(qs))), f, tol, max_iter,
                                                   "force_split", start)
         return force, start, lambda new: {
             "steady_residual": _sup(net.div(new.flux)),

@@ -168,11 +168,12 @@ _BATCH_ROWS = 1024  # rows per block of map_blocks, read at each call: temporari
 def map_blocks(net: ReactionNetwork, states, fn, kplus=None, kminus=None) -> dict[str, np.ndarray]:
     """fn's columns over a (T, n_species) state array, computed a block of _BATCH_ROWS rows at a time.
 
-    fn(rows, live, pair) gets a block's slice, the mask of its rows with every
-    component positive and the EdgePair there (rows bit-equal to one_way_kernel's),
-    and returns a dict of arrays, one entry or row per live row; each comes back at
-    full length T, NaN at the rows not live (so an int column needs every row live).
-    kplus/kminus are None (the network's rates) or checked (T, n_edges) tables.
+    fn(rows, live, pair) gets a block's slice, the mask of its live rows, whose
+    components and one-way fluxes are all positive, and the EdgePair there (rows
+    bit-equal to one_way_kernel's), and returns a dict of arrays, one entry or row per
+    live row; each comes back at full length T, NaN at the rows not live (so an int
+    column needs every row live). kplus/kminus are None (the network's rates) or
+    checked (T, n_edges) tables.
     """
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.n_species:
@@ -184,15 +185,25 @@ def map_blocks(net: ReactionNetwork, states, fn, kplus=None, kminus=None) -> dic
     for start in range(0, max(len(x), 1), _BATCH_ROWS):  # one block at T = 0, so fn's columns exist
         rows = slice(start, start + _BATCH_ROWS)
         live = np.all(x[rows] > 0, axis=1)
-        pair = EdgePair(*_one_way(net, x[rows][live], *(k if k is None else k[rows][live] for k in rates)))
+        jp, jm = _one_way(net, x[rows][live], *(k if k is None else k[rows][live] for k in rates))
+        flowing = np.all(jp > 0, axis=1) & np.all(jm > 0, axis=1)  # no one-way flux underflowed to 0
+        live[live] = flowing
+        pair = EdgePair(jp[flowing], jm[flowing])
         for key, val in fn(rows, live, pair).items():  # fn's dict is dropped with the loop
             if key not in columns:
                 columns[key] = np.empty((len(x), *val.shape[1:]), val.dtype)
             if not live.all():
                 columns[key][rows][~live] = np.nan
             columns[key][rows][live] = val
-        del pair  # before the next block's kinetics are built
+        del pair, jp, jm  # before the next block's kinetics are built
     return columns
+
+
+def _all_live(live: np.ndarray) -> None:
+    """For a pass that needs every sample, of positive states: a row map_blocks
+    leaves out there has a one-way flux that underflowed to 0."""
+    if not live.all():
+        raise ValueError("one-way fluxes must be strictly positive")
 
 
 def entropy_production(pair: EdgePair):

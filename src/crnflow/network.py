@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import _positive
+from .checks import _integers, _positive
 from .exact import kernel_basis
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -198,7 +198,7 @@ def build_network(
     Raises:
         ValueError: on any structural defect (duplicates, bad indices,
             self-loops, non-positive rates, shape mismatches, entries
-            beyond the int64 range).
+            that are not integers or lie beyond the int64 range).
     """
     names = tuple(str(s) for s in species)
     if len(names) == 0:
@@ -210,7 +210,7 @@ def build_network(
 
     verts: list[tuple[int, ...]] = []
     for idx, comp in enumerate(hypervertices):
-        row = tuple(int(c) for c in comp)
+        row = tuple(_integers(comp, f"hypervertex {idx} entries"))
         if len(row) != len(names):
             raise ValueError(
                 f"hypervertex {idx} has {len(row)} entries, expected {len(names)}"
@@ -227,7 +227,7 @@ def build_network(
 
     pairs: list[tuple[int, int]] = []
     for idx, (head, tail) in enumerate(edges):
-        h, t = int(head), int(tail)
+        h, t = _integers((head, tail), f"edge {idx} indices")
         if not (0 <= h < len(verts) and 0 <= t < len(verts)):
             raise ValueError(f"edge {idx} references an undefined hypervertex")
         if h == t:
@@ -301,7 +301,7 @@ def network_from_reactions(species, reactions, edge_labels=None) -> ReactionNetw
         for sp, cnt in counts.items():
             if sp not in index:
                 raise ValueError(f"unknown species {sp!r} in reaction")
-            comp[index[sp]] += int(cnt)
+            comp[index[sp]] += _integers([cnt], "reaction counts")[0]
         key = tuple(comp)
         if key not in seen:
             seen[key] = len(verts)

@@ -72,6 +72,18 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert "final state:" in capsys.readouterr().out
 
 
+def test_simulate_writes_samples_whose_fluxes_underflow(tmp_path):
+    """2 A <-> B from A = 1e-170: the initial forward flux 1e-340 underflows
+    to 0. The run writes its trajectory, the ledger NaN at t = 0 only."""
+    text = "species A B\nreaction r1: 2 A <-> B ; kf=1 kr=1\n"
+    scen = _scenario(tmp_path, network_text=text, x0=[1e-170, 1.0], positivity_floor=1e-300)
+    code, out = _run(tmp_path, "simulate", scen)
+    assert code == 0
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+    assert rows[0][4:8] == ["epr", "pepr", "psi", "psistar"]
+    assert rows[1][4:8] == ["nan"] * 4 and all("nan" not in row[4:8] for row in rows[2:])
+
+
 def test_equilibrium_projection(tmp_path, capsys):
     scen = _scenario(tmp_path)
     code, out = _run(tmp_path, "equilibrium", scen)

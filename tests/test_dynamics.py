@@ -11,6 +11,8 @@ from crnflow import (
     ConvergenceError,
     RateSchedule,
     build_network,
+    effective_equilibrium_rates,
+    effective_steady_rates,
     energy_dissipation_balance,
     lyapunov_monitor,
     simulate,
@@ -181,6 +183,7 @@ def test_invalid_inputs(ab):
         simulate(ab, [1.0, 1.0], (2.0, 1.0))
     with pytest.raises(ValueError, match="t1 > t0"):
         simulate(ab, [1.0, 1.0], np.inf)
+    assert simulate(ab, [1.0, 1.0], np.array(2.0)).times[-1] == 2.0  # a 0-d final time is one number
     for rtol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="rtol"):
             simulate(ab, [1.0, 1.0], 1.0, rtol=rtol)
@@ -341,6 +344,26 @@ def test_energy_balance_refuses_nonequilibrium(brusselator):
     traj = simulate(brusselator, [1.0, 4.0], 1.0)
     with pytest.raises(ValueError, match="cycle affinity"):
         energy_dissipation_balance(brusselator, traj)
+
+
+def test_underflowing_one_way_fluxes_leave_their_samples_out():
+    """A <-> B with kr = 1e-10 from [1, 1e-315]: the initial reverse flux
+    1e-325 underflows to 0, though every component is positive. The run
+    returns, its ledger and the Lyapunov monitor NaN at that sample and
+    with the bits of a pass over the other samples alone; the energy
+    balance and the schedules, which need every sample, raise naming the
+    one-way fluxes."""
+    net = build_network(["A", "B"], [(1, 0), (0, 1)], [(0, 1)], [1.0], [1e-10])
+    traj = simulate(net, [1.0, 1e-315], 3.0)
+    rest = dynamics._ledger_rows(net, traj.times[1:], traj.states[1:], None, None)[0]
+    for key in dynamics.LEDGER_KEYS[1:]:
+        assert np.isnan(traj.ledger[key][0]) and np.isfinite(traj.ledger[key][1:]).all()
+        assert traj.ledger[key][1:].tobytes() == rest[key].tobytes()
+    derivative = lyapunov_monitor(net, traj, [1.0, 1e-10])["derivative"]
+    assert np.isnan(derivative[0]) and np.isfinite(derivative[1:]).all()
+    for audit in (energy_dissipation_balance, effective_equilibrium_rates, effective_steady_rates):
+        with pytest.raises(ValueError, match="one-way fluxes must be strictly positive"):
+            audit(net, traj)
 
 
 def test_lyapunov_monitor_equilibrium(brusselator_eq):

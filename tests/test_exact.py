@@ -91,3 +91,14 @@ def test_basis_entries_at_the_int64_limits_are_kept():
     for row in ([1, -(top + 1)], [top + 2, 1]):  # 2**63 and -(2**63 + 1)
         with pytest.raises(ValueError, match="int64"):
             kernel_basis(np.array([row], dtype=object))
+
+
+def test_non_integer_entries_are_rejected_not_truncated():
+    """[[0.5, 1.0]] used to truncate to [[0, 1]], whose kernel basis [[1, 0]]
+    is not in the kernel of the given matrix; integral floats still pass."""
+    for bad in ([[0.5, 1.0]], [[1, np.nan]], [[1, np.inf]]):
+        for call in (kernel_basis, integer_rank):
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                call(bad)
+    assert kernel_basis([[2.0, -1.0]]).tolist() == [[1, 2]]
+    assert integer_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1

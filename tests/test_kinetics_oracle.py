@@ -330,30 +330,42 @@ def _assert_effective_match(net, traj, times=None, max_iter=100):
             assert list(cert) == list(want_cert)
             for key in cert:
                 _same(cert[key], want_cert[key])
-    _assert_paths_match(net, traj, times, max_iter)
+    _assert_rows_match(net, geometry._trajectory_samples(traj, times)[1], max_iter)
 
 
-def _assert_paths_match(net, traj, times, max_iter):
-    """velocity_dual and force_split on the samples as one batch, a path,
-    against the oracle's two passes of one-row solves: the same force and
-    iterations, bit for bit, residuals one per row, the same error."""
-    _, xs = geometry._trajectory_samples(traj, times)
-    pairs = [oracle.mass_action_flux(net, x) for x in xs]
+def _assert_rows_match(net, xs, max_iter):
+    """velocity_dual, flux_split and force_split on the samples xs as one batch
+    of independent rows: every entry of row i is row i's one-row call, bit for
+    bit, and a failing batch raises its earliest failing row's error."""
+    pairs = [mass_action_flux(net, x) for x in xs]
+    fluxes = np.array([pair.flux for pair in pairs])
+    batches = {
+        "velocity_dual": -net.div(fluxes),
+        "flux_split": fluxes,
+        "force_split": np.array([pair.force for pair in pairs]),
+    }
     dissip = CoshDissipation(np.array([pair.activity for pair in pairs]))
-    velocities = np.array([-net.stoich.astype(float) @ pair.flux for pair in pairs])
-    forces = np.array([pair.force for pair in pairs])
-    for name, rows in (("velocity_dual", velocities), ("force_split", forces)):
-        problems = [(net, CoshDissipation(pair.activity), row) for pair, row in zip(pairs, rows)]
-        try:
-            outs = oracle._two_pass(getattr(oracle, name), problems, 1e-10, max_iter)
-        except ConvergenceError as err:
-            _same_outcome(_outcome(name, net, dissip, rows, max_iter=max_iter), err)
+    for name, rows in batches.items():
+        want = [_outcome(name, net, CoshDissipation(p.activity), row, max_iter=max_iter) for p, row in zip(pairs, rows)]
+        got = _outcome(name, net, dissip, rows, max_iter=max_iter)
+        failed = [out for out in want if isinstance(out, ConvergenceError)]
+        if failed:
+            _same_outcome(got, failed[0])
             continue
-        got = getattr(geometry, name)(net, dissip, rows, max_iter=max_iter)
-        _same(got["force"], np.array([out["force"] for out in outs]))
-        _same(got["iterations"], np.array([out["iterations"] for out in outs]))
-        for key in (key for key in got if key.endswith("_residual")):
-            assert got[key].shape == (len(xs),)
+        assert list(got) == list(want[0])
+        for key in got:
+            _same(got[key], np.array([out[key] for out in want]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.data())
+def test_solver_batches_are_independent_rows(net, data):
+    """A (T, n) batch passed to velocity_dual, flux_split or force_split is T
+    independent rows, each bit for bit its one-row call (no row starts from
+    the row before it); with max_iter 1 or 3 some rows fail, and the batch
+    raises the earliest one's ConvergenceError."""
+    xs = data.draw(states(net.n_species, min_rows=2, max_rows=8, nonpositive=False))
+    _assert_rows_match(net, xs, data.draw(st.sampled_from([1, 3, 100])))
 
 
 @settings(max_examples=25, deadline=None)

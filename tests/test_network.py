@@ -138,6 +138,20 @@ def test_hypervertex_entry_beyond_int64_is_rejected():
     assert net.head_compositions.tolist() == [[big - 1], [0]]
 
 
+def test_non_integer_entries_are_rejected_not_truncated():
+    """A composition, reaction count or edge index of 1.5 used to truncate to 1;
+    integral floats such as 1.0 still pass."""
+    with pytest.raises(ValueError, match="hypervertex 0 entries must be integers, got 1.5"):
+        build_network(["A"], [[1.5], [0]], [(0, 1)], [1.0], [1.0])
+    with pytest.raises(ValueError, match="edge 0 indices must be integers, got 0.5"):
+        build_network(["A"], [[1], [0]], [(0.5, 1)], [1.0], [1.0])
+    with pytest.raises(ValueError, match="reaction counts must be integers, got 1.5"):
+        network_from_reactions(["A", "B"], [({"A": 1.5}, {"B": 1}, 1.0, 1.0)])
+    net = build_network(["A"], [[1.0], [0.0]], [(0.0, 1.0)], [1.0], [1.0])
+    assert net.hypervertices == ((1,), (0,)) and net.edges == ((0, 1),)
+    assert network_from_reactions(["A"], [({"A": 2.0}, {}, 1.0, 1.0)]).hypervertices == ((2,), (0,))
+
+
 def _same(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
