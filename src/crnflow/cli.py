@@ -6,8 +6,9 @@
 
 Commands: info, simulate, equilibrium, decompose, effective-eq,
 effective-cycle, ledger, classify. Exit codes: 0 success, 1 usage or
-validation error, 2 solver failure, 3 integration halted at the
-positivity floor (partial artifacts are still written).
+validation error or an --out that cannot be written to, 2 solver
+failure, 3 integration halted at the positivity floor (partial
+artifacts are still written).
 
 --tol overrides the scenario's `tol`, the tolerance `classify` labels
 the state with (default 1e-8); other commands reject it. Likewise a
@@ -43,7 +44,8 @@ from .fileio import (
     schedule_csv_chunks,
     trajectory_csv_chunks,
 )
-from .kinetics import ConvergenceError, KineticSplit, classify_state, mass_action_flux, wegscheider_check
+from .kinetics import ConvergenceError, FluxUnderflowError, KineticSplit, classify_state, mass_action_flux
+from .kinetics import wegscheider_check
 from .network import ReactionNetwork
 
 
@@ -242,6 +244,9 @@ def _cmd_effective_cycle(scenario: ScenarioConfig, outdir, suffix) -> int:
     return 0
 
 
+_UNDERFLOW = "a one-way flux underflows to 0 at a sample, where psi + psistar (the entropy production rate) diverges"
+
+
 def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
     wc = wegscheider_check(net)
@@ -256,19 +261,25 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
         },
     }
     if wc["is_equilibrium"]:
-        balance = energy_dissipation_balance(net, traj)
-        report["energy_balance"] = {
-            "lhs": balance["lhs"],
-            "rhs": balance["rhs"],
-            "gap": balance["gap"],
-            "reference": balance["reference"],
-        }
+        try:
+            balance = energy_dissipation_balance(net, traj)
+        except FluxUnderflowError:
+            report["energy_balance_omitted"] = _UNDERFLOW
+        else:
+            report["energy_balance"] = {
+                "lhs": balance["lhs"],
+                "rhs": balance["rhs"],
+                "gap": balance["gap"],
+                "reference": balance["reference"],
+            }
     _write(outdir, f"ledger_trajectory{suffix}.csv", trajectory_csv_chunks(traj))
     _report(scenario, outdir, f"ledger{suffix}.json", report)
     print(f"lyapunov nonincreasing: {monitor['nonincreasing']} "
           f"(max derivative {_format_float(monitor['max_derivative'])})")
     if "energy_balance" in report:
         print(f"energy balance gap: {_format_float(report['energy_balance']['gap'])}")
+    elif "energy_balance_omitted" in report:
+        print(f"energy balance omitted: {_UNDERFLOW}")
     if traj.halted:
         print(f"halted: {traj.halt_reason}")
         return 3
@@ -376,20 +387,24 @@ def main(argv=None) -> int:
 
     summary = []
     first_bad = 0
-    for sc, suffix in runs:
-        try:
-            code = handler(sc, outdir, suffix)
-        except ConvergenceError as e:
-            print(f"error: solver failure: {e}", file=sys.stderr)
-            code = 2
-        except (ValueError, NetworkParseError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            code = 1
-        summary.append({"suffix": suffix, "exit_code": code})
-        if code != 0 and first_bad == 0:
-            first_bad = code
-    if args.sweep is not None:
-        _write(outdir, "sweep_summary.json", report_json_chunks({"runs": summary, "sweep": args.sweep}))
+    try:
+        for sc, suffix in runs:
+            try:
+                code = handler(sc, outdir, suffix)
+            except ConvergenceError as e:
+                print(f"error: solver failure: {e}", file=sys.stderr)
+                code = 2
+            except (ValueError, NetworkParseError) as e:
+                print(f"error: {e}", file=sys.stderr)
+                code = 1
+            summary.append({"suffix": suffix, "exit_code": code})
+            if code != 0 and first_bad == 0:
+                first_bad = code
+        if args.sweep is not None:
+            _write(outdir, "sweep_summary.json", report_json_chunks({"runs": summary, "sweep": args.sweep}))
+    except OSError as e:  # --out names a file, an unwritable directory, a full disk, ...
+        print(f"error: cannot write the artifacts: {e}", file=sys.stderr)
+        return 1
     return first_bad
 
 

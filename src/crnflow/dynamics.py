@@ -45,6 +45,10 @@ class RateSchedule:
         times: strictly increasing sample times, shape (n,).
         kplus, kminus: positive rate samples, read-only (n, n_edges) views of the table evaluated.
 
+    The constructor copies the caller's kplus and kminus into that table; the
+    effective schedules hand over the table they built (_of_table), which is
+    then held as it is, never copied.
+
     Evaluation clamps to the end values outside the tabulated range.
     Linear interpolation of positive samples stays positive.
     """
@@ -54,20 +58,34 @@ class RateSchedule:
     kminus: np.ndarray
 
     def __post_init__(self):
-        t = _schedule_times(self.times)
         kp = np.asarray(self.kplus, dtype=float)
         km = np.asarray(self.kminus, dtype=float)
-        if kp.ndim != 2 or kp.shape[0] != t.size or km.shape != kp.shape:
+        if kp.ndim != 2 or km.shape != kp.shape:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
-        table = _positive(np.hstack([kp, km]), "scheduled rates", batch=True, finite=True)  # a copy, not the caller's
+        self._hold(self.times, np.hstack([kp, km]))  # a copy, not the caller's
+
+    @classmethod
+    def _of_table(cls, times, table: np.ndarray) -> "RateSchedule":
+        """The schedule of a float (n_times, 2 n_edges) table [kplus | kminus] that its
+        builder hands over: checked as the constructor checks it, and held, not copied."""
+        schedule = object.__new__(cls)
+        schedule._hold(times, table)
+        return schedule
+
+    def _hold(self, times, table: np.ndarray) -> None:
+        t = _schedule_times(times)
+        if len(table) != t.size:
+            raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
+        _positive(table, "scheduled rates", batch=True, finite=True)
         with np.errstate(over="ignore"):  # a slope past the float range is inf, as in np.interp
             slopes = np.diff(table, axis=0)
             slopes /= np.diff(t)[:, None]
         for arr in (table, slopes):
             arr.flags.writeable = False  # __call__ hands out views of their rows
+        n = table.shape[1] // 2
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "kplus", table[:, :kp.shape[1]])
-        object.__setattr__(self, "kminus", table[:, kp.shape[1]:])
+        object.__setattr__(self, "kplus", table[:, :n])
+        object.__setattr__(self, "kminus", table[:, n:])
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_knots", t.tolist())  # Python floats: bisect on them is cheap
@@ -319,7 +337,9 @@ def energy_dissipation_balance(
     The rates are the network's, also for a run under a schedule.
     Returns lhs, rhs, their gap, and the reference state used. Raises
     ValueError when the rate constants carry nonzero cycle affinity,
-    since no equilibrium reference exists then.
+    since no equilibrium reference exists then, and its FluxUnderflowError
+    at a sample whose one-way flux underflowed to 0: psi + psistar there is
+    the EPR (j+ - j-) log(j+ / j-), which diverges as j+ -> 0.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")

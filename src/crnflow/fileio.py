@@ -20,6 +20,7 @@ Trajectory CSV uses 17 significant digits, locale-independent.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import re
 from dataclasses import dataclass
@@ -345,7 +346,8 @@ class ScenarioConfig:
 #
 # Each artifact is a generator of text chunks, written as it is formatted
 # (cli._write), so no artifact is ever held whole in memory; a CSV chunk
-# is a block of up to _CSV_BLOCK rows, stacked from its columns only then.
+# is a block of up to _CSV_BLOCK rows, stacked from its columns only then,
+# and a report's array is written _JSON_BLOCK entries a chunk, never listed whole.
 # The emit_* functions join the same chunks for callers that want one string.
 
 
@@ -369,27 +371,62 @@ def _csv(header: list[str], *columns: np.ndarray):
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
+_JSON_BLOCK = 256  # array entries formatted by one join
+_ENTRY_TEXT = {"b": json.dumps, "i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
+
+
+def _scalar_json(v) -> str:
+    if isinstance(v, float) and not math.isfinite(v):
+        v = repr(v)  # json has no nan/inf literals
+    return json.dumps(v)
+
+
+def _json_chunks(obj, indent: str):
+    """obj's JSON text as json.dumps(indent=2, sort_keys=True) writes it, numpy values as
+    Python ones and non-finite floats as their repr strings; indent is a newline and the
+    current line's indent. A 1-d bool, int or float array comes _JSON_BLOCK entries at a time."""
     if isinstance(obj, np.ndarray):
-        kind = obj.dtype.kind
-        if kind in "biu" or (kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()  # nothing in it needs a string form
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _json_ready(obj.item())
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)  # json has no nan/inf literals
-    return obj
+        if obj.ndim == 1 and obj.dtype.kind in _ENTRY_TEXT:
+            yield from _bracketed("[", "]", _array_entries(obj, indent + "  "), indent)
+            return
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()  # rows, or the entries of an object array
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        yield from _bracketed("{", "}", ((json.dumps(k) + ": ", _json_chunks(v, inner)) for k, v in items), indent)
+    elif isinstance(obj, (list, tuple)):
+        yield from _bracketed("[", "]", (("", _json_chunks(v, inner)) for v in obj), indent)
+    else:
+        yield _scalar_json(obj)
+
+
+def _bracketed(opening: str, closing: str, entries, indent: str):
+    """A JSON array or object of the (prefix, chunks) entries, one a line, indented past indent."""
+    inner, first = indent + "  ", True
+    for prefix, chunks in entries:
+        yield (opening if first else ",") + inner + prefix
+        yield from chunks
+        first = False
+    yield opening + closing if first else indent + closing
+
+
+def _array_entries(arr: np.ndarray, inner: str):
+    """A 1-d array as _bracketed entries, one per block: its entries' text, a line each."""
+    for start in range(0, arr.size, _JSON_BLOCK):
+        block = arr[start:start + _JSON_BLOCK]
+        values = block.tolist()
+        if block.dtype.kind == "f" and not np.isfinite(block).all():
+            text = map(_scalar_json, values)  # one at a time: the non-finite ones become strings
+        else:
+            text = map(_ENTRY_TEXT[block.dtype.kind], values)
+        yield "", (("," + inner).join(text),)
 
 
 def report_json_chunks(report: dict):
     """Deterministic JSON text for decomposition/schedule/classification reports."""
-    # with an indent, json.dumps runs this same pure-Python encoder and joins its chunks
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(_json_ready(report))
+    yield from _json_chunks(report, "\n")
     yield "\n"
 
 

@@ -500,8 +500,9 @@ def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray
 def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
     """The effective schedules through map_blocks: per block its EdgePair, model(pair, start)
     -> (forces, carry, certify), rates with the network's kappa giving those forces and
-    certify(their EdgePair), into (T, 2 n_edges) rates, (T,) certificates. The carry, from
-    block to block, continues the path: rows keep their bits, errors (in block order) the earliest."""
+    certify(their EdgePair), into (T, 2 n_edges) rates, the table the schedule holds (not a
+    copy), and (T,) certificates. The carry, from block to block, continues the path: rows keep
+    their bits, errors (in block order) the earliest."""
     ts, xs = _trajectory_samples(traj, times)
     kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
     start = np.zeros(len(net.reduced_stoich))
@@ -516,8 +517,7 @@ def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
         return {"rates": rates, **certify(EdgePair(*_one_way(net, x, rates[:, :n], rates[:, n:])))}
 
     cert = map_blocks(net, xs, block)
-    table = cert.pop("rates")
-    return RateSchedule(times=ts, kplus=table[:, :n], kminus=table[:, n:]), cert
+    return RateSchedule._of_table(ts, cert.pop("rates")), cert
 
 
 def effective_equilibrium_rates(

@@ -50,6 +50,10 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+class FluxUnderflowError(ValueError):
+    """A pass that needs every sample met one whose one-way flux underflowed to 0."""
+
+
 @dataclass(frozen=True)
 class EdgePair:
     """One-way flux pair on the edges, with derived coordinates.
@@ -203,7 +207,7 @@ def _all_live(live: np.ndarray) -> None:
     """For a pass that needs every sample, of positive states: a row map_blocks
     leaves out there has a one-way flux that underflowed to 0."""
     if not live.all():
-        raise ValueError("one-way fluxes must be strictly positive")
+        raise FluxUnderflowError("one-way fluxes must be strictly positive")
 
 
 def entropy_production(pair: EdgePair):

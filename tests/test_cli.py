@@ -151,6 +151,22 @@ def test_ledger_equilibrium_network(tmp_path, capsys):
     assert "energy balance gap:" in text
 
 
+def test_ledger_leaves_out_a_balance_whose_flux_underflows(tmp_path, capsys):
+    """2 A <-> B from A = 1e-170: the first sample's forward flux underflows
+    to 0, where psi + psistar diverges. Both artifacts are written, the
+    balance left out with its reason, in the report and on stdout."""
+    text = "species A B\nreaction r1: 2 A <-> B ; kf=1 kr=1\n"
+    scen = _scenario(tmp_path, network_text=text, x0=[1e-170, 1.0], positivity_floor=1e-300)
+    code, out = _run(tmp_path, "ledger", scen)
+    assert code == 0
+    data = json.loads((out / "ledger.json").read_text())
+    assert "energy_balance" not in data and "diverges" in data["energy_balance_omitted"]
+    assert data["lyapunov"]["nonincreasing"] is True
+    rows = (out / "ledger_trajectory.csv").read_text().splitlines()
+    assert rows[1].split(",")[4:8] == ["nan"] * 4 and "nan" not in rows[2]
+    assert f"energy balance omitted: {data['energy_balance_omitted']}\n" in capsys.readouterr().out
+
+
 def test_ledger_nonequilibrium_needs_x_ref(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT)
     code, _ = _run(tmp_path, "ledger", scen)
@@ -472,6 +488,28 @@ def test_failed_write_leaves_no_artifact(tmp_path):
         _write(out, "trajectory.csv", chunks())
     assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
     assert (out / "trajectory.csv").read_text() == "earlier run\n"
+
+
+def test_unusable_out_exits_one_and_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    scen = _scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out in (taken, taken / "sub"):  # a file, and a path through one
+        assert main(["simulate", "--scenario", scen, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write the artifacts: ")
+    assert taken.read_text() == "a file\n"
+
+    def refuse(src, dst):  # an artifact written, then refused its place
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out"
+    for command in ("simulate", "decompose"):
+        assert main([command, "--scenario", scen, "--out", str(out)]) == 1
+        assert "Permission denied" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert main(["simulate", "--scenario", scen, "--out", str(out), "--sweep", "r1.kf=1,2"]) == 1
+    assert list(out.iterdir()) == []
 
 
 NO_NUMPY_MA = """

@@ -413,6 +413,26 @@ def test_effective_schedule_closed_loop_short(brusselator):
 
 
 @pytest.mark.parametrize("rates", [effective_equilibrium_rates, effective_steady_rates])
+def test_effective_schedules_hold_the_rate_table_they_build(brusselator, rates):
+    """The schedule holds map_blocks' rate column itself, read-only, not a copy
+    beside it: RateSchedule's constructor once copied it (np.hstack)."""
+    built, map_blocks = [], geometry.map_blocks
+
+    def spy(*args, **kwargs):
+        columns = map_blocks(*args, **kwargs)
+        built.append(columns["rates"])
+        return columns
+
+    traj = simulate(brusselator, [1.0, 4.0], 2.0)
+    with mock.patch.object(geometry, "map_blocks", spy):
+        schedule, _ = rates(brusselator, traj)
+    (table,) = built
+    assert schedule._table is table and not table.flags.writeable
+    assert schedule.kplus.base is table and schedule.kminus.base is table
+    assert np.array_equal(np.hstack([schedule.kplus, schedule.kminus]), table)
+
+
+@pytest.mark.parametrize("rates", [effective_equilibrium_rates, effective_steady_rates])
 @pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 31), np.linspace(-0.5, 1.0, 16)])
 def test_effective_schedules_refuse_to_extrapolate(brusselator, rates, times):
     traj = simulate(brusselator, [1.0, 4.0], 1.0)
