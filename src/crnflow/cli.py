@@ -204,10 +204,9 @@ def _cmd_decompose(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 def _closed_loop_deviation(scenario: ScenarioConfig, traj, schedule) -> float:
     t = schedule.times
+    span = (float(t[0]), float(t[-1]))
     # gridless: only the dense output is read, and the grid never reaches the stepper
-    redo = _run_simulation(
-        replace(scenario, t_span=(float(t[0]), float(t[-1])), grid=None, x_ref=None, schedule=schedule)
-    )
+    redo = _run_simulation(replace(scenario, t_span=span, grid=None, x_ref=None, schedule=schedule))
     base = traj.interpolate(t)
     mirror = redo.interpolate(t)
     scale = float(np.max(np.abs(base)))

@@ -8,8 +8,9 @@ positivity floor. Each integration builds its right-hand side once, for
 constant and scheduled rates alike: kinetics.one_way_kernel's fluxes at
 the state, under the schedule's rates at t when there is one, their net
 flux times the negated float stoichiometric matrix.
-A trajectory's states at the accepted steps are the stepper's own; the
-dense output gives only the grid times between steps. Each trajectory
+A trajectory's states at the accepted steps are the stepper's own, the
+dense output's at the grid times between; after the run,
+Trajectory.interpolate is the dense output's one reader. Each trajectory
 also carries a ledger of scalar observables per sample time: relative
 entropy to an optional reference, entropy production rate and its
 quadratic lower bound, and the primal/dual dissipation values whose sum
@@ -37,17 +38,17 @@ from .rk45 import integrate, simpson
 LEDGER_KEYS = ("divergence", "epr", "pepr", "psi", "psistar")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateSchedule:
     """Tabulated time-dependent rate constants, linearly interpolated.
 
     Attributes:
-        times: strictly increasing sample times, shape (n,).
+        times: strictly increasing sample times, a read-only copy, shape (n,).
         kplus, kminus: positive rate samples, read-only (n, n_edges) views of the table evaluated.
 
-    The constructor copies the caller's kplus and kminus into that table; the
+    The constructor copies the caller's times, kplus and kminus; the
     effective schedules hand over the table they built (_of_table), which is
-    then held as it is, never copied.
+    then held as it is, never copied (its times are).
 
     Evaluation clamps to the end values outside the tabulated range.
     Linear interpolation of positive samples stays positive.
@@ -73,14 +74,14 @@ class RateSchedule:
         return schedule
 
     def _hold(self, times, table: np.ndarray) -> None:
-        t = _schedule_times(times)
+        t = _schedule_times(times).copy()  # the caller's array may be edited later
         if len(table) != t.size:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
         _positive(table, "scheduled rates", batch=True, finite=True)
         with np.errstate(over="ignore"):  # a slope past the float range is inf, as in np.interp
             slopes = np.diff(table, axis=0)
             slopes /= np.diff(t)[:, None]
-        for arr in (table, slopes):
+        for arr in (t, table, slopes):
             arr.flags.writeable = False  # __call__ hands out views of their rows
         n = table.shape[1] // 2
         object.__setattr__(self, "times", t)
@@ -125,22 +126,21 @@ class RateSchedule:
 
     @classmethod
     def constant(cls, kplus, kminus, t0: float, t1: float) -> "RateSchedule":
-        kp, km = np.asarray(kplus, dtype=float), np.asarray(kminus, dtype=float)
-        return cls(times=np.array([t0, t1]), kplus=np.vstack([kp, kp]), kminus=np.vstack([km, km]))
+        return cls(times=[t0, t1], kplus=np.vstack([kplus, kplus]), kminus=np.vstack([kminus, kminus]))
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Integrated trajectory with per-sample thermodynamic ledger.
 
-    Ledger columns (each shape (n_times,)): divergence (relative entropy
-    to the reference state, nan when no reference was given), epr, pepr,
-    psi, psistar. eta holds the conserved-quantity values, shape
-    (n_times, n_conserved). stats counts the integrator's work: accepted
-    steps, rejected steps and right-hand-side evaluations (nfev); it is
-    written to no artifact. When every time is an accepted step, times
-    and states are the dense output's own arrays: writing into them
-    changes what interpolate returns.
+    states: one row per time, shape (n_times, n_species). Ledger columns
+    (each shape (n_times,)): divergence (relative entropy to the reference
+    state, nan when no reference was given), epr, pepr, psi, psistar. eta
+    holds the conserved-quantity values, shape (n_times, n_conserved).
+    stats counts the integrator's work: accepted steps, rejected steps and
+    right-hand-side evaluations (nfev); it is written to no artifact. When
+    every time is an accepted step, times and states are the dense
+    output's own, read-only arrays.
     """
 
     times: np.ndarray
@@ -157,13 +157,16 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def interpolate(self, t) -> np.ndarray:
-        """States at arbitrary times from the dense output."""
+    def interpolate(self, t, what: str = "times") -> np.ndarray:
+        """The dense output's state at a scalar time, shape (n_species,), or states as
+        rows at m times, shape (m, n_species). A time outside [times[0], times[-1]],
+        where the quartic would extrapolate, or a NaN time raises ValueError naming what."""
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
-        t = np.asarray(t, dtype=float)
-        out = self.dense(t)
-        return out.T if t.ndim else out
+        t, lo, hi = np.asarray(t, dtype=float), float(self.times[0]), float(self.times[-1])
+        if not np.all((t >= lo) & (t <= hi)):
+            raise ValueError(f"{what} must lie within the trajectory's time span [{lo!r}, {hi!r}]")
+        return self.dense(t)
 
 
 def _ledger_rows(
@@ -258,7 +261,7 @@ def _integrate(
         grouped = np.bincount(seg[~accepted], minlength=sol.t.size)[seg] > 0
         states = np.empty((times.size, net.n_species))
         if grouped.any():
-            states[grouped] = sol.sol(times[grouped]).T
+            states[grouped] = sol.sol(times[grouped])
         # a floor root at t0 repeats t0 in sol.t, and the union keeps it once
         states[accepted] = sol.y[step[accepted]]
 
@@ -354,12 +357,10 @@ def energy_dissipation_balance(
 
     if n_samples % 2 == 0:
         n_samples += 1
+    ts, xs = traj.times, traj.states
     if traj.dense is not None:
         ts = np.linspace(traj.times[0], traj.times[-1], n_samples)
-        xs = traj.dense(ts).T
-    else:
-        ts = traj.times
-        xs = traj.states
+        xs = traj.interpolate(ts)
 
     def block(rows, live, pair):  # every sample: the integral reads them all
         _all_live(live)
@@ -383,7 +384,8 @@ def lyapunov_monitor(
     for a run under a schedule), NaN at samples that map_blocks leaves
     out (a component or a one-way flux at or below zero); x_ref must be
     finite and positive. For a complex-balanced reference this is
-    non-positive along every trajectory.
+    non-positive along every trajectory. max_derivative is the largest finite
+    derivative, NaN if none; nonincreasing is max_derivative <= tol (NaN: False).
     """
     x_ref = _positive(x_ref, "reference state", net.n_species, finite=True)
     xs = traj.states
@@ -392,10 +394,11 @@ def lyapunov_monitor(
         return {"derivative": -dot_rows(pair.flux, net.grad(np.log(xs[rows][live] / x_ref)))}
 
     deriv = map_blocks(net, xs, block)["derivative"]
-    max_deriv = float(np.max(deriv, initial=-np.inf, where=np.isfinite(deriv)))
+    finite = np.isfinite(deriv)
+    max_deriv = float(np.max(deriv, initial=-np.inf, where=finite)) if finite.any() else np.nan
     return {
         "times": traj.times,
         "derivative": deriv,
         "max_derivative": max_deriv,
-        "nonincreasing": bool(max_deriv <= tol),
+        "nonincreasing": bool(max_deriv <= tol),  # False for NaN
     }

@@ -230,7 +230,7 @@ def _vector_from(value, net: ReactionNetwork, what: str) -> np.ndarray:
     return _vec(_floats(value, what, 1), what, net.n_species)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioConfig:
     """Validated simulation scenario.
 

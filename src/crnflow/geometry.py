@@ -489,21 +489,15 @@ def complex_balance_force_split(
     }
 
 
-def _trajectory_samples(traj: Trajectory, times) -> tuple[np.ndarray, np.ndarray]:
-    """The schedule's sample times, checked as RateSchedule checks them, and the states there."""
-    ts = _schedule_times(traj.times if times is None else times)
-    if times is not None and not np.all((ts >= traj.times[0]) & (ts <= traj.times[-1])):  # no extrapolated states
-        raise ValueError("schedule sample times must lie within the trajectory's time span")
-    return ts, _positive(traj.states if times is None else traj.interpolate(ts), "trajectory samples", batch=True)
-
-
 def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
     """The effective schedules through map_blocks: per block its EdgePair, model(pair, start)
     -> (forces, carry, certify), rates with the network's kappa giving those forces and
     certify(their EdgePair), into (T, 2 n_edges) rates, the table the schedule holds (not a
     copy), and (T,) certificates. The carry, from block to block, continues the path: rows keep
     their bits, errors (in block order) the earliest."""
-    ts, xs = _trajectory_samples(traj, times)
+    ts = _schedule_times(traj.times if times is None else times)
+    xs = _positive(traj.states if times is None else traj.interpolate(ts, "schedule sample times"),
+                   "trajectory samples", batch=True)
     kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
     start = np.zeros(len(net.reduced_stoich))
 

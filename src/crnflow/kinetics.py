@@ -54,7 +54,7 @@ class FluxUnderflowError(ValueError):
     """A pass that needs every sample met one whose one-way flux underflowed to 0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgePair:
     """One-way flux pair on the edges, with derived coordinates.
 
@@ -85,7 +85,7 @@ class EdgePair:
         return 2.0 * np.sqrt(self.jplus * self.jminus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KineticSplit:
     """Equilibrium/frenetic factorization of the rate constants.
 

@@ -7,7 +7,8 @@ time; `simpson` follows `scipy.integrate.simpson(y, x=x)` for 1-d
 samples. Every floating-point expression keeps scipy's order and memory
 layout, so the two agree bit for bit (tests/test_rk45.py holds them to
 it) and the package needs no scipy at run time. Solution.y holds the
-stepper's states at the accepted times, the dense output those between.
+stepper's states at the accepted times, the dense output those between,
+both as rows: scipy's columns, transposed.
 
 References: J. R. Dormand & P. J. Prince, J. Comput. Appl. Math. 6 (1980)
 (the pair); Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-6 (initial
@@ -71,8 +72,9 @@ class DenseOutput:
     """Piecewise quartic interpolant over the accepted steps.
 
     Called with a scalar it returns a state of shape (n,); with a 1-d
-    array of m times, states as columns, shape (n, m), (n, 0) for no
-    times. A time on a step boundary is evaluated in the earlier step.
+    array of m times, states as rows, shape (m, n), (0, n) for no times.
+    Times outside [t[0], t[-1]] extrapolate (Trajectory.interpolate refuses
+    them); a time on a step boundary is evaluated in the earlier step.
     The times of one step form a group, as in scipy's OdeSolution; all
     groups of one size are evaluated in one stacked product,
     (groups, n, 4) @ (groups, 4, size), whose every slice is the
@@ -113,23 +115,23 @@ class DenseOutput:
             powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)  # x, x^2, x^3, x^4
             yk = hk[:, None] * np.matmul(self.Q[step], powers) + self.y[step, :, None]
             ys[order[cols.ravel()]] = yk.transpose(0, 2, 1).reshape(-1, yk.shape[1])
-        return ys.T  # the layout of scipy's hstack(...)[:, reverse]
+        return ys
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
     """What `integrate` returns.
 
     t: the accepted times, shape (k,), ending at the event root when
     status is 1. y: the states there, shape (k, n). sol: DenseOutput over
-    [t[0], t[-1]], which holds these same two arrays. status: 0 reached
-    t1, 1 the event fired, -1 the step size fell below ten float spacings
-    at t, or is NaN after a NaN right-hand side (message says so). stats:
-    accepted steps, rejected steps and right-hand-side evaluations.
+    [t[0], t[-1]], which holds these same two arrays; all its arrays are
+    read-only. status: 0 reached t1, 1 the event fired, -1 the step size
+    fell below ten float spacings at t, or is NaN after a NaN right-hand
+    side (message says so). stats: accepted steps, rejected steps and
+    right-hand-side evaluations.
 
     Memory: 16 + 40 n bytes of float64 per accepted step (t, y, and the
-    dense output's h and Q), 136 bytes at n = 3; the total grows with
-    the step count.
+    dense output's h and Q), so the total grows with the step count.
     """
 
     t: np.ndarray
@@ -284,6 +286,7 @@ def integrate(fun, t0: float, t1: float, y0, rtol: float, atol: float, event) ->
             ts[k], ys[k] = t, y
     for rows, n in ((ts, k + 1), (ys, k + 1), (hs, k), (qs, k)):
         rows.resize((n, *rows.shape[1:]), refcheck=False)  # shrinks in place
+        rows.flags.writeable = False
     return Solution(
         t=ts,
         y=ys,

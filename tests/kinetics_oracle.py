@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from crnflow.checks import _positive, _vec
+from crnflow.checks import _positive, _schedule_times, _vec
 from crnflow.convex import _sqrt1p_sq_minus_1, stable_asinh
-from crnflow.geometry import _trajectory_samples
 from crnflow.kinetics import ConvergenceError, KineticSplit, wegscheider_check
 from crnflow.network import ReactionNetwork
 
@@ -250,7 +249,7 @@ def energy_dissipation_balance(net, traj, n_samples: int = 2049) -> dict:
         n_samples += 1
     if traj.dense is not None:
         ts = np.linspace(traj.times[0], traj.times[-1], n_samples)
-        xs = traj.dense(ts).T
+        xs = traj.dense(ts)  # rows, the layout of traj.states
     else:
         ts = traj.times
         xs = traj.states
@@ -274,7 +273,7 @@ def lyapunov_monitor(net, traj, x_ref, tol: float = 1e-10) -> dict:
         pair = mass_action_flux(net, x)
         deriv[i] = -float(pair.flux @ (net.stoich.T.astype(float) @ np.log(x / x_ref)))
     finite = deriv[np.isfinite(deriv)]
-    max_deriv = float(np.max(finite, initial=-np.inf))
+    max_deriv = float(np.max(finite)) if finite.size else np.nan  # no sample evaluated: no verdict
     return {
         "times": traj.times,
         "derivative": deriv,
@@ -507,8 +506,15 @@ def force_split(net, dissip, f, mu0=None, tol: float = 1e-10, max_iter: int = 10
     }
 
 
+def trajectory_samples(traj, times):
+    """The schedule's sample times, checked as RateSchedule checks them, and
+    the states there, read through the trajectory's checked interpolate."""
+    ts = _schedule_times(traj.times if times is None else times)
+    return ts, _positive(traj.states if times is None else traj.interpolate(ts), "trajectory samples", batch=True)
+
+
 def effective_equilibrium_rates(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
-    ts, xs = _trajectory_samples(traj, times)
+    ts, xs = trajectory_samples(traj, times)
     split = KineticSplit.from_rates(net.kplus, net.kminus)
     st = net.stoich.T.astype(float)
     vt = net.cycle_basis.T.astype(float)
@@ -545,7 +551,7 @@ def effective_equilibrium_rates(net, traj, times=None, tol: float = 1e-10, max_i
 
 
 def effective_steady_rates(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
-    ts, xs = _trajectory_samples(traj, times)
+    ts, xs = trajectory_samples(traj, times)
     split = KineticSplit.from_rates(net.kplus, net.kminus)
     st = net.stoich.T.astype(float)
     vt = net.cycle_basis.T.astype(float)
@@ -614,7 +620,7 @@ def _two_pass_tables(net, xs, forces):
 def effective_equilibrium_rates_two_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
     """effective_equilibrium_rates with its warm starts from a cold predictor
     pass instead of from the previous sample's final answer."""
-    ts, xs = _trajectory_samples(traj, times)
+    ts, xs = trajectory_samples(traj, times)
     st = net.stoich.T.astype(float)
     vt = net.cycle_basis.T.astype(float)
     base = [mass_action_flux(net, x) for x in xs]
@@ -634,7 +640,7 @@ def effective_equilibrium_rates_two_pass(net, traj, times=None, tol: float = 1e-
 def effective_steady_rates_two_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
     """effective_steady_rates with its warm starts from a cold predictor pass
     instead of from the previous sample's final answer."""
-    ts, xs = _trajectory_samples(traj, times)
+    ts, xs = trajectory_samples(traj, times)
     vt = net.cycle_basis.T.astype(float)
     base = [mass_action_flux(net, x) for x in xs]
     problems = [(net, CoshDissipation(pair.activity), pair.force) for pair in base]

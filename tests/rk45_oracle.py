@@ -1,6 +1,6 @@
 """The dense output as crnflow.rk45 evaluated it before stacking, kept as an
 oracle: one np.dot per group of times that fall in one step, in the
-order of scipy's OdeSolution."""
+order of scipy's OdeSolution, with its columns transposed to rows."""
 
 import numpy as np
 
@@ -15,7 +15,8 @@ def interpolate(segment, t):
 
 
 def dense_output(dense, t):
-    """dense(t) for a crnflow.rk45.DenseOutput, a group at a time."""
+    """dense(t) for a crnflow.rk45.DenseOutput, a group at a time: at a 1-d t,
+    scipy's (n, m) columns, transposed to (m, n) rows."""
     t = np.asarray(t)
     last = dense.h.size - 1
     if t.ndim == 0:
@@ -28,4 +29,4 @@ def dense_output(dense, t):
     seg = np.clip(np.searchsorted(dense.t, t_sorted, side="left") - 1, 0, last)
     bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), seg.size]
     ys = [interpolate(dense.segment(seg[a]), t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return np.hstack(ys)[:, reverse]
+    return np.hstack(ys)[:, reverse].T

@@ -167,6 +167,20 @@ def test_ledger_leaves_out_a_balance_whose_flux_underflows(tmp_path, capsys):
     assert f"energy balance omitted: {data['energy_balance_omitted']}\n" in capsys.readouterr().out
 
 
+def test_ledger_without_an_evaluated_sample_gives_no_lyapunov_verdict(tmp_path, capsys):
+    """2 A <-> B from A = 1e-170 with kr = 1e-300: every forward flux
+    underflows to 0 and every ledger row is NaN. The ledger printed
+    nonincreasing True with max derivative -inf; now NaN and False."""
+    text = "species A B\nreaction r1: 2 A <-> B ; kf=1 kr=1e-300\n"
+    scen = _scenario(tmp_path, network_text=text, x0=[1e-170, 1.0], positivity_floor=1e-320, x_ref=[1.0, 1.0],
+                     t_end=1.0)
+    code, out = _run(tmp_path, "ledger", scen)
+    assert code == 0
+    data = json.loads((out / "ledger.json").read_text())
+    assert data["lyapunov"] == {"max_derivative": "nan", "nonincreasing": False}
+    assert "lyapunov nonincreasing: False (max derivative nan)\n" in capsys.readouterr().out
+
+
 def test_ledger_nonequilibrium_needs_x_ref(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT)
     code, _ = _run(tmp_path, "ledger", scen)

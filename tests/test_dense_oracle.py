@@ -1,7 +1,7 @@
 """The stacked dense output against the per-group evaluation it replaced
 (tests/rk45_oracle.py): the same bytes and layout, for any times. Also
 pins the integrator's counts on a fixed stiff run, and the layout of an
-evaluation at no times against scipy's."""
+evaluation at no times against scipy's, transposed to rows."""
 
 import itertools
 
@@ -81,14 +81,15 @@ def test_robertson_run_keeps_its_counts():
     assert traj.stats == {"steps": 3197, "rejected": 516, "nfev": 22280}
 
 
-def test_no_times_give_no_columns_in_scipys_layout():
-    """scipy's OdeSolution maps m times to states of shape (n, m); at m = 0
-    scipy 1.17 itself raises (np.hstack of no groups), so the reference is its
-    m = 1 result with the column sliced off."""
+def test_no_times_give_no_rows_in_scipys_layout_transposed():
+    """scipy's OdeSolution maps m times to states of shape (n, m), the dense
+    output to their transpose, (m, n); at m = 0 scipy 1.17 itself raises
+    (np.hstack of no groups), so the reference is its m = 1 result with the
+    column sliced off, transposed: (0, n)."""
     net, x0 = parse_network(ROBERTSON), [1.0, 1e-6, 1e-6]
     traj = simulate(net, x0, 0.01)
     ref = solve_ivp(_rhs(net, None), (0.0, 0.01), x0, method="RK45", rtol=1e-8, atol=1e-10, dense_output=True)
     want = ref.sol(np.array([0.005]))[:, :0]
-    _same(traj.dense(np.array([])), want)
+    _same(traj.dense(np.array([])), want.T)
     _same(traj.interpolate(np.array([])), want.T)
     _same(traj.interpolate([]), np.empty((0, 3)))

@@ -15,11 +15,15 @@ from crnflow import (
     effective_steady_rates,
     energy_dissipation_balance,
     lyapunov_monitor,
+    parse_network,
     simulate,
     simulate_timedep,
     wegscheider_check,
 )
 from crnflow import dynamics
+from crnflow.fileio import ScenarioConfig
+from crnflow.kinetics import EdgePair, KineticSplit
+from crnflow.rk45 import integrate
 
 
 def test_two_state_relaxation_matches_analytic(ab):
@@ -76,10 +80,73 @@ def test_interpolation_matches_states(ab):
     assert np.max(np.abs(traj.interpolate(traj.times) - traj.states)) < 1e-12
 
 
+def test_interpolate_refuses_times_outside_the_span():
+    """Past the run's end the quartic extrapolates: on A <-> B from (1, 1e-4)
+    to t = 1, t = 50 gave (255631.95, -255630.95). Every reader of the dense
+    output goes through interpolate, which refuses such times and NaN."""
+    net = parse_network("species A B\nreaction r1: A <-> B ; kf=1 kr=1\n")
+    traj = simulate(net, [1.0, 1e-4], 1.0)
+    for t in (50.0, -0.5, np.nan, [0.5, 1.0 + 1e-9], [np.nan], np.array([[0.5, 50.0]])):
+        with pytest.raises(ValueError, match=r"time span \[0.0, 1.0\]"):
+            traj.interpolate(t)
+    with pytest.raises(ValueError, match="^grid times must lie within the trajectory's time span"):
+        traj.interpolate(2.0, "grid times")
+    ends = traj.interpolate(traj.times[[0, -1]])
+    assert ends.shape == (2, 2) and ends.flags.c_contiguous
+    assert np.array_equal(traj.interpolate(1.0), ends[1])
+
+
+def test_gridless_run_arrays_are_read_only(ab):
+    """Without a grid, times and states are the dense output's own arrays:
+    none of them, nor the dense output's steps, can be written into."""
+    traj = simulate(ab, [1.0, 1.0], 1.0)
+    assert traj.states is traj.dense.y and traj.times is traj.dense.t
+    for arr in (traj.states, traj.times, traj.dense.h, traj.dense.Q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    gridded = simulate(ab, [1.0, 1.0], 1.0, grid=[0.5])  # a new array of rows, the caller's
+    gridded.states[0] = 0.0
+
+
+def test_rate_schedule_owns_its_knots():
+    """A caller's later edit of its times array changed the scalar lookup
+    (bisected on a snapshot) apart from the table form (read from the array):
+    at t = 0.5 they gave 1.5 and 2.25. Both construction paths copy it."""
+    times, kplus = np.array([0.0, 1.0, 2.0]), np.array([[1.0], [2.0], [3.0]])
+    built = RateSchedule(times, kplus, np.ones((3, 1)))
+    held = RateSchedule._of_table(times, np.hstack([kplus, np.ones((3, 1))]))
+    times[1] = 0.25
+    for schedule in (built, held):
+        assert schedule.times is not times and not schedule.times.flags.writeable
+        assert schedule(0.5)[0].tolist() == [1.5]
+        assert schedule(np.array([0.5]))[0].tolist() == [[1.5]]
+
+
+def test_array_records_compare_by_identity(ab):
+    """A generated __eq__ over array fields raised on its ambiguous truth
+    value, and a generated frozen __hash__ raised TypeError on the arrays:
+    these records compare and hash by identity, as ReactionNetwork does."""
+    j = np.array([1.0, 2.0])
+    traj = simulate(ab, [1.0, 1.0], 0.1)
+    runs = [integrate(lambda t, y: -y, 0.0, 0.1, [1.0], 1e-8, 1e-10, lambda t, y: 1.0) for _ in range(2)]
+    scenario = {"network_text": "species A B\nreaction r1: A <-> B ; kf=2 kr=1\n", "x0": [1.0, 1.0], "t_end": 1.0}
+    pairs = [
+        (EdgePair(j, j), EdgePair(j, j)),
+        (KineticSplit(j, j), KineticSplit(j, j)),
+        (RateSchedule.constant([1.0], [2.0], 0.0, 1.0), RateSchedule.constant([1.0], [2.0], 0.0, 1.0)),
+        (traj, dynamics.Trajectory(traj.times, traj.states, traj.ledger, traj.eta, traj.species)),
+        (ScenarioConfig.from_dict(scenario), ScenarioConfig.from_dict(scenario)),
+        tuple(runs),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2
+
+
 def _dense_then_pinned(traj, steps, accepted):
     """States as simulate once formed them, kept as an oracle: the dense output
     at every time, then the stepper's accepted states over their own rows."""
-    states = traj.dense(traj.times).T
+    states = traj.dense(traj.times)  # a new array of rows
     states[np.searchsorted(traj.times, steps)] = accepted
     return states
 
@@ -384,6 +451,17 @@ def test_lyapunov_monitor_complex_balanced_reference(cycle3):
     traj = simulate(cycle3, [2.5, 0.3, 0.2], 10.0)
     mon = lyapunov_monitor(cycle3, traj, x_cb)
     assert mon["nonincreasing"], mon["max_derivative"]
+
+
+def test_lyapunov_verdict_needs_an_evaluated_sample():
+    """2 A <-> B from A = 1e-170: every forward flux underflows to 0, so the
+    monitor evaluates no sample. It reported max derivative -inf and
+    nonincreasing True; with no finite derivative the verdict is NaN, False."""
+    net = parse_network("species A B\nreaction r1: 2 A <-> B ; kf=1 kr=1e-300\n")
+    traj = simulate(net, [1e-170, 1.0], 1.0, positivity_floor=1e-320)
+    mon = lyapunov_monitor(net, traj, [1.0, 1.0])
+    assert np.isnan(mon["derivative"]).all()
+    assert np.isnan(mon["max_derivative"]) and mon["nonincreasing"] is False
 
 
 def test_lyapunov_monitor_flags_bad_reference(ab):

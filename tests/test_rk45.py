@@ -51,7 +51,7 @@ def _assert_matches_scipy(fun, t1, y0, rtol, atol, floor):
     # a shuffled grid with the step times on it: groups, segment choice, order
     grid = np.concatenate([np.linspace(ref.t[0], ref.t[-1], 37), ref.t])
     grid = np.random.default_rng(0).permutation(grid)
-    dense, dense_ref = ours.sol(grid), ref.sol(grid)
+    dense, dense_ref = ours.sol(grid), ref.sol(grid).T  # states as rows: scipy's columns, transposed
     assert _same(dense, dense_ref)
     assert dense.flags.c_contiguous == dense_ref.flags.c_contiguous
     for t in grid[:5]:
