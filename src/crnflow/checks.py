@@ -47,6 +47,16 @@ def _schedule_times(times) -> np.ndarray:
     return t
 
 
+def _times(t, what: str, finite: bool = False) -> np.ndarray:
+    """Sample times as a float array of 0 or 1 dimensions, with finite entries when finite=True."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"{what} must be a scalar or a 1-d array, got shape {ts.shape}")
+    if finite and not np.all(np.isfinite(ts)):
+        raise ValueError(f"{what} must be finite")
+    return ts
+
+
 def _time_span(t_span) -> tuple[float, float]:
     """A final time t1 (from t0 = 0) or a (t0, t1) pair, as floats: finite, with t1 > t0."""
     if np.ndim(t_span) == 0:

@@ -171,13 +171,12 @@ def _cmd_equilibrium(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 def _cmd_decompose(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
-    x = scenario.state if scenario.state is not None else scenario.x0
-    pair = mass_action_flux(net, x)
+    pair = mass_action_flux(net, scenario.state)
     dissip = CoshDissipation(pair.activity)
     fsplit = geometry.flux_split(net, dissip, pair.flux)
     gsplit = geometry.force_split(net, dissip, pair.force)
     _report(scenario, outdir, f"decompose{suffix}.json", {
-        "state": np.asarray(x, dtype=float),
+        "state": scenario.state,
         "flux": pair.flux,
         "force": pair.force,
         "activity": pair.activity,
@@ -261,16 +260,9 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
     }
     if wc["is_equilibrium"]:
         try:
-            balance = energy_dissipation_balance(net, traj)
+            report["energy_balance"] = energy_dissipation_balance(net, traj)
         except FluxUnderflowError:
             report["energy_balance_omitted"] = _UNDERFLOW
-        else:
-            report["energy_balance"] = {
-                "lhs": balance["lhs"],
-                "rhs": balance["rhs"],
-                "gap": balance["gap"],
-                "reference": balance["reference"],
-            }
     _write(outdir, f"ledger_trajectory{suffix}.csv", trajectory_csv_chunks(traj))
     _report(scenario, outdir, f"ledger{suffix}.json", report)
     print(f"lyapunov nonincreasing: {monitor['nonincreasing']} "
@@ -286,9 +278,8 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 
 def _cmd_classify(scenario: ScenarioConfig, outdir, suffix) -> int:
-    x = scenario.state if scenario.state is not None else scenario.x0
-    result = classify_state(scenario.network, x, tol=scenario.tol if scenario.tol is not None else 1e-8)
-    _report(scenario, outdir, f"classify{suffix}.json", {"state": np.asarray(x, dtype=float), **result})
+    result = classify_state(scenario.network, scenario.state, tol=scenario.tol)
+    _report(scenario, outdir, f"classify{suffix}.json", {"state": scenario.state, **result})
     print(f"label: {result['label']}")
     return 0
 

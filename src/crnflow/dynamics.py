@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _positive, _schedule_edges, _schedule_times, _time_span
+from .checks import _integers, _positive, _schedule_edges, _schedule_times, _time_span, _times
 from .convex import CoshDissipation, KLPotential
 from .kinetics import ConvergenceError, _all_live, entropy_production, map_blocks, one_way_kernel
 from .kinetics import pseudo_entropy_production, wegscheider_check
@@ -104,25 +104,28 @@ class RateSchedule:
             return self._table[max(j, 0)]
         return self._slopes[j] * (t - knots[j]) + self._table[j]
 
-    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Rates at time t, or (n_times, n_edges) tables at an array of times.
+    def _rows(self, t) -> np.ndarray:
+        """The rates [kplus | kminus] at time t, or as (n_times, 2 n_edges) rows at a 1-d array of times.
 
         Matches np.interp on every edge bit for bit: the end values outside
         the knots, the knot value on a knot, else slope_j * (t - t_j) + k_j.
         A NaN time gives the last knot's rates, where np.interp gives NaN.
         """
-        n = self.n_edges
-        if isinstance(t, float) or np.ndim(t) == 0:
-            row = self._row(t)
-            return row[:n], row[n:]
+        ts = _times(t, "times")
+        if ts.ndim == 0:
+            return self._row(ts)
         table, slopes, knots = self._table, self._slopes, self.times
-        ts = np.asarray(t, dtype=float)
         j = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
         dt = (ts - knots[j])[:, None]
         with np.errstate(over="ignore", invalid="ignore"):  # only in the entries np.where drops
             rows = np.where(dt > 0, slopes[j] * dt + table[j], table[j])
         rows[~(ts < knots[-1])] = table[-1]  # NaN as well, as on the scalar path
-        return rows[:, :n], rows[:, n:]
+        return rows
+
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Rates at time t, or (n_times, n_edges) tables at a 1-d array of times: _rows(t) split."""
+        rows, n = self._rows(t), self.n_edges
+        return rows[..., :n], rows[..., n:]
 
     @classmethod
     def constant(cls, kplus, kminus, t0: float, t1: float) -> "RateSchedule":
@@ -138,9 +141,9 @@ class Trajectory:
     state, nan when no reference was given), epr, pepr, psi, psistar. eta
     holds the conserved-quantity values, shape (n_times, n_conserved).
     stats counts the integrator's work: accepted steps, rejected steps and
-    right-hand-side evaluations (nfev); it is written to no artifact. When
-    every time is an accepted step, times and states are the dense
-    output's own, read-only arrays.
+    right-hand-side evaluations (nfev); it is written to no artifact.
+    Without a grid, times and states are the dense output's own,
+    read-only arrays.
     """
 
     times: np.ndarray
@@ -159,14 +162,15 @@ class Trajectory:
 
     def interpolate(self, t, what: str = "times") -> np.ndarray:
         """The dense output's state at a scalar time, shape (n_species,), or states as
-        rows at m times, shape (m, n_species). A time outside [times[0], times[-1]],
-        where the quartic would extrapolate, or a NaN time raises ValueError naming what."""
+        rows at a 1-d array of m times, shape (m, n_species). A time outside [times[0],
+        times[-1]], where the quartic would extrapolate, a NaN time, or times of more
+        dimensions raise ValueError naming what."""
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
         t, lo, hi = np.asarray(t, dtype=float), float(self.times[0]), float(self.times[-1])
         if not np.all((t >= lo) & (t <= hi)):
             raise ValueError(f"{what} must lie within the trajectory's time span [{lo!r}, {hi!r}]")
-        return self.dense(t)
+        return self.dense(_times(t, what))
 
 
 def _ledger_rows(
@@ -174,15 +178,15 @@ def _ledger_rows(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     kl = KLPotential(n=net.n_species)
 
-    def block(rows, live, pair):
+    def block(x, live, pair):
         diss = CoshDissipation(pair.activity)
         cols = {"epr": entropy_production(pair), "pepr": pseudo_entropy_production(pair),
                 "psi": diss.value(pair.flux), "psistar": diss.dual_value(pair.force)}
         if x_ref is not None:
-            cols["divergence"] = kl.bregman(states[rows][live], x_ref)
+            cols["divergence"] = kl.bregman(x, x_ref)
         return cols
 
-    cols = map_blocks(net, states, block, *((None, None) if schedule is None else schedule(times)))
+    cols = map_blocks(net, states, block, None if schedule is None else schedule._rows(times))
     ledger = {key: cols[key] if key in cols else np.full(len(states), np.nan) for key in LEDGER_KEYS}
     eta = states @ net.cons_f.T  # one matrix product: row-wise conserved() rounds some rows differently
     return ledger, eta
@@ -234,6 +238,7 @@ def _integrate(
     if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
         raise ValueError("atol and positivity_floor must be finite and non-negative")
     x_ref = None if x_ref is None else _positive(x_ref, "x_ref", net.n_species, finite=True)
+    grid = None if grid is None else _times(grid, "grid", finite=True)
 
     minimum = np.minimum.reduce  # x.min(), without its Python-level wrapper
 
@@ -246,23 +251,14 @@ def _integrate(
 
     halted = sol.status == 1
     t_end = float(sol.t[-1])
-    times = sol.t
+    times, states = sol.t, sol.y  # without a grid, the stepper's own arrays
     if grid is not None:
-        g = np.asarray(grid, dtype=float)
-        times = _union(times, g[(g >= t0) & (g <= t_end)])
-    # the stepper's own states at its accepted times; the dense output at the others,
-    # called on all times of their steps, since np.dot may round a smaller group differently
-    step = np.searchsorted(sol.t, times)  # sol.t[step - 1] < times <= sol.t[step]
-    accepted = sol.t[step] == times
-    if times.size == sol.t.size and accepted.all():
-        states = sol.y  # every output time an accepted step: the stepper's array itself
-    else:
-        seg = np.maximum(step, 1)  # DenseOutput's segment, plus one
-        grouped = np.bincount(seg[~accepted], minlength=sol.t.size)[seg] > 0
-        states = np.empty((times.size, net.n_species))
-        if grouped.any():
-            states[grouped] = sol.sol(times[grouped])
-        # a floor root at t0 repeats t0 in sol.t, and the union keeps it once
+        times = _union(times, grid[(grid >= t0) & (grid <= t_end)])
+        # the dense output at every time, then the stepper's own states over the accepted
+        # times' rows; a floor root at t0 repeats t0 in sol.t, and the union keeps it once
+        step = np.searchsorted(sol.t, times)  # sol.t[step - 1] < times <= sol.t[step]
+        accepted = sol.t[step] == times
+        states = sol.sol(times)
         states[accepted] = sol.y[step[accepted]]
 
     ledger, eta = _ledger_rows(net, times, states, x_ref, schedule)
@@ -296,8 +292,8 @@ def simulate(
 
     Args:
         t_span: final time, or a (t0, t1) pair.
-        grid: optional extra sample times; the ledger is evaluated at the
-            union of the integrator's accepted steps and this grid.
+        grid: optional extra sample times, finite, a number or a 1-d array; the
+            ledger is evaluated at the union of the accepted steps and this grid.
         x_ref: optional reference state for the divergence column,
             finite and strictly positive.
         rtol, atol: integrator tolerances; rtol finite and positive,
@@ -344,6 +340,7 @@ def energy_dissipation_balance(
     at a sample whose one-way flux underflowed to 0: psi + psistar there is
     the EPR (j+ - j-) log(j+ / j-), which diverges as j+ -> 0.
     """
+    n_samples = _integers([n_samples], "n_samples")[0]
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     wc = wegscheider_check(net)
@@ -362,7 +359,7 @@ def energy_dissipation_balance(
         ts = np.linspace(traj.times[0], traj.times[-1], n_samples)
         xs = traj.interpolate(ts)
 
-    def block(rows, live, pair):  # every sample: the integral reads them all
+    def block(x, live, pair):  # every sample: the integral reads them all
         _all_live(live)
         diss = CoshDissipation(pair.activity)
         return {"power": diss.value(pair.flux) + diss.dual_value(pair.force)}
@@ -388,12 +385,11 @@ def lyapunov_monitor(
     derivative, NaN if none; nonincreasing is max_derivative <= tol (NaN: False).
     """
     x_ref = _positive(x_ref, "reference state", net.n_species, finite=True)
-    xs = traj.states
 
-    def block(rows, live, pair):
-        return {"derivative": -dot_rows(pair.flux, net.grad(np.log(xs[rows][live] / x_ref)))}
+    def block(x, live, pair):
+        return {"derivative": -dot_rows(pair.flux, net.grad(np.log(x / x_ref)))}
 
-    deriv = map_blocks(net, xs, block)["derivative"]
+    deriv = map_blocks(net, traj.states, block)["derivative"]
     finite = np.isfinite(deriv)
     max_deriv = float(np.max(deriv, initial=-np.inf, where=finite)) if finite.any() else np.nan
     return {

@@ -244,7 +244,7 @@ class ScenarioConfig:
         state:    optional state for pointwise commands (defaults to x0)
         schedule: optional {times, kplus, kminus} rate tables
         rtol, atol, positivity_floor: optional positive floats
-        tol:      optional positive float, the classify tolerance
+        tol:      optional positive float, the classify tolerance (default 1e-8)
 
     Every number must be finite; a malformed field or an unknown key
     (top-level, grid or schedule) raises ValueError naming it.
@@ -255,12 +255,12 @@ class ScenarioConfig:
     t_span: tuple[float, float]
     grid: np.ndarray | None = None
     x_ref: np.ndarray | None = None
-    state: np.ndarray | None = None
+    state: np.ndarray | None = None  # from_dict gives x0 when the scenario has none
     schedule: RateSchedule | None = None
     rtol: float = 1e-8
     atol: float = 1e-10
     positivity_floor: float = 1e-12
-    tol: float | None = None
+    tol: float = 1e-8
     network_path: str | None = None
 
     @classmethod
@@ -304,7 +304,7 @@ class ScenarioConfig:
                 grid = _floats(g, "grid", 1)
 
         x_ref = _vector_from(data["x_ref"], net, "x_ref") if "x_ref" in data else None
-        state = _vector_from(data["state"], net, "state") if "state" in data else None
+        state = _vector_from(data["state"], net, "state") if "state" in data else x0
 
         schedule = None
         if "schedule" in data:

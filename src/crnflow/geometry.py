@@ -498,17 +498,16 @@ def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
     ts = _schedule_times(traj.times if times is None else times)
     xs = _positive(traj.states if times is None else traj.interpolate(ts, "schedule sample times"),
                    "trajectory samples", batch=True)
-    kappa, n = KineticSplit.from_rates(net.kplus, net.kminus).kappa, net.n_edges
+    kappa = KineticSplit.from_rates(net.kplus, net.kminus).kappa
     start = np.zeros(len(net.reduced_stoich))
 
-    def block(rows, live, base):
+    def block(x, live, base):
         nonlocal start
         _all_live(live)
-        x = xs[rows]
         force, start, certify = model(base, start)
         rates = np.hstack(KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates())
         _positive(rates, "scheduled rates", batch=True, finite=True)
-        return {"rates": rates, **certify(EdgePair(*_one_way(net, x, rates[:, :n], rates[:, n:])))}
+        return {"rates": rates, **certify(EdgePair(*_one_way(net, x, rates)))}
 
     cert = map_blocks(net, xs, block)
     return RateSchedule._of_table(ts, cert.pop("rates")), cert

@@ -15,12 +15,12 @@ The fluxes at one state come from one closure per network and rate
 source, one_way_kernel, which the ODE right-hand side builds once per
 integration; net_flux_raw (any real state) and mass_action_flux (one
 positive state) build it per call. Batches of rows go through _one_way,
-in one driver: map_blocks hands a per-block function the EdgePair of
-each block of positive rows and writes its columns back at full length.
+in one driver: map_blocks hands a per-block function each block's live
+states and their EdgePair and writes its columns back at full length.
 Every pass over samples (the ledger, the Lyapunov monitor, the energy
-balance, the effective schedules) is such a function. Rates enter
-checked, as a network's (build_network, ReactionNetwork.with_rates) or
-as a RateSchedule's rows or tables.
+balance, the effective schedules) is such a function. Rates enter checked,
+as a network's (build_network, ReactionNetwork.with_rates) or as rows
+[kplus | kminus]: a RateSchedule's, one per time, or a (T, 2 n_edges) table.
 """
 
 from __future__ import annotations
@@ -130,20 +130,19 @@ def one_way_kernel(net: ReactionNetwork, row=None):
     return kernel
 
 
-def _one_way(net: ReactionNetwork, x: np.ndarray, kplus, kminus) -> tuple[np.ndarray, np.ndarray]:
+def _one_way(net: ReactionNetwork, x: np.ndarray, rates=None) -> tuple[np.ndarray, np.ndarray]:
     """One-way fluxes per row of a (T, n_species) x, each row bit-equal to
     one_way_kernel's at that state.
 
-    Rates None mean the network's; explicit ones may be (T, n_edges).
-    O(T * nnz) memory.
+    Rates None mean the network's; else a (T, 2 n_edges) table of rows
+    [kplus | kminus]. O(T * nnz) memory.
     """
     species, powers, starts = net.factors
-    kp = net.kplus if kplus is None else np.asarray(kplus, dtype=float)
-    km = net.kminus if kminus is None else np.asarray(kminus, dtype=float)
     n = starts.size // 2  # edges
     # tiled powers: numpy squares a zero-stride (broadcast) exponent of 2 as x * x, not as its pow
     mono = np.multiply.reduceat(np.power(x[:, species], np.tile(powers, (len(x), 1))), starts, axis=1)
-    return kp * mono[:, :n], km * mono[:, n:]
+    mono *= np.concatenate([net.kplus, net.kminus]) if rates is None else rates
+    return mono[:, :n], mono[:, n:]
 
 
 def mass_action_flux(net: ReactionNetwork, x) -> EdgePair:
@@ -169,31 +168,31 @@ def net_flux_raw(net: ReactionNetwork, x) -> np.ndarray:
 _BATCH_ROWS = 1024  # rows per block of map_blocks, read at each call: temporaries scale with it, not T
 
 
-def map_blocks(net: ReactionNetwork, states, fn, kplus=None, kminus=None) -> dict[str, np.ndarray]:
+def map_blocks(net: ReactionNetwork, states, fn, rates=None) -> dict[str, np.ndarray]:
     """fn's columns over a (T, n_species) state array, computed a block of _BATCH_ROWS rows at a time.
 
-    fn(rows, live, pair) gets a block's slice, the mask of its live rows, whose
-    components and one-way fluxes are all positive, and the EdgePair there (rows
-    bit-equal to one_way_kernel's), and returns a dict of arrays, one entry or row per
-    live row; each comes back at full length T, NaN at the rows not live (so an int
-    column needs every row live). kplus/kminus are None (the network's rates) or
-    checked (T, n_edges) tables.
+    fn(x, live, pair) gets a block's live states x, whose components and one-way
+    fluxes are all positive, the mask of those rows in the block, and the EdgePair
+    there (rows bit-equal to one_way_kernel's), and returns a dict of arrays, one
+    entry or row per live row; each comes back at full length T, NaN at the rows not
+    live (so an int column needs every row live). rates is None (the network's
+    rates) or a checked (T, 2 n_edges) table of rows [kplus | kminus].
     """
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.n_species:
         raise ValueError(f"states must have shape (T, {net.n_species})")
-    rates = [k if k is None else np.asarray(k, dtype=float) for k in (kplus, kminus)]
-    if any(k is not None and k.shape != (len(x), net.n_edges) for k in rates):
-        raise ValueError(f"rate tables must have shape ({len(x)}, {net.n_edges})")
+    rates = None if rates is None else np.asarray(rates, dtype=float)
+    if rates is not None and rates.shape != (len(x), 2 * net.n_edges):
+        raise ValueError(f"rate tables must have shape ({len(x)}, {2 * net.n_edges})")
     columns = {}
     for start in range(0, max(len(x), 1), _BATCH_ROWS):  # one block at T = 0, so fn's columns exist
         rows = slice(start, start + _BATCH_ROWS)
         live = np.all(x[rows] > 0, axis=1)
-        jp, jm = _one_way(net, x[rows][live], *(k if k is None else k[rows][live] for k in rates))
+        jp, jm = _one_way(net, x[rows][live], None if rates is None else rates[rows][live])
         flowing = np.all(jp > 0, axis=1) & np.all(jm > 0, axis=1)  # no one-way flux underflowed to 0
         live[live] = flowing
         pair = EdgePair(jp[flowing], jm[flowing])
-        for key, val in fn(rows, live, pair).items():  # fn's dict is dropped with the loop
+        for key, val in fn(x[rows][live], live, pair).items():  # fn's dict is dropped with the loop
             if key not in columns:
                 columns[key] = np.empty((len(x), *val.shape[1:]), val.dtype)
             if not live.all():

@@ -96,6 +96,26 @@ def test_interpolate_refuses_times_outside_the_span():
     assert np.array_equal(traj.interpolate(1.0), ends[1])
 
 
+def test_interpolate_refuses_times_of_two_dimensions():
+    """Inside the span, a 2-d array of times used to fail in the dense output's
+    grouping (IndexError) or its product (a matmul ValueError)."""
+    net = parse_network("species A B\nreaction r1: A <-> B ; kf=1 kr=1\n")
+    traj = simulate(net, [1.0, 1e-4], 1.0)
+    for t, shape in (([[0.2, 0.5], [0.3, 0.4]], r"\(2, 2\)"), ([[0.5]], r"\(1, 1\)")):
+        with pytest.raises(ValueError, match=rf"^times must be a scalar or a 1-d array, got shape {shape}$"):
+            traj.interpolate(t)
+
+
+def test_grid_must_be_finite_times_of_at_most_one_dimension(ab):
+    """A NaN grid time used to be dropped and a 2-d grid flattened, silently."""
+    for grid in ([0.5, np.nan], [np.inf], [0.2, -np.inf]):
+        with pytest.raises(ValueError, match="^grid must be finite$"):
+            simulate(ab, [1.0, 1.0], 1.0, grid=grid)
+    with pytest.raises(ValueError, match=r"^grid must be a scalar or a 1-d array, got shape \(2, 2\)$"):
+        simulate(ab, [1.0, 1.0], 1.0, grid=[[0.2, 0.5], [0.3, 0.4]])
+    assert 0.5 in simulate(ab, [1.0, 1.0], 1.0, grid=0.5).times  # one time, 0-d
+
+
 def test_gridless_run_arrays_are_read_only(ab):
     """Without a grid, times and states are the dense output's own arrays:
     none of them, nor the dense output's steps, can be written into."""
@@ -296,6 +316,15 @@ def test_rate_schedule_holds_its_rates_once_read_only():
     assert [k.tolist() for k in sch(0.0)] == [[1.0], [2.0]]
 
 
+def test_rate_schedule_refuses_times_of_two_dimensions():
+    """Rates at a 2-d array of times used to come back (2, 1, 2), with wrong values."""
+    sch = RateSchedule([0, 1, 2], [[1], [2], [3]], [[1], [1], [1]])
+    with pytest.raises(ValueError, match=r"^times must be a scalar or a 1-d array, got shape \(2, 2\)$"):
+        sch([[0.5, 1.5], [0.2, 2.5]])
+    kp, km = sch([0.5, 1.5, 0.2, 2.5])
+    assert kp[:, 0] == pytest.approx([1.5, 2.5, 1.2, 3.0]) and km.tolist() == [[1.0]] * 4
+
+
 def _searchsorted_rates(sched, t):
     """RateSchedule.__call__'s scalar path as it was, on np.searchsorted: the oracle."""
     knots, n = sched.times, sched.n_edges
@@ -399,6 +428,16 @@ def test_energy_balance_needs_two_samples(ab):
     for n in (-1, 0, 1):
         with pytest.raises(ValueError, match="n_samples"):
             energy_dissipation_balance(ab, traj, n_samples=n)
+
+
+def test_energy_balance_needs_an_integer_sample_count(ab):
+    """A fractional count used to fail in np.linspace with a TypeError."""
+    traj = simulate(ab, [1.6, 0.4], 1.0)
+    for n in (2.5, np.nan, "9", None):
+        with pytest.raises(ValueError, match="^n_samples must be integers"):
+            energy_dissipation_balance(ab, traj, n_samples=n)
+    gaps = [energy_dissipation_balance(ab, traj, n_samples=n)["gap"] for n in (9, 9.0, np.int64(9))]
+    assert gaps[0] == gaps[1] == gaps[2]
 
 
 def test_energy_balance_equilibrium_brusselator(brusselator_eq):

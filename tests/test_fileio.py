@@ -267,7 +267,8 @@ def _scenario_dict(**extra):
 def test_scenario_minimal():
     sc = ScenarioConfig.from_dict(_scenario_dict())
     assert sc.t_span == (0.0, 5.0)
-    assert sc.grid is None and sc.schedule is None and sc.tol is None
+    assert sc.grid is None and sc.schedule is None and sc.tol == 1e-8
+    assert sc.state is sc.x0  # pointwise commands read x0 when the scenario has no state
     assert sc.network.n_edges == 3
     assert np.array_equal(sc.x0, [1.0, 1.0])
 
@@ -370,7 +371,7 @@ def test_scenario_network_must_be_a_path():
 
 def test_scenario_null_tolerances_keep_the_defaults():
     sc = ScenarioConfig.from_dict(_scenario_dict(rtol=None, tol=None))
-    assert (sc.rtol, sc.atol, sc.positivity_floor, sc.tol) == (1e-8, 1e-10, 1e-12, None)
+    assert (sc.rtol, sc.atol, sc.positivity_floor, sc.tol) == (1e-8, 1e-10, 1e-12, 1e-8)
 
 
 # -- report JSON and schedule CSV ------------------------------------------

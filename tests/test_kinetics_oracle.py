@@ -141,12 +141,12 @@ def test_rhs_closure_matches_the_flux_functions(net, data):
         kernel = one_way_kernel(net, row=None if schedule is None else schedule._row)
         for t in ts:
             rates = (None, None) if schedule is None else schedule(t)
-            rows = [None if k is None else k[None] for k in rates]
+            table = None if schedule is None else np.concatenate(rates)[None]
             at_t = net if schedule is None else net.with_rates(*rates)
             for x in xs:
                 _same(rhs(t, x), -net.stoich_f @ net_flux_raw(at_t, x))
                 w = kernel(t, x)
-                jp, jm = _one_way(net, x[None], *rows)
+                jp, jm = _one_way(net, x[None], table)
                 _same(w[:n], jp[0])
                 _same(w[n:], jm[0])
 
@@ -480,8 +480,8 @@ CHAIN_CERT_ULPS = 20
 
 def _cert_scales(net, xs, schedule):
     """Per certificate, its scale s at its worst row (see CHAIN_CERT_ULPS)."""
-    jp, jm = _one_way(net, xs, schedule.kplus, schedule.kminus)
-    bp, bm = _one_way(net, xs, None, None)
+    jp, jm = _one_way(net, xs, np.hstack([schedule.kplus, schedule.kminus]))
+    bp, bm = _one_way(net, xs, None)
     stoich, cycles = np.abs(net.stoich_f), np.abs(net.cycle_f.T)
     v = np.abs((bp - bm) @ net.stoich_f.T)
     div, curl = (jp + jm) @ stoich.T, (1.0 + np.abs(np.log(jp / jm))) @ cycles.T
