@@ -57,6 +57,14 @@ def _times(t, what: str, finite: bool = False) -> np.ndarray:
     return ts
 
 
+def _tolerances(rtol: float, atol: float, positivity_floor: float) -> None:
+    """An integration's tolerances: rtol finite and > 0, atol and positivity_floor finite and >= 0."""
+    if not 0.0 < rtol < np.inf:  # False for NaN too
+        raise ValueError("rtol must be positive and finite")
+    if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
+        raise ValueError("atol and positivity_floor must be finite and non-negative")
+
+
 def _time_span(t_span) -> tuple[float, float]:
     """A final time t1 (from t0 = 0) or a (t0, t1) pair, as floats: finite, with t1 > t0."""
     if np.ndim(t_span) == 0:

@@ -24,7 +24,6 @@ written alongside.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import sys
@@ -37,7 +36,6 @@ from .checks import _floats
 from .convex import CoshDissipation, _sup
 from .dynamics import Trajectory, energy_dissipation_balance, lyapunov_monitor, simulate, simulate_timedep
 from .fileio import (
-    NetworkParseError,
     ScenarioConfig,
     _format_float,
     report_json_chunks,
@@ -348,7 +346,7 @@ def main(argv=None) -> int:
         return 1
     try:
         scenario = ScenarioConfig.load(args.scenario)
-    except (OSError, json.JSONDecodeError, NetworkParseError, ValueError) as e:
+    except (OSError, ValueError, MemoryError) as e:  # MemoryError: a grid too large to hold
         print(f"error: invalid scenario: {e}", file=sys.stderr)
         return 1
     misuse = _misuse(args, scenario)
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
             except ConvergenceError as e:
                 print(f"error: solver failure: {e}", file=sys.stderr)
                 code = 2
-            except (ValueError, NetworkParseError) as e:
+            except ValueError as e:
                 print(f"error: {e}", file=sys.stderr)
                 code = 1
             summary.append({"suffix": suffix, "exit_code": code})

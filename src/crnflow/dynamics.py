@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _integers, _positive, _schedule_edges, _schedule_times, _time_span, _times
+from .checks import _integers, _positive, _schedule_edges, _schedule_times, _time_span, _times, _tolerances
 from .convex import CoshDissipation, KLPotential
 from .kinetics import ConvergenceError, _all_live, entropy_production, map_blocks, one_way_kernel
 from .kinetics import pseudo_entropy_production, wegscheider_check
@@ -233,10 +233,7 @@ def _integrate(
 ) -> Trajectory:
     x0 = _positive(x0, "initial state", net.n_species)
     t0, t1 = _time_span(t_span)
-    if not 0.0 < rtol < np.inf:
-        raise ValueError("rtol must be finite and positive")
-    if not (0.0 <= atol < np.inf and 0.0 <= positivity_floor < np.inf):
-        raise ValueError("atol and positivity_floor must be finite and non-negative")
+    _tolerances(rtol, atol, positivity_floor)
     x_ref = None if x_ref is None else _positive(x_ref, "x_ref", net.n_species, finite=True)
     grid = None if grid is None else _times(grid, "grid", finite=True)
 

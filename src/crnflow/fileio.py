@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _floats, _positive, _schedule_edges, _time_span, _vec
+from .checks import _floats, _positive, _schedule_edges, _time_span, _tolerances, _vec
 from .dynamics import LEDGER_KEYS, RateSchedule, Trajectory
 from .network import ReactionNetwork, network_from_reactions
 
@@ -243,7 +243,7 @@ class ScenarioConfig:
         x_ref:    optional reference state (list or dict)
         state:    optional state for pointwise commands (defaults to x0)
         schedule: optional {times, kplus, kminus} rate tables
-        rtol, atol, positivity_floor: optional positive floats
+        rtol, atol, positivity_floor: optional, rtol > 0 and the others >= 0 (as simulate)
         tol:      optional positive float, the classify tolerance (default 1e-8)
 
     Every number must be finite; a malformed field or an unknown key
@@ -320,9 +320,9 @@ class ScenarioConfig:
         for key in ("rtol", "atol", "positivity_floor", "tol"):
             value = data.get(key, getattr(cls, key))  # the class holds the defaults
             if value is not None:
-                kwargs[key] = float(_floats(value, key, 0, positive=True))
+                kwargs[key] = float(_floats(value, key, 0, positive=key == "tol"))
 
-        return cls(
+        scenario = cls(
             network=net,
             x0=x0,
             t_span=(t0, t1),
@@ -333,6 +333,8 @@ class ScenarioConfig:
             network_path=net_path,
             **kwargs,
         )
+        _tolerances(scenario.rtol, scenario.atol, scenario.positivity_floor)  # simulate's rule
+        return scenario
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

@@ -18,9 +18,9 @@ positive state) build it per call. Batches of rows go through _one_way,
 in one driver: map_blocks hands a per-block function each block's live
 states and their EdgePair and writes its columns back at full length.
 Every pass over samples (the ledger, the Lyapunov monitor, the energy
-balance, the effective schedules) is such a function. Rates enter checked,
-as a network's (build_network, ReactionNetwork.with_rates) or as rows
-[kplus | kminus]: a RateSchedule's, one per time, or a (T, 2 n_edges) table.
+balance, the effective schedules) is such a function. Rates enter checked
+as rows [kplus | kminus]: net.rates, the read-only copy that build_network
+and with_rates hold, a RateSchedule's row per time, or a (T, 2 n_edges) table.
 """
 
 from __future__ import annotations
@@ -119,8 +119,7 @@ def one_way_kernel(net: ReactionNetwork, row=None):
     given (RateSchedule._row); t is read only then.
     """
     species, powers, starts = net.factors
-    power, reduceat = np.power, np.multiply.reduceat
-    k = np.concatenate([net.kplus, net.kminus])
+    power, reduceat, k = np.power, np.multiply.reduceat, net.rates
 
     def kernel(t, x):
         m = reduceat(power(x[species], powers), starts)
@@ -141,7 +140,7 @@ def _one_way(net: ReactionNetwork, x: np.ndarray, rates=None) -> tuple[np.ndarra
     n = starts.size // 2  # edges
     # tiled powers: numpy squares a zero-stride (broadcast) exponent of 2 as x * x, not as its pow
     mono = np.multiply.reduceat(np.power(x[:, species], np.tile(powers, (len(x), 1))), starts, axis=1)
-    mono *= np.concatenate([net.kplus, net.kminus]) if rates is None else rates
+    mono *= net.rates if rates is None else rates
     return mono[:, :n], mono[:, n:]
 
 

@@ -27,13 +27,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 @dataclass(frozen=True, eq=False)
 class ReactionNetwork:
     """Immutable network; build_network precomputes every structure field
-    once and with_rates shares them.
+    once, read-only, and with_rates shares them.
 
     Attributes:
         species: species names, length n_species.
         hypervertices: integer composition tuples, length n_hypervertices.
         edges: (head, tail) hypervertex index pairs, length n_edges.
-        kplus, kminus: forward/backward rate constants per edge (> 0).
+        rates: [kplus | kminus], the forward/backward rate constants per
+            edge (finite, > 0), a read-only copy of the caller's; the
+            properties kplus and kminus are views of its halves.
         edge_labels: display names per edge.
         composition: (n_species, n_hypervertices) int matrix.
         incidence: (n_hypervertices, n_edges) int matrix, +1 head / -1 tail.
@@ -55,8 +57,7 @@ class ReactionNetwork:
     species: tuple[str, ...]
     hypervertices: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    kplus: np.ndarray
-    kminus: np.ndarray
+    rates: np.ndarray
     edge_labels: tuple[str, ...]
     composition: np.ndarray
     incidence: np.ndarray
@@ -83,6 +84,14 @@ class ReactionNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def kplus(self) -> np.ndarray:
+        return self.rates[: self.n_edges]
+
+    @property
+    def kminus(self) -> np.ndarray:
+        return self.rates[self.n_edges :]
 
     @property
     def n_conserved(self) -> int:
@@ -125,8 +134,7 @@ class ReactionNetwork:
 
     def with_rates(self, kplus, kminus) -> "ReactionNetwork":
         """Same topology with new rate constants, one per edge, finite and strictly positive."""
-        kp, km = (_positive(np.reshape(k, -1), "rate constants", self.n_edges, finite=True) for k in (kplus, kminus))
-        return replace(self, kplus=kp, kminus=km)
+        return replace(self, rates=_rate_table(kplus, kminus, self.n_edges))
 
 
 def matvec_rows(mat: np.ndarray, v) -> np.ndarray:
@@ -146,6 +154,14 @@ def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     (n, 1) products: each rounds as the 1-d dot (einsum and sum(u * v,
     axis=-1) round differently)."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _rate_table(kplus, kminus, n_edges: int) -> np.ndarray:
+    """[kplus | kminus] as one read-only copy, each half n_edges finite rates > 0."""
+    halves = [_positive(np.reshape(k, -1), "rate constants", n_edges, finite=True) for k in (kplus, kminus)]
+    rates = np.concatenate(halves)  # a copy: the caller's arrays may be edited later
+    rates.flags.writeable = False
+    return rates
 
 
 def _orthonormal_image(mat: np.ndarray) -> np.ndarray:
@@ -234,7 +250,7 @@ def build_network(
             raise ValueError(f"edge {idx} is a self-loop")
         pairs.append((h, t))
 
-    kp, km = (_positive(np.reshape(k, -1), "rate constants", len(pairs), finite=True) for k in (kplus, kminus))
+    rates = _rate_table(kplus, kminus, len(pairs))
 
     if edge_labels is None:
         labels = tuple(f"r{i + 1}" for i in range(len(pairs)))
@@ -257,12 +273,11 @@ def build_network(
     tail = composition[:, [t for _, t in pairs]]
     image = _orthonormal_image(stoich_f)
 
-    return ReactionNetwork(
+    net = ReactionNetwork(
         species=names,
         hypervertices=tuple(verts),
         edges=tuple(pairs),
-        kplus=kp,
-        kminus=km,
+        rates=rates,
         edge_labels=labels,
         composition=composition,
         incidence=incidence,
@@ -278,6 +293,10 @@ def build_network(
         stoich_image=image,
         reduced_stoich=image.T @ stoich_f,
     )
+    for arr in (*vars(net).values(), *net.factors):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False  # with_rates siblings share them
+    return net
 
 
 def network_from_reactions(species, reactions, edge_labels=None) -> ReactionNetwork:
@@ -326,8 +345,7 @@ def networks_equal(a: ReactionNetwork, b: ReactionNetwork) -> bool:
         and a.hypervertices == b.hypervertices
         and a.edges == b.edges
         and a.edge_labels == b.edge_labels
-        and np.array_equal(a.kplus, b.kplus)
-        and np.array_equal(a.kminus, b.kminus)
+        and np.array_equal(a.rates, b.rates)
     )
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _times
+
 C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 A = np.array([
     [0, 0, 0, 0, 0],
@@ -72,7 +74,8 @@ class DenseOutput:
     """Piecewise quartic interpolant over the accepted steps.
 
     Called with a scalar it returns a state of shape (n,); with a 1-d
-    array of m times, states as rows, shape (m, n), (0, n) for no times.
+    array of m times, states as rows, shape (m, n), (0, n) for no times;
+    times of more dimensions raise ValueError.
     Times outside [t[0], t[-1]] extrapolate (Trajectory.interpolate refuses
     them); a time on a step boundary is evaluated in the earlier step.
     The times of one step form a group, as in scipy's OdeSolution; all
@@ -95,7 +98,7 @@ class DenseOutput:
         return self.t[i], self.h[i], self.y[i], self.Q[i]
 
     def __call__(self, t):
-        t = np.asarray(t)
+        t = _times(t, "times")
         last = self.h.size - 1
         if t.ndim == 0:
             i = int(np.searchsorted(self.t, t, side="left")) - 1

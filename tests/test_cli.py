@@ -419,6 +419,27 @@ def test_malformed_scenario_values_exit_one(tmp_path, capsys, command, data):
     assert capsys.readouterr().err.startswith("error: invalid scenario:")
 
 
+def test_scenario_tolerances_follow_simulate(tmp_path, capsys):
+    """simulate runs at atol = 0 and positivity_floor = 0; the scenario reader
+    used to refuse both ("atol must be positive"), and still refuses what
+    simulate refuses."""
+    for key in ("atol", "positivity_floor"):
+        code, out = _run(tmp_path, "simulate", _scenario(tmp_path, t_end=1.0, grid=[0.0, 1.0], **{key: 0}))
+        assert code == 0, capsys.readouterr().err
+        assert (out / "trajectory.csv").exists()
+        code, _ = _run(tmp_path, "simulate", _scenario(tmp_path, **{key: -1e-10}))
+        assert code == 1
+        assert "atol and positivity_floor must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_grid_too_large_to_hold_is_an_invalid_scenario(tmp_path, capsys):
+    """A grid of 1e15 times ended in an uncaught MemoryError traceback."""
+    scen = _scenario(tmp_path, grid={"start": 0, "stop": 1, "num": 1e15})
+    code, _ = _run(tmp_path, "simulate", scen)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: invalid scenario:")
+
+
 def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
     for bad in ("nan", "0", "-1", "x"):

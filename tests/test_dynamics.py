@@ -106,6 +106,17 @@ def test_interpolate_refuses_times_of_two_dimensions():
             traj.interpolate(t)
 
 
+def test_dense_output_refuses_times_of_two_dimensions():
+    """Called directly, the dense output failed on a 2-d array of times with an
+    IndexError or a matmul ValueError; outside the span it still extrapolates."""
+    net = parse_network("species A B\nreaction r1: A <-> B ; kf=1 kr=1\n")
+    traj = simulate(net, [1.0, 1e-4], 1.0)
+    for t, shape in (([[0.2, 0.5], [0.3, 0.4]], r"\(2, 2\)"), ([[0.5]], r"\(1, 1\)")):
+        with pytest.raises(ValueError, match=rf"^times must be a scalar or a 1-d array, got shape {shape}$"):
+            traj.dense(t)
+    assert traj.dense(1.5).shape == (2,) and traj.dense([-0.5, 0.5, 1.5]).shape == (3, 2)
+
+
 def test_grid_must_be_finite_times_of_at_most_one_dimension(ab):
     """A NaN grid time used to be dropped and a 2-d grid flattened, silently."""
     for grid in ([0.5, np.nan], [np.inf], [0.2, -np.inf]):

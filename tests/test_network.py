@@ -1,7 +1,11 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 from hypergraphs import chain_hypergraph
 
+import crnflow
 from crnflow import (
     CoshDissipation,
     build_network,
@@ -176,3 +180,44 @@ def test_structure_products_go_through_the_operators(seed):
     for op, n in ((net.grad, 8), (net.div, 12), (net.curl, 12), (net.conserved, 8)):
         batch = rng.normal(size=(5, n))
         _same(op(batch), [op(row) for row in batch])
+
+
+def test_caller_rate_edits_leave_the_network_as_built():
+    """build_network and with_rates copy the caller's rates: an edit after
+    either call moved the network's rates and fluxes (the flux -1 read 3)."""
+    kp, km = np.array([1.0]), np.array([2.0])
+    net = build_network(["A", "B"], [[1, 0], [0, 1]], [(0, 1)], kp, km)
+    kp2, km2 = np.array([3.0]), np.array([4.0])
+    sibling = net.with_rates(kp2, km2)
+    kp[0] = km[0] = kp2[0] = km2[0] = 5.0
+    for n, want in ((net, [1.0, 2.0]), (sibling, [3.0, 4.0])):
+        assert [n.kplus[0], n.kminus[0]] == want
+        assert mass_action_flux(n, [1.0, 1.0]).flux[0] == want[0] - want[1]
+
+
+def test_every_array_a_network_holds_is_read_only():
+    """A stored array edited in place moved every with_rates sibling too:
+    stoich_f[0, 0] = 0 broke A + B conservation, kminus[0] = -1 passed."""
+    net = network_from_reactions(["A", "B", "C"], [({"A": 1, "B": 1}, {"C": 1}, 1.0, 2.0), ({"C": 1}, {}, 1.0, 1.0)])
+    for n in (net, net.with_rates([2.0, 3.0], [4.0, 5.0])):
+        held = [getattr(n, f.name) for f in dataclasses.fields(n)]
+        arrays = [a for a in (*held, *n.factors, n.kplus, n.kminus) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 18  # 13 fields, 3 factors, kplus and kminus
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def test_rates_are_one_table_of_both_directions(brusselator):
+    net = brusselator.with_rates([1.0, 2.0, 3.0], [0.5, 0.25, 4.0])
+    names = {f.name for f in dataclasses.fields(net)}
+    assert "rates" in names and not {"kplus", "kminus"} & names
+    _same(net.rates, np.concatenate([net.kplus, net.kminus]))
+    _same(net.rates, [1.0, 2.0, 3.0, 0.5, 0.25, 4.0])
+
+
+def test_public_names_are_the_imported_api():
+    """__all__ is read off the package's imports: every public name, no submodule."""
+    assert not any(isinstance(getattr(crnflow, name), types.ModuleType) for name in crnflow.__all__)
+    assert {"simulate", "ReactionNetwork", "emit_report_json"} <= set(crnflow.__all__)
+    assert len(crnflow.__all__) == len(set(crnflow.__all__)) == 51
