@@ -8,11 +8,12 @@ dual coordinates (_dual_projection): a damped Newton minimization of
 fn.dual_value(y0 + a.T @ lam) - <b, lam>. The solvers differ only in
 (a, b, y0): equilibrium_point passes (cons_basis, cons_basis @ x0,
 grad(x_ref)), velocity_dual (-reduced_stoich, stoich_image.T @ v, none)
-and force_split (reduced_stoich, 0, f).
+and force_split (reduced_stoich, 0, f), the last two built in one place each
+(_velocity_problem, _force_problem) for the solver and its schedule.
 velocity_dual, flux_split and force_split also take (T, n) batches of
 independent rows: every entry per row, bit for bit that row's one-row call,
 and the earliest failing row's ConvergenceError. Only the effective
-schedules read their samples as a path (_path_projection).
+schedules read their samples as a path (_streamed_schedule).
 
   * equilibrium_point: Bregman projection of a reference state onto the
     stoichiometric leaf through x0 (the unique equilibrium sharing x0's
@@ -33,8 +34,8 @@ schedules read their samples as a path (_path_projection).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model, by velocity_dual's or force_split's projection, as per-block
-    functions of kinetics.map_blocks: per block of samples the
+    model, by velocity_dual's or force_split's own (a, b, y0), in one
+    per-block function of kinetics.map_blocks: per block of samples the
     projection, the rates and their certificates, the path carried from
     block to block.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
@@ -262,16 +263,14 @@ def pythagoras_gap(
     }
 
 
-def _path_projection(dissip, a, b, y0, tol, max_iter, what, start):
-    """_dual_projection along the effective schedules' path of samples, b of shape (T, r):
-    a predictor pass starts every row from lam = 0 (a failing row hands over its last
-    iterate), then a pass reporting iterations and the earliest failure starts row i from
-    the predictor's answer for row i - 1, row 0 from start; near the optimum a start near
-    row i's answer serves as well as row i - 1's. Returns (lam, y, iterations, carry),
-    carry the predictor's last row (the next block's start)."""
-    cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
-    starts = np.concatenate([start[None], cold[:-1]])
-    return (*_dual_projection(dissip, a, b, y0, starts, tol, max_iter, what), cold[-1].copy())
+def _velocity_problem(net, v):
+    """velocity_dual's (a, b, y0) at velocities v: (-reduced_stoich, stoich_image.T @ v, none)."""
+    return -net.reduced_stoich, matvec_rows(net.stoich_image.T, v), None
+
+
+def _force_problem(net, f):
+    """force_split's (a, b, y0) at forces f: (reduced_stoich, 0, f)."""
+    return net.reduced_stoich, np.zeros(f.shape[:-1] + (len(net.reduced_stoich),)), f
 
 
 def velocity_dual(
@@ -296,18 +295,17 @@ def velocity_dual(
     independent rows, each tested for realizability at its own scale.
     """
     v = np.asarray(v, dtype=float)
-    b = matvec_rows(net.stoich_image.T, v)
+    _, b, _ = _velocity_problem(net, v)
     if np.any(_sup(v - matvec_rows(net.stoich_image, b)) > 1e-9 * (1.0 + _sup(v))):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-    return _velocity_dual(net, dissip, v, tol, max_iter, b)
+    return _velocity_dual(net, dissip, v, tol, max_iter)
 
 
-def _velocity_dual(net, dissip, v, tol, max_iter, b=None) -> dict:
+def _velocity_dual(net, dissip, v, tol, max_iter) -> dict:
     """velocity_dual past its realizability test, for v = -div(j), in the image of
     stoich by construction: the test's bound does not follow the rounding of large
-    fluxes. b = stoich_image.T @ v, computed here unless given."""
-    b = matvec_rows(net.stoich_image.T, v) if b is None else b
-    mu, _, iters = _dual_projection(dissip, -net.reduced_stoich, b, None, None, tol, max_iter, "velocity_dual")
+    fluxes."""
+    mu, _, iters = _dual_projection(dissip, *_velocity_problem(net, v), None, tol, max_iter, "velocity_dual")
     u = matvec_rows(net.stoich_image, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
@@ -363,15 +361,13 @@ def force_split(
     divergence_residual; per row for a (T, n_edges) batch of independent rows.
     """
     f = np.asarray(f, dtype=float)
-    q, qs = net.stoich_image, net.reduced_stoich
-    b = np.zeros(f.shape[:-1] + (len(qs),))
-    mu, force, iters = _dual_projection(dissip, qs, b, f, None, tol, max_iter, "force_split")
+    mu, force, iters = _dual_projection(dissip, *_force_problem(net, f), None, tol, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     return {
         "force": force,
         "flux": flux,
         "shift": force - f,
-        "y": matvec_rows(q, mu),
+        "y": matvec_rows(net.stoich_image, mu),
         "mu": mu,
         "value": dissip.value(flux),
         "dual_value": dissip.dual_value(force),
@@ -489,12 +485,17 @@ def complex_balance_force_split(
     }
 
 
-def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
-    """The effective schedules through map_blocks: per block its EdgePair, model(pair, start)
-    -> (forces, carry, certify), rates with the network's kappa giving those forces and
-    certify(their EdgePair), into (T, 2 n_edges) rates, the table the schedule holds (not a
-    copy), and (T,) certificates. The carry, from block to block, continues the path: rows keep
-    their bits, errors (in block order) the earliest."""
+def _streamed_schedule(net, traj, times, tol, max_iter, what, problem, force_of, certify) -> tuple[RateSchedule, dict]:
+    """The effective schedules through map_blocks. Per block of samples, with EdgePair base:
+    the projection problem(base) -> (a, b, y0) under CoshDissipation(base.activity), as a path
+    of two _dual_projection passes: a predictor from lam = 0 (a failing row hands over its last
+    iterate), then a pass reporting iterations and the earliest failure that starts row i from
+    the predictor's answer for row i - 1, row 0 from the carry (the previous block's last
+    predictor row; near the optimum a start near row i's answer serves as well as row i - 1's).
+    Then rates with the network's kappa giving the forces force_of(lam, y), and the certificates
+    certify(base, their EdgePair) and iterations. Returns the schedule, holding the (T, 2 n_edges)
+    rate table (not a copy), and (T,) certificates: rows keep their bits in any block size,
+    errors (in block order) the earliest."""
     ts = _schedule_times(traj.times if times is None else times)
     xs = _positive(traj.states if times is None else traj.interpolate(ts, "schedule sample times"),
                    "trajectory samples", batch=True)
@@ -504,10 +505,13 @@ def _streamed_schedule(net, traj, times, model) -> tuple[RateSchedule, dict]:
     def block(x, live, base):
         nonlocal start
         _all_live(live)
-        force, start, certify = model(base, start)
-        rates = np.hstack(KineticSplit(kappa, np.exp(force - net.grad(np.log(x)))).rates())
+        dissip, (a, b, y0) = CoshDissipation(base.activity), problem(base)
+        cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
+        starts, start = np.concatenate([start[None], cold[:-1]]), cold[-1].copy()
+        lam, y, iters = _dual_projection(dissip, a, b, y0, starts, tol, max_iter, what)
+        rates = np.hstack(KineticSplit(kappa, np.exp(force_of(lam, y) - net.grad(np.log(x)))).rates())
         _positive(rates, "scheduled rates", batch=True, finite=True)
-        return {"rates": rates, **certify(EdgePair(*_one_way(net, x, rates)))}
+        return {"rates": rates, **certify(base, EdgePair(*_one_way(net, x, rates))), "iterations": iters}
 
     cert = map_blocks(net, xs, block)
     return RateSchedule._of_table(ts, cert.pop("rates")), cert
@@ -526,17 +530,14 @@ def effective_equilibrium_rates(
     (zeta_residual) and the relative velocity mismatch.
     """
 
-    def model(base, start):
-        v, dissip, q = -net.div(base.flux), CoshDissipation(base.activity), net.stoich_image
-        mu, _, iters, start = _path_projection(dissip, -net.reduced_stoich, matvec_rows(q.T, v), None, tol, max_iter,
-                                               "velocity_dual", start)
-        return -net.grad(matvec_rows(q, mu)), start, lambda new: {
-            "zeta_residual": _sup(net.curl(new.force)),
-            "velocity_residual": _sup(-net.div(new.flux) - v) / (1.0 + _sup(v)),
-            "iterations": iters,
-        }
+    def certify(base, new):
+        v = -net.div(base.flux)
+        return {"zeta_residual": _sup(net.curl(new.force)),
+                "velocity_residual": _sup(-net.div(new.flux) - v) / (1.0 + _sup(v))}
 
-    return _streamed_schedule(net, traj, times, model)
+    return _streamed_schedule(net, traj, times, tol, max_iter, "velocity_dual",
+                              lambda base: _velocity_problem(net, -net.div(base.flux)),
+                              lambda mu, _: -net.grad(matvec_rows(net.stoich_image, mu)), certify)
 
 
 def effective_steady_rates(
@@ -552,14 +553,9 @@ def effective_steady_rates(
     (steady_residual) and the affinity drift (affinity_residual).
     """
 
-    def model(base, start):
-        f, dissip, qs = base.force, CoshDissipation(base.activity), net.reduced_stoich
-        _, force, iters, start = _path_projection(dissip, qs, np.zeros((len(f), len(qs))), f, tol, max_iter,
-                                                  "force_split", start)
-        return force, start, lambda new: {
-            "steady_residual": _sup(net.div(new.flux)),
-            "affinity_residual": _sup(net.curl(new.force) - net.curl(f)),
-            "iterations": iters,
-        }
+    def certify(base, new):
+        return {"steady_residual": _sup(net.div(new.flux)),
+                "affinity_residual": _sup(net.curl(new.force) - net.curl(base.force))}
 
-    return _streamed_schedule(net, traj, times, model)
+    return _streamed_schedule(net, traj, times, tol, max_iter, "force_split",
+                              lambda base: _force_problem(net, base.force), lambda _, force: force, certify)

@@ -65,11 +65,12 @@ class EdgePair:
     jminus: np.ndarray
 
     def __post_init__(self):
-        jp, jm = (_positive(j, "one-way fluxes", batch=True) for j in (self.jplus, self.jminus))
+        jp, jm = (_positive(j, "one-way fluxes", batch=True).copy(order="K") for j in (self.jplus, self.jminus))
         if jp.shape != jm.shape:
             raise ValueError("jplus and jminus must be 1-d vectors (or 2-d batches) of equal length")
-        object.__setattr__(self, "jplus", jp)
-        object.__setattr__(self, "jminus", jm)
+        for name, j in (("jplus", jp), ("jminus", jm)):  # read-only copies: the caller's arrays may be edited later
+            j.flags.writeable = False
+            object.__setattr__(self, name, j)
 
     @property
     def flux(self) -> np.ndarray:

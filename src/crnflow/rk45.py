@@ -64,7 +64,7 @@ def _rms(x):
 
 
 def _interpolate(segment, t):
-    """Dense output of one step at a 0-d t."""
+    """Dense output of one step at a 0-d t: the event root's, as scipy evaluates it."""
     t_old, h, y_old, Q = segment
     x = (t - t_old) / h
     return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
@@ -73,9 +73,9 @@ def _interpolate(segment, t):
 class DenseOutput:
     """Piecewise quartic interpolant over the accepted steps.
 
-    Called with a scalar it returns a state of shape (n,); with a 1-d
-    array of m times, states as rows, shape (m, n), (0, n) for no times;
-    times of more dimensions raise ValueError.
+    Called with a 1-d array of m times it returns states as rows, shape
+    (m, n), (0, n) for no times; a scalar is the one-time array's row, a
+    state of shape (n,); times of more dimensions raise ValueError.
     Times outside [t[0], t[-1]] extrapolate (Trajectory.interpolate refuses
     them); a time on a step boundary is evaluated in the earlier step.
     The times of one step form a group, as in scipy's OdeSolution; all
@@ -99,13 +99,11 @@ class DenseOutput:
 
     def __call__(self, t):
         t = _times(t, "times")
-        last = self.h.size - 1
         if t.ndim == 0:
-            i = int(np.searchsorted(self.t, t, side="left")) - 1
-            return _interpolate(self.segment(min(max(i, 0), last)), t)
+            return self(t[None])[0]
         order = np.argsort(t)
         t_sorted = t[order]
-        seg = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, last)
+        seg = np.clip(np.searchsorted(self.t, t_sorted, side="left") - 1, 0, self.h.size - 1)
         starts = np.flatnonzero(np.diff(seg, prepend=-1))  # each group's first sorted time
         sizes = np.diff(starts, append=seg.size)
         ys = np.empty((t.size, self.y.shape[1]))  # row i: the state at t[i]

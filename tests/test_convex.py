@@ -262,3 +262,10 @@ def test_wrong_length_vectors_are_rejected(call, length):
     # all: both must be refused with the expected length named
     with pytest.raises(ValueError, match="must have length 3"):
         call(np.full(length, 2.0))
+
+
+def test_potentials_refuse_an_unknown_or_mismatched_dimension():
+    with pytest.raises(ValueError, match="^provide a reference state or a dimension$"):
+        KLPotential()
+    with pytest.raises(ValueError, match="^metric shape does not match reference state$"):
+        QuadraticPotential(np.eye(2), [0, 0, 0])

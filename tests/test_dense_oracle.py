@@ -6,6 +6,7 @@ evaluation at no times against scipy's, transposed to rows."""
 import itertools
 
 import numpy as np
+import pytest
 import rk45_oracle as oracle
 from hypergraphs import networks
 from hypothesis import assume, given, settings
@@ -15,6 +16,8 @@ from scipy.integrate import solve_ivp
 from crnflow import parse_network, simulate
 from crnflow.dynamics import _rhs
 from crnflow.rk45 import integrate
+
+pytestmark = pytest.mark.bitwise
 
 
 def _same(got, want):

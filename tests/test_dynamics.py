@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -117,6 +118,19 @@ def test_dense_output_refuses_times_of_two_dimensions():
     assert traj.dense(1.5).shape == (2,) and traj.dense([-0.5, 0.5, 1.5]).shape == (3, 2)
 
 
+def test_interpolate_needs_dense_output(ab):
+    traj = dataclasses.replace(simulate(ab, [1.0, 1.0], 1.0), dense=None)
+    with pytest.raises(ValueError, match="^trajectory has no dense output$"):
+        traj.interpolate(0.5)
+
+
+def test_rate_schedule_refuses_tables_of_other_shapes():
+    with pytest.raises(ValueError, match=r"^rate tables must be \(n_times, n_edges\), matching shapes$"):
+        RateSchedule([0.0, 1.0], np.ones((2, 1)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"^rate tables must be \(n_times, n_edges\), matching shapes$"):
+        RateSchedule([0.0, 1.0, 2.0], np.ones((2, 1)), np.ones((2, 1)))
+
+
 def test_grid_must_be_finite_times_of_at_most_one_dimension(ab):
     """A NaN grid time used to be dropped and a 2-d grid flattened, silently."""
     for grid in ([0.5, np.nan], [np.inf], [0.2, -np.inf]):
@@ -202,6 +216,7 @@ def _budgeted(integrate, calls):
     return run
 
 
+@pytest.mark.bitwise
 @settings(max_examples=60, deadline=None)
 @given(net=networks(), data=st.data(), t1=st.floats(0.05, 1.0))
 def test_states_match_the_dense_then_pinned_oracle(net, data, t1):
@@ -449,6 +464,13 @@ def test_energy_balance_needs_an_integer_sample_count(ab):
             energy_dissipation_balance(ab, traj, n_samples=n)
     gaps = [energy_dissipation_balance(ab, traj, n_samples=n)["gap"] for n in (9, 9.0, np.int64(9))]
     assert gaps[0] == gaps[1] == gaps[2]
+
+
+def test_energy_balance_rounds_an_even_sample_count_up(ab):
+    """Simpson's rule needs an odd count: 8 samples are taken as 9."""
+    traj = simulate(ab, [1.6, 0.4], 1.0)
+    gaps = [energy_dissipation_balance(ab, traj, n_samples=n)["gap"] for n in (8, 9)]
+    assert np.float64(gaps[0]).tobytes() == np.float64(gaps[1]).tobytes()
 
 
 def test_energy_balance_equilibrium_brusselator(brusselator_eq):

@@ -102,3 +102,8 @@ def test_non_integer_entries_are_rejected_not_truncated():
                 call(bad)
     assert kernel_basis([[2.0, -1.0]]).tolist() == [[1, 2]]
     assert integer_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+
+def test_kernel_basis_needs_a_matrix():
+    with pytest.raises(ValueError, match=r"^expected a 2-d matrix, got shape \(2,\)$"):
+        kernel_basis([1, 2])

@@ -23,6 +23,7 @@ from crnflow import (
     trajectory_csv_chunks,
 )
 from crnflow import fileio
+from crnflow.cli import main
 from crnflow.fileio import _csv, _format_float
 
 BRUSSELATOR_TEXT = """\
@@ -134,6 +135,26 @@ def test_parse_error_column_points_at_offender():
     line = "reaction r1: A <-> B + Qq ; kf=1 kr=1"
     assert exc.value.line == 2
     assert line[exc.value.col - 1 :].startswith("Qq")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("species A\nreaction : A <-> 0 ; kf=1 kr=1\n", "line 2, col 9: expected 'reaction <label>:'"),
+        ("species A\nreaction r1: A <-> 0 ; kx=1\n", "line 2, col 24: expected kf=<float> or kr=<float>, got 'kx=1'"),
+    ],
+)
+def test_parse_errors_name_the_expected_form(text, message):
+    with pytest.raises(NetworkParseError) as exc:
+        parse_network(text)
+    assert str(exc.value) == message
+
+
+def test_scenario_that_is_not_an_object_exits_one(tmp_path, capsys):
+    path = tmp_path / "scen.json"
+    path.write_text("[1]")
+    assert main(["info", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: invalid scenario: scenario must be a JSON object\n"
 
 
 def test_comments_and_blank_lines_ignored():

@@ -97,6 +97,11 @@ def test_map_blocks_fill_columns_at_full_length(brusselator):
     assert map_blocks(brusselator, xs[:0], fn)["flux"].shape == (0, 3)  # no samples, empty columns
 
 
+def test_map_blocks_needs_a_table_of_states(ab):
+    with pytest.raises(ValueError, match=r"^states must have shape \(T, 2\)$"):
+        map_blocks(ab, np.ones(2), lambda x, live, pair: {})
+
+
 def test_map_blocks_drop_each_pair_before_the_next(brusselator):
     """No block's EdgePair is alive while the next block's kinetics run."""
     pairs = []
@@ -117,6 +122,18 @@ def test_edge_pair_validation():
         EdgePair(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="equal length"):
         EdgePair(np.array([1.0]), np.array([1.0, 1.0]))
+
+
+def test_edge_pair_owns_read_only_copies():
+    jp, jm = np.array([1.0]), np.array([2.0])
+    pair = EdgePair(jp, jm)
+    jp[0] = 5.0  # the caller edits its array after construction
+    assert pair.flux.tolist() == [-1.0]
+    for j in (pair.jplus, pair.jminus):
+        with pytest.raises(ValueError, match="read-only"):
+            j[0] = 3.0
+    columns = np.asfortranarray(np.ones((3, 2)))  # the layout is kept as given
+    assert EdgePair(columns, columns).jplus.flags.f_contiguous
 
 
 def test_kinetic_split_roundtrip():

@@ -125,6 +125,7 @@ def schedule_and_times(draw, n_edges):
     return sched, [float(t) for t in [*knots, *between, *edges, 0.0, -0.0, np.nan]]
 
 
+@pytest.mark.bitwise
 @settings(max_examples=60, deadline=None)
 @given(networks(), st.data())
 def test_rhs_closure_matches_the_flux_functions(net, data):
@@ -151,6 +152,7 @@ def test_rhs_closure_matches_the_flux_functions(net, data):
                 _same(w[n:], jm[0])
 
 
+@pytest.mark.bitwise
 def test_rhs_keeps_the_sign_of_a_zero_on_one_species_one_edge():
     """ndarray.dot takes a 1 x 1 matrix for a scalar: -1 * 0.0 is -0.0 there, where @ gives +0.0."""
     net = build_network(["A"], [(1,), (2,)], [(0, 1)], [1.5], [1.5])
@@ -270,6 +272,7 @@ def _blocks_of(rows):
     return mock.patch.object(kinetics, "_BATCH_ROWS", rows)
 
 
+@pytest.mark.bitwise
 def test_sample_passes_keep_their_bits_in_any_block_size(brusselator, brusselator_eq):
     """The ledger columns (with and without a reference and a schedule), the
     Lyapunov monitor and the energy balance in blocks of 2 and 3 rows equal
@@ -357,6 +360,7 @@ def _assert_rows_match(net, xs, max_iter):
             _same(got[key], np.array([out[key] for out in want]))
 
 
+@pytest.mark.bitwise
 @settings(max_examples=40, deadline=None)
 @given(networks(), st.data())
 def test_solver_batches_are_independent_rows(net, data):
@@ -368,6 +372,7 @@ def test_solver_batches_are_independent_rows(net, data):
     _assert_rows_match(net, xs, data.draw(st.sampled_from([1, 3, 100])))
 
 
+@pytest.mark.bitwise
 @settings(max_examples=25, deadline=None)
 @given(networks(), st.data())
 def test_effective_rates_match_oracle(net, data):
@@ -377,6 +382,7 @@ def test_effective_rates_match_oracle(net, data):
         _assert_effective_match(net, _trajectory(net, np.array(xs, order=order)), max_iter=max_iter)
 
 
+@pytest.mark.bitwise
 def test_long_runs_match_oracle(brusselator, brusselator_eq):
     """Thousands of rows, where numpy runs some loops differently; streamed
     in blocks of two rows the 801 samples end in a one-row block, and so do
@@ -502,6 +508,7 @@ def _chain_and_two_pass(net, traj, times=None):
     return [(old(net, traj, times), new(net, traj, times)) for new, old in pairs]
 
 
+@pytest.mark.bitwise
 def test_two_pass_schedules_track_the_serial_chain(brusselator):
     """The predictor-then-warm passes against the serial chain, where each
     sample started from the previous sample's final answer: on the
@@ -609,6 +616,7 @@ def test_lyapunov_monitor_streams_in_flat_memory():
     assert 0.75 < transient[1] / transient[0] < 1.05, transient
 
 
+@pytest.mark.bitwise
 def test_earliest_failing_sample_is_reported(brusselator):
     """Samples 3 and 5 sit far from the others (velocities near 5e7), and
     with max_iter = 5 neither projection converges there from the
@@ -734,6 +742,7 @@ def _projection_rows(net, rng, kind, rows):
     return [fn] * rows, net.cons_f, x0 @ net.cons_f.T, np.array([fn.grad(x) for x in x_ref]), "equilibrium_point"
 
 
+@pytest.mark.bitwise
 @settings(max_examples=80, deadline=None)
 @given(networks(), st.data())
 def test_projection_rows_match_single_rows(net, data):

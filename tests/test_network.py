@@ -14,6 +14,7 @@ from crnflow import (
     mass_action_flux,
     network_from_reactions,
     networks_equal,
+    simulate,
     velocity_dual,
     wegscheider_check,
 )
@@ -104,6 +105,24 @@ def test_validation_errors():
         build_network(["A", "B"], [(1, 0, 0)], [], [], [])
     with pytest.raises(ValueError, match="edge_labels"):
         build_network(["A", "B"], [(1, 0), (0, 1)], [(0, 1)], [1.0], [1.0], ["a", "b"])
+
+
+def test_validation_errors_on_missing_or_repeated_parts():
+    with pytest.raises(ValueError, match="^at least one species is required$"):
+        build_network([], [], [], [], [])
+    with pytest.raises(ValueError, match="^species names must be non-empty$"):
+        build_network([""], [(1,)], [], [], [])
+    with pytest.raises(ValueError, match="^at least one hypervertex is required$"):
+        build_network(["A"], [], [], [], [])
+    with pytest.raises(ValueError, match="^duplicate edge labels$"):
+        build_network(["A", "B"], [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)], [1.0, 1.0], [1.0, 1.0], ["r", "r"])
+
+
+def test_network_without_edges_holds_its_state():
+    """No edges: the image of stoich is empty, every species is conserved."""
+    net = build_network(["A"], [(1,)], [], [], [])
+    assert (net.n_edges, net.n_cycles, net.n_conserved) == (0, 0, 1)
+    assert np.all(simulate(net, [2.0], 1.0).states == 2.0)
 
 
 def test_default_edge_labels(ab):

@@ -21,6 +21,8 @@ from crnflow.dynamics import _rhs
 from crnflow.kinetics import net_flux_raw
 from crnflow.rk45 import EPS, brentq, integrate, simpson
 
+pytestmark = pytest.mark.bitwise
+
 TOLERANCES = st.tuples(st.floats(1e-10, 1e-4), st.floats(1e-12, 1e-6))
 
 
@@ -169,6 +171,12 @@ def test_brentq_matches_scipy(c, a, w):
     ref = _outcome(lambda: scipy_brentq(f, a, a + w, xtol=tol, rtol=tol))
     # no sign change, or no convergence in 100 iterations: the same error
     assert ours is ref if isinstance(ref, type) else _same(ours, ref)
+
+
+def test_brentq_returns_a_root_at_the_upper_end():
+    tol = 4 * EPS
+    assert _same(brentq(lambda s: s - 1.0, 0.0, 1.0), 1.0)
+    assert _same(brentq(lambda s: s - 1.0, 0.0, 1.0), scipy_brentq(lambda s: s - 1.0, 0.0, 1.0, xtol=tol, rtol=tol))
 
 
 def _outcome(call):
