@@ -24,6 +24,13 @@ def _positive(x, name: str, n: int | None = None, batch: bool = False, finite: b
     return v
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of the checked array a, in its memory order: what a record holds."""
+    owned = a.copy(order="K")
+    owned.flags.writeable = False
+    return owned
+
+
 def _integers(values, what: str) -> list[int]:
     """values as Python ints, each entry an integer: 1.0 passes, 1.5, NaN and "1" do not.
     Ints past the int64 range pass, for the caller's own range check."""

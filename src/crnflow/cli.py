@@ -8,7 +8,8 @@ Commands: info, simulate, equilibrium, decompose, effective-eq,
 effective-cycle, ledger, classify. Exit codes: 0 success, 1 usage or
 validation error or an --out that cannot be written to, 2 solver
 failure, 3 integration halted at the positivity floor (partial
-artifacts are still written).
+artifacts are still written). An invocation is refused through one
+door, _UsageError, before any work: one `error:` line and exit 1.
 
 --tol overrides the scenario's `tol`, the tolerance `classify` labels
 the state with (default 1e-8); other commands reject it. Likewise a
@@ -48,7 +49,8 @@ from .network import ReactionNetwork
 
 
 class _UsageError(Exception):
-    pass
+    """Why the invocation cannot run: its arguments, a scenario that does not load, an
+    option the command does not take, a sweep spec that does not parse or cannot be held."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,54 +326,44 @@ def _apply_sweep_value(net: ReactionNetwork, label: str, which: str, value: floa
     return net.with_rates(kp, km)
 
 
-def _misuse(args, scenario: ScenarioConfig) -> str | None:
-    """Why the command cannot run as asked, found before any work; None when it can."""
+def _runs(args, scenario: ScenarioConfig) -> list[tuple[ScenarioConfig, str]]:
+    """The (scenario, artifact suffix) pairs the command runs, found before any work;
+    _UsageError says why the command cannot run as asked."""
     scheduled, command = scenario.schedule is not None, args.command
-    for misused, message in (
-        (args.tol is not None and command != "classify", f"--tol applies to classify only, not to {command}"),
-        (scheduled and command != "simulate", f"the scenario's schedule applies to simulate only, not to {command}"),
-        (scheduled and args.sweep is not None, "--sweep varies the network's rates, which the schedule replaces"),
-    ):
-        if misused:
-            return message
-    return None
+    if args.tol is not None and command != "classify":
+        raise _UsageError(f"--tol applies to classify only, not to {command}")
+    if scheduled and command != "simulate":
+        raise _UsageError(f"the scenario's schedule applies to simulate only, not to {command}")
+    if scheduled and args.sweep is not None:
+        raise _UsageError("--sweep varies the network's rates, which the schedule replaces")
+    if args.tol is not None:
+        scenario = replace(scenario, tol=args.tol)
+    if args.sweep is None:
+        return [(scenario, "")]
+    try:
+        label, which, values = _parse_sweep(args.sweep, scenario.network)
+    except (ValueError, MemoryError) as e:  # MemoryError: a range too large to hold
+        raise _UsageError(str(e)) from None
+    return [
+        (replace(scenario, network=_apply_sweep_value(scenario.network, label, which, float(v))),
+         f"__{label}.{which}={_format_float(float(v))}")
+        for v in values
+    ]
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        try:
+            scenario = ScenarioConfig.load(args.scenario)
+        except (OSError, ValueError, MemoryError) as e:  # MemoryError: a grid too large to hold
+            raise _UsageError(f"invalid scenario: {e}") from None
+        runs = _runs(args, scenario)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    try:
-        scenario = ScenarioConfig.load(args.scenario)
-    except (OSError, ValueError, MemoryError) as e:  # MemoryError: a grid too large to hold
-        print(f"error: invalid scenario: {e}", file=sys.stderr)
-        return 1
-    misuse = _misuse(args, scenario)
-    if misuse is not None:
-        print(f"error: {misuse}", file=sys.stderr)
-        return 1
-    if args.tol is not None:
-        scenario = replace(scenario, tol=args.tol)
-
     outdir = pathlib.Path(args.out)
     handler = _DISPATCH[args.command]
-
-    if args.sweep is None:
-        runs = [(scenario, "")]
-    else:
-        try:
-            label, which, values = _parse_sweep(args.sweep, scenario.network)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        runs = [
-            (replace(scenario, network=_apply_sweep_value(scenario.network, label, which, float(v))),
-             f"__{label}.{which}={_format_float(float(v))}")
-            for v in values
-        ]
 
     summary = []
     first_bad = 0

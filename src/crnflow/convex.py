@@ -14,14 +14,14 @@ separable except the quadratic potential, which returns a full matrix. The dual 
 (dual_value, dual_grad, dual_hessian_diag) also takes (T, n) batches, one
 vector per row, and then returns one value or vector per row, each equal
 bit for bit to the call on that row alone; so do the relative entropy and
-the dissipations' value.
+the dissipations' value. Instances hold read-only copies of their arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .checks import _positive, _vec
+from .checks import _owned, _positive, _vec
 
 
 def _total(sums):
@@ -86,7 +86,7 @@ class KLPotential:
             if n is None:
                 raise ValueError("provide a reference state or a dimension")
             ref = np.ones(n)
-        self.ref = _positive(ref, "ref", n)
+        self.ref = _owned(_positive(ref, "ref", n))
         self.n = self.ref.size
 
     def value(self, x) -> float:
@@ -121,7 +121,7 @@ class QuadraticPotential:
     """Quadratic potential 0.5 (x - ref)' M (x - ref) with SPD metric M."""
 
     def __init__(self, metric, ref):
-        self.ref = _vec(ref, "ref")
+        self.ref = _owned(_vec(ref, "ref"))
         m = np.asarray(metric, dtype=float)
         if m.ndim == 1:
             m = np.diag(m)
@@ -131,7 +131,7 @@ class QuadraticPotential:
             raise ValueError("metric must be symmetric")
         if np.any(np.linalg.eigvalsh(m) <= 0):
             raise ValueError("metric must be positive definite")
-        self.metric = m
+        self.metric = _owned(m)
         self._inv = np.linalg.inv(m)
         self.n = self.ref.size
 
@@ -179,7 +179,7 @@ class CoshDissipation:
     """
 
     def __init__(self, weights):
-        self.weights = _positive(weights, "weights", batch=True)
+        self.weights = _owned(_positive(weights, "weights", batch=True))
         self.n = self.weights.shape[-1]
 
     def value(self, j):
@@ -212,7 +212,7 @@ class QuadraticDissipation:
     """Quadratic dissipation 0.5 <j, j/m> with diagonal metric m > 0."""
 
     def __init__(self, metric_diag):
-        self.metric_diag = _positive(metric_diag, "metric_diag")
+        self.metric_diag = _owned(_positive(metric_diag, "metric_diag"))
         self.n = self.metric_diag.size
 
     def value(self, j):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _integers, _positive, _schedule_edges, _schedule_times, _time_span, _times, _tolerances
+from .checks import _integers, _owned, _positive, _schedule_edges, _schedule_times, _time_span, _times, _tolerances
 from .convex import CoshDissipation, KLPotential
 from .kinetics import ConvergenceError, _all_live, entropy_production, map_blocks, one_way_kernel
 from .kinetics import pseudo_entropy_production, wegscheider_check
@@ -74,14 +74,14 @@ class RateSchedule:
         return schedule
 
     def _hold(self, times, table: np.ndarray) -> None:
-        t = _schedule_times(times).copy()  # the caller's array may be edited later
+        t = _owned(_schedule_times(times))
         if len(table) != t.size:
             raise ValueError("rate tables must be (n_times, n_edges), matching shapes")
         _positive(table, "scheduled rates", batch=True, finite=True)
         with np.errstate(over="ignore"):  # a slope past the float range is inf, as in np.interp
             slopes = np.diff(table, axis=0)
             slopes /= np.diff(t)[:, None]
-        for arr in (t, table, slopes):
+        for arr in (table, slopes):
             arr.flags.writeable = False  # __call__ hands out views of their rows
         n = table.shape[1] // 2
         object.__setattr__(self, "times", t)
@@ -105,21 +105,15 @@ class RateSchedule:
         return self._slopes[j] * (t - knots[j]) + self._table[j]
 
     def _rows(self, t) -> np.ndarray:
-        """The rates [kplus | kminus] at time t, or as (n_times, 2 n_edges) rows at a 1-d array of times.
-
-        Matches np.interp on every edge bit for bit: the end values outside
-        the knots, the knot value on a knot, else slope_j * (t - t_j) + k_j.
-        A NaN time gives the last knot's rates, where np.interp gives NaN.
-        """
+        """The rates [kplus | kminus] at time t, or (n_times, 2 n_edges) rows at 1-d times: np.interp
+        per edge, which _row matches bit for bit; a NaN time gives the last knot's rates on both paths."""
         ts = _times(t, "times")
         if ts.ndim == 0:
             return self._row(ts)
-        table, slopes, knots = self._table, self._slopes, self.times
-        j = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
-        dt = (ts - knots[j])[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # only in the entries np.where drops
-            rows = np.where(dt > 0, slopes[j] * dt + table[j], table[j])
-        rows[~(ts < knots[-1])] = table[-1]  # NaN as well, as on the scalar path
+        rows = np.empty((ts.size, self._table.shape[1]))
+        for col, rates in enumerate(self._table.T):
+            rows[:, col] = np.interp(ts, self.times, rates)
+        rows[np.isnan(ts)] = self._table[-1]
         return rows
 
     def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +363,6 @@ def lyapunov_monitor(
     net: ReactionNetwork,
     traj: Trajectory,
     x_ref,
-    tol: float = 1e-10,
 ) -> dict:
     """Track d/dt of the relative entropy to a fixed reference state.
 
@@ -379,7 +372,7 @@ def lyapunov_monitor(
     out (a component or a one-way flux at or below zero); x_ref must be
     finite and positive. For a complex-balanced reference this is
     non-positive along every trajectory. max_derivative is the largest finite
-    derivative, NaN if none; nonincreasing is max_derivative <= tol (NaN: False).
+    derivative, NaN if none; nonincreasing is max_derivative <= 1e-10 (NaN: False).
     """
     x_ref = _positive(x_ref, "reference state", net.n_species, finite=True)
 
@@ -393,5 +386,5 @@ def lyapunov_monitor(
         "times": traj.times,
         "derivative": deriv,
         "max_derivative": max_deriv,
-        "nonincreasing": bool(max_deriv <= tol),  # False for NaN
+        "nonincreasing": bool(max_deriv <= 1e-10),  # False for NaN
     }

@@ -29,7 +29,7 @@ import numpy as np
 
 from .checks import _floats, _positive, _schedule_edges, _time_span, _tolerances, _vec
 from .dynamics import LEDGER_KEYS, RateSchedule, Trajectory
-from .network import ReactionNetwork, network_from_reactions
+from .network import _INT64_MAX, ReactionNetwork, network_from_reactions
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 _TERM_RE = re.compile(r"(\d+)?\s*([A-Za-z_]\w*)\Z")
@@ -47,7 +47,8 @@ class NetworkParseError(ValueError):
 
 
 def _parse_complex(text: str, line_no: int, offset: int, species: dict[str, int]):
-    """Parse one complex into a composition list; positions are 1-based."""
+    """Parse one complex into a composition list; positions are 1-based. A species'
+    summed coefficient past the int64 range is refused at the term that passes it."""
     stripped = text.strip()
     if not stripped:
         raise NetworkParseError("empty complex", line_no, offset + 1)
@@ -64,13 +65,16 @@ def _parse_complex(text: str, line_no: int, offset: int, species: dict[str, int]
         m = _TERM_RE.match(term)
         if m is None:
             raise NetworkParseError(f"malformed term {term!r}", line_no, col)
-        count = int(m.group(1)) if m.group(1) else 1
+        digits = (m.group(1) or "1").lstrip("0")  # 20 digits are past int64; int() reads 4,300 at most
+        count = int(digits or 0) if len(digits) <= 19 else _INT64_MAX + 1
         if count == 0:
             raise NetworkParseError("zero coefficient in complex", line_no, col)
         name = m.group(2)
         if name not in species:
             raise NetworkParseError(f"unknown species {name!r}", line_no, col)
         comp[species[name]] += count
+        if comp[species[name]] > _INT64_MAX:
+            raise NetworkParseError(f"coefficient of {name!r} beyond the int64 range", line_no, col)
         pos += len(chunk) + 1
     return comp
 

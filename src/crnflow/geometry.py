@@ -227,7 +227,6 @@ def pythagoras_gap(
     x_mid,
     x_far,
     potential=None,
-    membership_tol: float = 1e-8,
 ) -> dict:
     """Three-point divergence identity across the orthogonal split.
 
@@ -237,16 +236,17 @@ def pythagoras_gap(
 
         D[x | x_far] = D[x | x_mid] + D[x_mid | x_far]
 
-    and the returned gap is the numerical defect of that identity.
+    and the returned gap is the numerical defect of that identity. Either
+    requirement missed by 1e-8 (times 1 + |x| for the first) raises ValueError.
     """
     pot = KLPotential(n=net.n_species) if potential is None else potential
     x, x_mid, x_far = (np.asarray(v, dtype=float) for v in (x, x_mid, x_far))
     leaf_res = _sup(net.conserved(x - x_mid))
     dual_res = _sup(net.grad(pot.grad(x_far) - pot.grad(x_mid)))
     scale = 1.0 + _sup(x)
-    if leaf_res > membership_tol * scale:
+    if leaf_res > 1e-8 * scale:
         raise ValueError(f"x and x_mid are on different leaves (residual {leaf_res:.3e})")
-    if dual_res > membership_tol:
+    if dual_res > 1e-8:
         raise ValueError(
             f"x_far and x_mid differ outside the conserved span (residual {dual_res:.3e})"
         )
@@ -411,12 +411,13 @@ def cycle_dual(
     }
 
 
-def pseudo_hilbert_split(dissip, f, f_ref, level_tol: float = 1e-9) -> dict:
+def pseudo_hilbert_split(dissip, f, f_ref) -> dict:
     """Symmetric/antisymmetric force split about an iso-dissipation point.
 
     Requires dual_value(f_ref) = dual_value(f) (same dissipation level
-    set). With f_sym = (f + f_ref)/2 and f_anti = (f - f_ref)/2, the
-    EPR pairing of j = dual_grad(f) splits into two non-negative parts:
+    set, to 1e-9 (1 + |dual_value(f)|)). With f_sym = (f + f_ref)/2 and
+    f_anti = (f - f_ref)/2, the EPR pairing of j = dual_grad(f) splits
+    into two non-negative parts:
 
         <j, f_anti> = bregman(j, f_ref) / 2
         <j, f_sym>  = bregman(j, -f_ref) / 2
@@ -427,7 +428,7 @@ def pseudo_hilbert_split(dissip, f, f_ref, level_tol: float = 1e-9) -> dict:
     f, f_ref = np.asarray(f, dtype=float), np.asarray(f_ref, dtype=float)
     level_f = dissip.dual_value(f)
     level_ref = dissip.dual_value(f_ref)
-    if abs(level_ref - level_f) > level_tol * (1.0 + abs(level_f)):
+    if abs(level_ref - level_f) > 1e-9 * (1.0 + abs(level_f)):
         raise ValueError(
             f"reference force is not on the same dissipation level set "
             f"({level_ref:.12g} vs {level_f:.12g})"
@@ -452,21 +453,20 @@ def complex_balance_force_split(
     net: ReactionNetwork,
     x,
     x_ref,
-    tol: float = 1e-8,
 ) -> dict:
     """Force splitting induced by a complex-balanced reference state.
 
     f_sym = stoich.T log(x / x_ref) vanishes at x = x_ref; f_anti =
     log K + stoich.T log(x_ref) is state-independent. Their sum is the
-    mass-action force at x. When incidence @ flux(x_ref) = 0 the two
-    parts satisfy the iso-dissipation condition
+    mass-action force at x. When incidence @ flux(x_ref) = 0 (to 1e-8, else
+    ValueError) the two parts satisfy the iso-dissipation condition
     dual_value(f_sym + f_anti) = dual_value(f_sym - f_anti) at every
     positive x, making (f_sym, f_anti) a valid pseudo-Hilbert split.
     """
     x, x_ref = np.asarray(x, dtype=float), np.asarray(x_ref, dtype=float)
     ref_pair = mass_action_flux(net, x_ref)
     cb_residual = _sup(net.incidence @ ref_pair.flux)
-    if cb_residual > tol:
+    if cb_residual > 1e-8:
         raise ValueError(
             f"reference state is not complex balanced (residual {cb_residual:.3e})"
         )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _positive, _vec
+from .checks import _owned, _positive, _vec
 from .convex import _sup, _total
 from .network import ReactionNetwork
 
@@ -65,12 +65,11 @@ class EdgePair:
     jminus: np.ndarray
 
     def __post_init__(self):
-        jp, jm = (_positive(j, "one-way fluxes", batch=True).copy(order="K") for j in (self.jplus, self.jminus))
+        jp, jm = (_positive(j, "one-way fluxes", batch=True) for j in (self.jplus, self.jminus))
         if jp.shape != jm.shape:
             raise ValueError("jplus and jminus must be 1-d vectors (or 2-d batches) of equal length")
-        for name, j in (("jplus", jp), ("jminus", jm)):  # read-only copies: the caller's arrays may be edited later
-            j.flags.writeable = False
-            object.__setattr__(self, name, j)
+        object.__setattr__(self, "jplus", _owned(jp))
+        object.__setattr__(self, "jminus", _owned(jm))
 
     @property
     def flux(self) -> np.ndarray:
@@ -92,10 +91,15 @@ class KineticSplit:
 
     kplus = kappa sqrt(keq), kminus = kappa / sqrt(keq). The map between
     (kplus, kminus) and (kappa, keq) is a bijection on positive vectors.
+    kappa and keq are read-only float copies of the caller's arrays.
     """
 
     kappa: np.ndarray
     keq: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "kappa", _owned(np.asarray(self.kappa, dtype=float)))
+        object.__setattr__(self, "keq", _owned(np.asarray(self.keq, dtype=float)))
 
     @classmethod
     def from_rates(cls, kplus, kminus) -> "KineticSplit":
@@ -220,15 +224,17 @@ def pseudo_entropy_production(pair: EdgePair):
     return _total(2.0 * np.sum(d * d / (pair.jplus + pair.jminus), axis=-1))
 
 
-def wegscheider_check(net: ReactionNetwork, tol: float = 1e-10) -> dict:
+def wegscheider_check(net: ReactionNetwork) -> dict:
     """Test whether the rate constants admit a detailed-balanced state.
 
     The condition is that every stoichiometric cycle carries zero
     affinity: cycle_basis.T log K = 0. The returned potential is the
     minimum-norm species vector y with log K = -stoich.T y up to the
     returned residual force, which is orthogonal to the image of
-    stoich.T (zero iff the condition holds).
+    stoich.T (zero iff the condition holds). is_equilibrium holds when no
+    cycle affinity reaches tol = 1e-10.
     """
+    tol = 1e-10
     logk = np.log(net.kplus / net.kminus)
     affinity = net.curl(logk)
     y, *_ = np.linalg.lstsq(net.stoich_f.T, -logk, rcond=None)

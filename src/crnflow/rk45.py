@@ -93,10 +93,6 @@ class DenseOutput:
     def __init__(self, t, y, h, Q):
         self.t, self.y, self.h, self.Q = t, y, h, Q
 
-    def segment(self, i):
-        """Step i as (t_old, h, y_old, Q)."""
-        return self.t[i], self.h[i], self.y[i], self.Q[i]
-
     def __call__(self, t):
         t = _times(t, "times")
         if t.ndim == 0:

@@ -14,6 +14,11 @@ def interpolate(segment, t):
     return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
 
 
+def step(dense, i):
+    """Step i of a crnflow.rk45.DenseOutput as (t_old, h, y_old, Q)."""
+    return dense.t[i], dense.h[i], dense.y[i], dense.Q[i]
+
+
 def dense_output(dense, t):
     """dense(t) for a crnflow.rk45.DenseOutput, a group at a time: at a 1-d t,
     scipy's (n, m) columns, transposed to (m, n) rows."""
@@ -21,12 +26,12 @@ def dense_output(dense, t):
     last = dense.h.size - 1
     if t.ndim == 0:
         i = int(np.searchsorted(dense.t, t, side="left")) - 1
-        return interpolate(dense.segment(min(max(i, 0), last)), t)
+        return interpolate(step(dense, min(max(i, 0), last)), t)
     order = np.argsort(t)
     reverse = np.empty_like(order)
     reverse[order] = np.arange(order.shape[0])
     t_sorted = t[order]
     seg = np.clip(np.searchsorted(dense.t, t_sorted, side="left") - 1, 0, last)
     bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), seg.size]
-    ys = [interpolate(dense.segment(seg[a]), t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
+    ys = [interpolate(step(dense, seg[a]), t_sorted[a:b]) for a, b in zip(bounds, bounds[1:])]
     return np.hstack(ys)[:, reverse].T

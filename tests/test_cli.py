@@ -440,6 +440,17 @@ def test_grid_too_large_to_hold_is_an_invalid_scenario(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid scenario:")
 
 
+def test_sweep_range_too_large_to_hold_exits_one(tmp_path, capsys):
+    """A range of 1e15 values let numpy's MemoryError escape main as a traceback;
+    numpy refuses the allocation at once, so nothing is allocated."""
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
+    code, out = _run(tmp_path, "classify", scen, "--sweep", "r1.kf=1:2:1000000000000000")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys):
     scen = _scenario(tmp_path, network_text=BRUSS_TEXT, state=[1.3, 2.4])
     for bad in ("nan", "0", "-1", "x"):

@@ -269,3 +269,50 @@ def test_potentials_refuse_an_unknown_or_mismatched_dimension():
         KLPotential()
     with pytest.raises(ValueError, match="^metric shape does not match reference state$"):
         QuadraticPotential(np.eye(2), [0, 0, 0])
+
+
+def _assert_owned(held, edit, value):
+    """value() does not follow an edit of the caller's arrays, and the array the
+    instance holds refuses writes."""
+    before = value()
+    edit()
+    assert value() == before
+    with pytest.raises(ValueError, match="read-only"):
+        held[...] = 0.0
+
+
+def test_kl_potential_owns_its_reference():
+    """dual_value([0, 0]) moved 3 -> 7 when the caller edited the reference."""
+    r = np.array([1.0, 2.0])
+    pot = KLPotential(r)
+    _assert_owned(pot.ref, lambda: r.__setitem__(..., [3.0, 4.0]), lambda: pot.dual_value([0, 0]))
+
+
+def test_cosh_dissipation_owns_its_weights():
+    """dual_value([1]) moved 0.255 -> 2.297 when the caller edited the weights."""
+    w = np.array([1.0])
+    dissip = CoshDissipation(w)
+    _assert_owned(dissip.weights, lambda: w.__setitem__(0, 9.0), lambda: dissip.dual_value([1]))
+
+
+def test_quadratic_dissipation_owns_its_metric():
+    """dual_value([1]) moved 0.5 -> 4.5 when the caller edited the metric."""
+    m = np.array([1.0])
+    dissip = QuadraticDissipation(m)
+    _assert_owned(dissip.metric_diag, lambda: m.__setitem__(0, 9.0), lambda: dissip.dual_value([1]))
+
+
+def test_quadratic_potential_owns_its_metric_and_reference():
+    """value followed an edited metric and reference (1.0 -> 18.5) while the dual
+    side kept the old inverse: the pair stopped being a Legendre pair."""
+    metric, ref = np.eye(2), np.zeros(2)
+    pot = QuadraticPotential(metric, ref)
+
+    def edit():
+        metric[...] = [[5.0, 1.0], [1.0, 5.0]]
+        ref[...] = -1.0
+
+    _assert_owned(pot.metric, edit, lambda: pot.value([1, 1]))
+    with pytest.raises(ValueError, match="read-only"):
+        pot.ref[0] = 1.0
+    assert legendre_gap(pot, [1.0, 2.0], pot.grad([1.0, 2.0])) == pytest.approx(0.0, abs=1e-12)

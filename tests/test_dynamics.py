@@ -351,6 +351,15 @@ def test_rate_schedule_refuses_times_of_two_dimensions():
     assert kp[:, 0] == pytest.approx([1.5, 2.5, 1.2, 3.0]) and km.tolist() == [[1.0]] * 4
 
 
+def test_rate_schedule_keeps_its_shapes_with_no_times_or_no_edges():
+    sch = RateSchedule([0, 1, 2], [[1], [2], [3]], [[1], [1], [1]])
+    assert [k.shape for k in sch(np.empty(0))] == [(0, 1), (0, 1)]
+    bare = RateSchedule([0, 1, 2], np.empty((3, 0)), np.empty((3, 0)))
+    assert [k.shape for k in bare([0.5, 2.5, np.nan])] == [(3, 0), (3, 0)]
+    assert [k.shape for k in bare(np.empty(0))] == [(0, 0), (0, 0)]
+    assert [k.shape for k in bare(0.5)] == [(0,), (0,)]
+
+
 def _searchsorted_rates(sched, t):
     """RateSchedule.__call__'s scalar path as it was, on np.searchsorted: the oracle."""
     knots, n = sched.times, sched.n_edges

@@ -138,6 +138,26 @@ def test_parse_error_column_points_at_offender():
 
 
 @pytest.mark.parametrize(
+    "lhs, offender",
+    [
+        ("99999999999999999999 A", "99999999999999999999 A"),
+        ("9223372036854775807 A + A", "A <->"),  # the sum passes int64 at the second term
+        ("9" * 5000 + " A", "9" * 5000),  # more digits than int() reads
+    ],
+    ids=["20-digits", "summed", "5000-digits"],
+)
+def test_coefficient_beyond_int64_is_a_parse_error(lhs, offender):
+    """A coefficient past int64 raised a plain ValueError from build_network, with no position."""
+    line = f"reaction r1: {lhs} <-> B ; kf=1 kr=1"
+    with pytest.raises(NetworkParseError, match="int64 range") as exc:
+        parse_network(f"species A B\n{line}\n")
+    assert exc.value.line == 2
+    assert line[exc.value.col - 1 :].startswith(offender)
+    net = parse_network("species A B\nreaction r1: 9223372036854775807 A <-> B ; kf=1 kr=1\n")
+    assert net.hypervertices[0] == (9223372036854775807, 0)
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("species A\nreaction : A <-> 0 ; kf=1 kr=1\n", "line 2, col 9: expected 'reaction <label>:'"),

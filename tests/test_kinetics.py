@@ -136,6 +136,17 @@ def test_edge_pair_owns_read_only_copies():
     assert EdgePair(columns, columns).jplus.flags.f_contiguous
 
 
+def test_kinetic_split_owns_read_only_copies():
+    """rates() moved from (2, 0.5) to (6, 1.5) when the caller edited kappa."""
+    kappa = np.array([1.0])
+    split = KineticSplit(kappa, np.array([4.0]))
+    kappa[0] = 3.0
+    assert [r.tolist() for r in split.rates()] == [[2.0], [0.5]]
+    for k in (split.kappa, split.keq):
+        with pytest.raises(ValueError, match="read-only"):
+            k[0] = 3.0
+
+
 def test_kinetic_split_roundtrip():
     rng = np.random.default_rng(7)
     kp = rng.uniform(1e-3, 1e3, 50)
