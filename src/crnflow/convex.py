@@ -151,10 +151,10 @@ class QuadraticPotential:
     def dual_grad(self, y) -> np.ndarray:
         return self.ref + (self._inv @ _vec(y, "y", self.n, batch=True)[..., None])[..., 0]
 
-    def hessian(self, x=None) -> np.ndarray:
+    def hessian(self, x) -> np.ndarray:
         return self.metric.copy()
 
-    def dual_hessian(self, y=None) -> np.ndarray:
+    def dual_hessian(self, y) -> np.ndarray:
         return self._inv.copy()
 
     def bregman(self, x, x_ref) -> float:
@@ -229,12 +229,11 @@ class QuadraticDissipation:
     def dual_grad(self, f) -> np.ndarray:
         return self.metric_diag * _vec(f, "f", self.n, batch=True)
 
-    def hessian_diag(self, j=None) -> np.ndarray:
+    def hessian_diag(self, j) -> np.ndarray:
         return 1.0 / self.metric_diag
 
-    def dual_hessian_diag(self, f=None) -> np.ndarray:
-        shape = self.metric_diag.shape if f is None else _vec(f, "f", self.n, batch=True).shape
-        return np.broadcast_to(self.metric_diag, shape).copy()
+    def dual_hessian_diag(self, f) -> np.ndarray:
+        return np.broadcast_to(self.metric_diag, _vec(f, "f", self.n, batch=True).shape).copy()
 
     def bregman(self, j, f_ref) -> float:
         return legendre_gap(self, _vec(j, "j", self.n), _vec(f_ref, "f_ref", self.n))

@@ -32,7 +32,7 @@ from .dynamics import LEDGER_KEYS, RateSchedule, Trajectory
 from .network import _INT64_MAX, ReactionNetwork, network_from_reactions
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
-_TERM_RE = re.compile(r"(\d+)?\s*([A-Za-z_]\w*)\Z")
+_TERM_RE = re.compile(r"([0-9]+)?\s*([A-Za-z_]\w*)\Z")
 _FLOAT_FORMAT = "%.17g"  # every float written: 17 significant digits read back to the same bits
 _SCENARIO_KEYS = "network network_text x0 t_end t_span grid x_ref state schedule rtol atol positivity_floor tol".split()
 
@@ -158,6 +158,8 @@ def parse_network(text: str) -> ReactionNetwork:
             if key in rates:
                 raise NetworkParseError(f"duplicate {key}", line_no, col)
             try:
+                if not re.fullmatch(r"[-+.0-9A-Za-z]+", km.group(2)):  # float() also reads "1_0" and non-ASCII digits
+                    raise ValueError
                 value = float(km.group(2))
             except ValueError:
                 raise NetworkParseError(f"bad float {km.group(2)!r}", line_no, col) from None

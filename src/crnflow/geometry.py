@@ -58,15 +58,17 @@ from .network import ReactionNetwork, dot_rows, matvec_rows
 # 50; from 64 they reach 1e-12. A move of 64 scales a KL state by e^64,
 # far beyond the steps line searches accept: the cap skips trials that fail.
 DUAL_STEP = 64.0
+# Absolute bound on the constraint mismatch (the gradient's max norm) at which a projection stops.
+TOL = 1e-10
 
 
-def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
+def _dual_projection(fn, a, b, y0, lam0, max_iter, what, strict=True):
     """Bregman projections onto an affine subspace, in dual coordinates.
 
     Minimizes fn.dual_value(y) - <b, lam> over lam, y = y0 + a.T @ lam
     (a.T @ lam when y0 is None), by damped Newton from lam0 (zeros when
     None); the gradient a @ fn.dual_grad(y) - b is the constraint
-    mismatch. Stops when its max norm falls below tol, or when a full
+    mismatch. Stops when its max norm falls below TOL, or when a full
     Newton step fails to contract it while it is below 64 eps s, s its
     rounding scale at the iterate: max|b| or max(|a| @ (|dual_grad(y)| +
     |H| @ r)), H the dual Hessian and r = |y0| + |a.T| @ |lam|, which
@@ -117,7 +119,7 @@ def _dual_projection(fn, a, b, y0, lam0, tol, max_iter, what, strict=True):
     for it in range(max_iter + 1):
         iters[live] = it  # a row keeps the iteration it stopped at, and its y and g
         gnorm = _sup(g)
-        live &= ~(gnorm < tol)
+        live &= ~(gnorm < TOL)
         if it == max_iter or not live.any():
             break
         hess = fn.dual_hessian_diag(y) if diag else fn.dual_hessian(y)
@@ -194,7 +196,6 @@ def equilibrium_point(
     x0,
     x_ref,
     potential=None,
-    tol: float = 1e-10,
     max_iter: int = 100,
 ) -> np.ndarray:
     """Bregman projection of x_ref onto the leaf through x0.
@@ -204,7 +205,7 @@ def equilibrium_point(
     y = grad(x_ref) + cons_basis.T @ lam, where the objective reduces to
     dual_value(y) - <conserved(x0), lam>; its gradient is exactly the
     conserved-quantity mismatch, so the returned state satisfies
-    |conserved(x) - conserved(x0)|_inf < max(tol, 64 eps s), s the
+    |conserved(x) - conserved(x0)|_inf < max(1e-10, 64 eps s), s the
     rounding scale of the totals at x (see _dual_projection; about
     (1 + |y|) |cons_basis| @ x with the KL potential), whatever the
     scale of x_ref. By construction
@@ -216,7 +217,7 @@ def equilibrium_point(
     x_ref = np.asarray(x_ref, dtype=float)
     pot = KLPotential(n=net.n_species) if potential is None else potential
     _, y, _ = _dual_projection(
-        pot, net.cons_f, net.conserved(x0), pot.grad(x_ref), None, tol, max_iter, "equilibrium_point"
+        pot, net.cons_f, net.conserved(x0), pot.grad(x_ref), None, max_iter, "equilibrium_point"
     )
     return pot.dual_grad(y)
 
@@ -277,7 +278,6 @@ def velocity_dual(
     net: ReactionNetwork,
     dissip,
     v,
-    tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
     """Legendre pair induced on (species velocity, species potential).
@@ -298,14 +298,14 @@ def velocity_dual(
     _, b, _ = _velocity_problem(net, v)
     if np.any(_sup(v - matvec_rows(net.stoich_image, b)) > 1e-9 * (1.0 + _sup(v))):
         raise ValueError("velocity is not realizable: not in the image of stoich")
-    return _velocity_dual(net, dissip, v, tol, max_iter)
+    return _velocity_dual(net, dissip, v, max_iter)
 
 
-def _velocity_dual(net, dissip, v, tol, max_iter) -> dict:
+def _velocity_dual(net, dissip, v, max_iter) -> dict:
     """velocity_dual past its realizability test, for v = -div(j), in the image of
     stoich by construction: the test's bound does not follow the rounding of large
     fluxes."""
-    mu, _, iters = _dual_projection(dissip, *_velocity_problem(net, v), None, tol, max_iter, "velocity_dual")
+    mu, _, iters = _dual_projection(dissip, *_velocity_problem(net, v), None, max_iter, "velocity_dual")
     u = matvec_rows(net.stoich_image, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
@@ -325,7 +325,6 @@ def flux_split(
     net: ReactionNetwork,
     dissip,
     j,
-    tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
     """Split an edge flux into an equilibrium-model part plus a cycle.
@@ -336,7 +335,7 @@ def flux_split(
     its realizability test: v is realizable by construction.
     """
     j = np.asarray(j, dtype=float)
-    out = _velocity_dual(net, dissip, -net.div(j), tol, max_iter)
+    out = _velocity_dual(net, dissip, -net.div(j), max_iter)
     out["j_input"] = j
     out["cycle_part"] = j - out["flux"]
     return out
@@ -346,7 +345,6 @@ def force_split(
     net: ReactionNetwork,
     dissip,
     f,
-    tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
     """Shift a force along the image of stoich.T to a steady-model force.
@@ -361,7 +359,7 @@ def force_split(
     divergence_residual; per row for a (T, n_edges) batch of independent rows.
     """
     f = np.asarray(f, dtype=float)
-    mu, force, iters = _dual_projection(dissip, *_force_problem(net, f), None, tol, max_iter, "force_split")
+    mu, force, iters = _dual_projection(dissip, *_force_problem(net, f), None, max_iter, "force_split")
     flux = dissip.dual_grad(force)
     return {
         "force": force,
@@ -380,7 +378,6 @@ def cycle_dual(
     net: ReactionNetwork,
     dissip,
     zeta,
-    tol: float = 1e-10,
     max_iter: int = 100,
 ) -> dict:
     """Legendre pair induced on (cycle flux, cycle affinity).
@@ -393,7 +390,7 @@ def cycle_dual(
     """
     zeta = _vec(zeta, "cycle affinities", net.n_cycles)
     gram = net.cycle_f.T @ net.cycle_f  # (0, 0) without cycles: solve gives z = 0
-    fs = force_split(net, dissip, net.curl_adjoint(np.linalg.solve(gram, zeta)), tol=tol, max_iter=max_iter)
+    fs = force_split(net, dissip, net.curl_adjoint(np.linalg.solve(gram, zeta)), max_iter=max_iter)
     flux = fs["flux"]
     z = np.linalg.solve(gram, net.curl(flux))
     lifted = net.curl_adjoint(z)
@@ -485,7 +482,7 @@ def complex_balance_force_split(
     }
 
 
-def _streamed_schedule(net, traj, times, tol, max_iter, what, problem, force_of, certify) -> tuple[RateSchedule, dict]:
+def _streamed_schedule(net, traj, times, max_iter, what, problem, force_of, certify) -> tuple[RateSchedule, dict]:
     """The effective schedules through map_blocks. Per block of samples, with EdgePair base:
     the projection problem(base) -> (a, b, y0) under CoshDissipation(base.activity), as a path
     of two _dual_projection passes: a predictor from lam = 0 (a failing row hands over its last
@@ -506,9 +503,9 @@ def _streamed_schedule(net, traj, times, tol, max_iter, what, problem, force_of,
         nonlocal start
         _all_live(live)
         dissip, (a, b, y0) = CoshDissipation(base.activity), problem(base)
-        cold, _, _ = _dual_projection(dissip, a, b, y0, None, tol, max_iter, what, strict=False)
+        cold, _, _ = _dual_projection(dissip, a, b, y0, None, max_iter, what, strict=False)
         starts, start = np.concatenate([start[None], cold[:-1]]), cold[-1].copy()
-        lam, y, iters = _dual_projection(dissip, a, b, y0, starts, tol, max_iter, what)
+        lam, y, iters = _dual_projection(dissip, a, b, y0, starts, max_iter, what)
         rates = np.hstack(KineticSplit(kappa, np.exp(force_of(lam, y) - net.grad(np.log(x)))).rates())
         _positive(rates, "scheduled rates", batch=True, finite=True)
         return {"rates": rates, **certify(base, EdgePair(*_one_way(net, x, rates))), "iterations": iters}
@@ -518,7 +515,7 @@ def _streamed_schedule(net, traj, times, tol, max_iter, what, problem, force_of,
 
 
 def effective_equilibrium_rates(
-    net: ReactionNetwork, traj: Trajectory, times=None, tol: float = 1e-10, max_iter: int = 100
+    net: ReactionNetwork, traj: Trajectory, times=None, max_iter: int = 100
 ) -> tuple[RateSchedule, dict]:
     """Equilibrium-model rate constants reproducing a trajectory's motion.
 
@@ -535,13 +532,13 @@ def effective_equilibrium_rates(
         return {"zeta_residual": _sup(net.curl(new.force)),
                 "velocity_residual": _sup(-net.div(new.flux) - v) / (1.0 + _sup(v))}
 
-    return _streamed_schedule(net, traj, times, tol, max_iter, "velocity_dual",
+    return _streamed_schedule(net, traj, times, max_iter, "velocity_dual",
                               lambda base: _velocity_problem(net, -net.div(base.flux)),
                               lambda mu, _: -net.grad(matvec_rows(net.stoich_image, mu)), certify)
 
 
 def effective_steady_rates(
-    net: ReactionNetwork, traj: Trajectory, times=None, tol: float = 1e-10, max_iter: int = 100
+    net: ReactionNetwork, traj: Trajectory, times=None, max_iter: int = 100
 ) -> tuple[RateSchedule, dict]:
     """Steady-model rate constants reproducing a trajectory's affinities.
 
@@ -557,5 +554,5 @@ def effective_steady_rates(
         return {"steady_residual": _sup(net.div(new.flux)),
                 "affinity_residual": _sup(net.curl(new.force) - net.curl(base.force))}
 
-    return _streamed_schedule(net, traj, times, tol, max_iter, "force_split",
+    return _streamed_schedule(net, traj, times, max_iter, "force_split",
                               lambda base: _force_problem(net, base.force), lambda _, force: force, certify)

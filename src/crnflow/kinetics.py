@@ -290,14 +290,15 @@ def _flux_jacobian(net: ReactionNetwork, x: np.ndarray, pair: EdgePair) -> np.nd
 def find_steady_state(
     net: ReactionNetwork,
     x0,
-    tol: float = 1e-12,
     max_iter: int = 200,
 ) -> np.ndarray:
     """Positive steady state on the stoichiometric leaf through x0.
 
     Damped Newton iteration on the square-free system
     [stoich @ flux(x); cons_basis @ (x - x0)] = 0, solved in the least
-    squares sense per step with backtracking that keeps x positive.
+    squares sense per step with backtracking that keeps x positive. Stops
+    when the residual's max norm falls below 1e-12 * (1 + its max norm at
+    x0); ConvergenceError when a line search stalls or max_iter steps end.
     """
     x = _positive(x0, "x0", net.n_species).copy()
     target = net.conserved(x)
@@ -310,7 +311,7 @@ def find_steady_state(
     scale = 1.0 + _sup(r)
     for it in range(max_iter):
         norm = _sup(r)
-        if norm < tol * scale:
+        if norm < 1e-12 * scale:
             return x
         jac = np.vstack([net.stoich_f @ _flux_jacobian(net, x, pair), net.cons_f])
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)

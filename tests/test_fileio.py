@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import tracemalloc
 from unittest import mock
@@ -162,6 +164,11 @@ def test_coefficient_beyond_int64_is_a_parse_error(lhs, offender):
     [
         ("species A\nreaction : A <-> 0 ; kf=1 kr=1\n", "line 2, col 9: expected 'reaction <label>:'"),
         ("species A\nreaction r1: A <-> 0 ; kx=1\n", "line 2, col 24: expected kf=<float> or kr=<float>, got 'kx=1'"),
+        # numbers are ASCII, though int() and float() read these as 3, 3, 10 and 12
+        ("species A\nreaction r1: \u0663 A <-> 0 ; kf=1 kr=1\n", "line 2, col 14: malformed term '\u0663 A'"),
+        ("species A\nreaction r1: A <-> 0 ; kf=\u0663 kr=1\n", "line 2, col 24: bad float '\u0663'"),
+        ("species A\nreaction r1: A <-> 0 ; kf=1 kr=1_0\n", "line 2, col 29: bad float '1_0'"),
+        ("species A\nreaction r1: A <-> 0 ; kf=\uff11\uff12 kr=1\n", "line 2, col 24: bad float '\uff11\uff12'"),
     ],
 )
 def test_parse_errors_name_the_expected_form(text, message):
@@ -312,6 +319,20 @@ def test_scenario_minimal():
     assert sc.state is sc.x0  # pointwise commands read x0 when the scenario has no state
     assert sc.network.n_edges == 3
     assert np.array_equal(sc.x0, [1.0, 1.0])
+
+
+def test_scenario_defaults_are_the_solvers_defaults():
+    """A scenario states rtol, atol, positivity_floor and tol again: they must
+    stay simulate's, simulate_timedep's and classify_state's defaults."""
+    from crnflow import classify_state, simulate, simulate_timedep
+
+    ours = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    for fn, keys in [(simulate, ("rtol", "atol", "positivity_floor")),
+                     (simulate_timedep, ("rtol", "atol", "positivity_floor")),
+                     (classify_state, ("tol",))]:
+        theirs = inspect.signature(fn).parameters
+        for key in keys:
+            assert ours[key] == theirs[key].default, (fn.__name__, key)
 
 
 def test_scenario_network_path(tmp_path):

@@ -254,6 +254,19 @@ def test_steady_state_reports_failure():
         find_steady_state(net, [1.0], max_iter=2)
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="the line search stalls near x = 0")
+def test_steady_state_from_a_small_start():
+    """0 <-> A, 2 A <-> A: the one positive steady state is the root of
+    18 x^2 - 1.0997 x - 40, which the search reaches from x0 = 0.05 and
+    simulate reaches from 0.0078; from 0.0078 the first Newton steps drive x
+    toward 1e-13 and the search stalls there, its residual still 40."""
+    from crnflow import parse_network
+
+    net = parse_network("species A\nreaction r1: 0 <-> A ; kf=40 kr=0.0003\nreaction r2: 2 A <-> A ; kf=18 kr=1.1\n")
+    root = (1.0997 + np.sqrt(1.0997**2 + 4 * 18 * 40)) / (2 * 18)
+    assert np.allclose(find_steady_state(net, [0.0078]), [root], rtol=1e-12, atol=0.0)
+
+
 def test_flux_requires_positive_state(brusselator):
     with pytest.raises(ValueError, match="positive"):
         mass_action_flux(brusselator, [1.0, 0.0])

@@ -680,7 +680,7 @@ def test_projections_match_oracle(net, data):
         dissip = CoshDissipation(np.exp(rng.normal(0.0, 1.0, m)))
     else:
         dissip = QuadraticDissipation(np.exp(rng.normal(0.0, 1.0, m)))
-    limits = {"tol": 1e-10, "max_iter": data.draw(st.sampled_from([1, 3, 100]))}
+    limits = {"max_iter": data.draw(st.sampled_from([1, 3, 100]))}
     x0 = np.exp(rng.normal(0.0, 1.0, n))
     j = rng.normal(0.0, 2.0, m)
     calls = {
@@ -760,7 +760,7 @@ def test_projection_rows_match_single_rows(net, data):
         lam0 = np.zeros(b.shape) if lam0 is None else lam0
         for i in np.flatnonzero(rng.random(rows) < 0.5):
             try:
-                lam0[i] = _dual_projection(fns[i], a, b[i], None if y0 is None else y0[i], lam0[i], 1e-10, 100, what)[0]
+                lam0[i] = _dual_projection(fns[i], a, b[i], None if y0 is None else y0[i], lam0[i], 100, what)[0]
                 settled.append(i)
             except ConvergenceError:
                 pass
@@ -771,10 +771,10 @@ def test_projection_rows_match_single_rows(net, data):
             fn = fns[i][0]  # one fn for the rows, with their weights when each row has its own
             fn = CoshDissipation([f.weights for f in fns[i]]) if isinstance(fn, CoshDissipation) else fn
             return _dual_projection(
-                fn, a, b[i], None if y0 is None else y0[i], None if lam0 is None else lam0[i], 1e-10, max_iter, what, strict=strict
+                fn, a, b[i], None if y0 is None else y0[i], None if lam0 is None else lam0[i], max_iter, what, strict=strict
             )
         return _dual_projection(
-            fns[i], a, b[i], None if y0 is None else y0[i], None if lam0 is None else lam0[i], 1e-10, max_iter, what
+            fns[i], a, b[i], None if y0 is None else y0[i], None if lam0 is None else lam0[i], max_iter, what
         )
 
     lam, y, iters = solve(slice(0, rows), strict=False)
