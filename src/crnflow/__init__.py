@@ -15,6 +15,7 @@ from .dynamics import (
     RateSchedule,
     Trajectory,
     energy_dissipation_balance,
+    ledger,
     lyapunov_monitor,
     simulate,
     simulate_timedep,

@@ -46,6 +46,13 @@ def _integers(values, what: str) -> list[int]:
     return ints
 
 
+def _count(value, what: str) -> int:
+    """An iteration limit: an integer >= 0; a bool, a float and a string are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def _schedule_times(times) -> np.ndarray:
     """Sample times of a rate schedule as a float array: finite, strictly increasing, length >= 2."""
     t = np.asarray(times, dtype=float)

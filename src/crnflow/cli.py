@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry
 from .checks import _floats
 from .convex import CoshDissipation, _sup
-from .dynamics import Trajectory, energy_dissipation_balance, lyapunov_monitor, simulate, simulate_timedep
+from .dynamics import Trajectory, energy_dissipation_balance, ledger, lyapunov_monitor, simulate, simulate_timedep
 from .fileio import (
     ScenarioConfig,
     _format_float,
@@ -118,7 +118,7 @@ def _reference(scenario: ScenarioConfig, wc: dict, command: str) -> np.ndarray:
 
 
 def _run_simulation(sc: ScenarioConfig) -> Trajectory:
-    kwargs = dict(grid=sc.grid, x_ref=sc.x_ref, rtol=sc.rtol, atol=sc.atol, positivity_floor=sc.positivity_floor)
+    kwargs = dict(grid=sc.grid, rtol=sc.rtol, atol=sc.atol, positivity_floor=sc.positivity_floor)
     if sc.schedule is not None:
         return simulate_timedep(sc.network, sc.x0, sc.t_span, sc.schedule, **kwargs)
     return simulate(sc.network, sc.x0, sc.t_span, **kwargs)
@@ -143,7 +143,8 @@ def _cmd_info(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 def _cmd_simulate(scenario: ScenarioConfig, outdir, suffix) -> int:
     traj = _run_simulation(scenario)
-    path = _write(outdir, f"trajectory{suffix}.csv", trajectory_csv_chunks(traj))
+    rows = ledger(scenario.network, traj, scenario.x_ref)
+    path = _write(outdir, f"trajectory{suffix}.csv", trajectory_csv_chunks(traj, *rows))
     print(f"wrote {path} ({traj.times.size} rows)")
     print(f"final state: {_fmt_vec(traj.final_state)}")
     if traj.halted:
@@ -205,7 +206,7 @@ def _closed_loop_deviation(scenario: ScenarioConfig, traj, schedule) -> float:
     t = schedule.times
     span = (float(t[0]), float(t[-1]))
     # gridless: only the dense output is read, and the grid never reaches the stepper
-    redo = _run_simulation(replace(scenario, t_span=span, grid=None, x_ref=None, schedule=schedule))
+    redo = _run_simulation(replace(scenario, t_span=span, grid=None, schedule=schedule))
     base = traj.interpolate(t)
     mirror = redo.interpolate(t)
     scale = float(np.max(np.abs(base)))
@@ -248,11 +249,12 @@ _UNDERFLOW = "a one-way flux underflows to 0 at a sample, where psi + psistar (t
 def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
     wc = wegscheider_check(net)
-    scenario = replace(scenario, x_ref=_reference(scenario, wc, "ledger"))
+    x_ref = _reference(scenario, wc, "ledger")
     traj = _run_simulation(scenario)
-    monitor = lyapunov_monitor(net, traj, scenario.x_ref)
+    rows = ledger(net, traj, x_ref)
+    monitor = lyapunov_monitor(net, traj, x_ref)
     report = {
-        "reference": scenario.x_ref,
+        "reference": x_ref,
         "lyapunov": {
             "max_derivative": monitor["max_derivative"],
             "nonincreasing": monitor["nonincreasing"],
@@ -263,7 +265,7 @@ def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
             report["energy_balance"] = energy_dissipation_balance(net, traj)
         except FluxUnderflowError:
             report["energy_balance_omitted"] = _UNDERFLOW
-    _write(outdir, f"ledger_trajectory{suffix}.csv", trajectory_csv_chunks(traj))
+    _write(outdir, f"ledger_trajectory{suffix}.csv", trajectory_csv_chunks(traj, *rows))
     _report(scenario, outdir, f"ledger{suffix}.json", report)
     print(f"lyapunov nonincreasing: {monitor['nonincreasing']} "
           f"(max derivative {_format_float(monitor['max_derivative'])})")

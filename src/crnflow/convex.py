@@ -152,9 +152,12 @@ class QuadraticPotential:
         return self.ref + (self._inv @ _vec(y, "y", self.n, batch=True)[..., None])[..., 0]
 
     def hessian(self, x) -> np.ndarray:
+        _vec(x, "x", self.n)
         return self.metric.copy()
 
     def dual_hessian(self, y) -> np.ndarray:
+        """The (n, n) inverse metric, also for a (T, n) batch of points: one matrix for every row."""
+        _vec(y, "y", self.n, batch=True)
         return self._inv.copy()
 
     def bregman(self, x, x_ref) -> float:
@@ -230,6 +233,7 @@ class QuadraticDissipation:
         return self.metric_diag * _vec(f, "f", self.n, batch=True)
 
     def hessian_diag(self, j) -> np.ndarray:
+        _vec(j, "j", self.n)
         return 1.0 / self.metric_diag
 
     def dual_hessian_diag(self, f) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Time integration of mass-action dynamics with a thermodynamic ledger.
+"""Time integration of mass-action dynamics, and the observables along a run.
 
 The state equation xdot = -stoich @ flux(x) is integrated with the
 Dormand-Prince 5(4) pair at tight tolerances (crnflow.rk45, which
@@ -10,15 +10,15 @@ the state, under the schedule's rates at t when there is one, their net
 flux times the negated float stoichiometric matrix.
 A trajectory's states at the accepted steps are the stepper's own, the
 dense output's at the grid times between; after the run,
-Trajectory.interpolate is the dense output's one reader. Each trajectory
-also carries a ledger of scalar observables per sample time: relative
-entropy to an optional reference, entropy production rate and its
-quadratic lower bound, and the primal/dual dissipation values whose sum
-equals the EPR. The ledger, the Lyapunov monitor and the energy
-balance's psi + psistar are per-block functions of kinetics.map_blocks,
-which hands them each block's EdgePair and writes their columns back, so
-temporaries scale with the block size, not the sample count; the
-conserved quantities stay one matrix product over all rows.
+Trajectory.interpolate is the dense output's one reader. Three passes of
+(net, traj, ...) evaluate observables along a run: the ledger of scalar
+observables per sample time (relative entropy to an optional reference,
+entropy production rate and its quadratic lower bound, and the
+primal/dual dissipation values whose sum equals the EPR), the Lyapunov
+monitor and the energy balance. Each is a per-block function of
+kinetics.map_blocks, which hands it each block's EdgePair and writes its
+columns back, so temporaries scale with the block size, not the sample
+count; the conserved quantities stay one matrix product over all rows.
 """
 
 from __future__ import annotations
@@ -128,23 +128,21 @@ class RateSchedule:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Integrated trajectory with per-sample thermodynamic ledger.
+    """Integrated trajectory: the samples of a run, without observables.
 
-    states: one row per time, shape (n_times, n_species). Ledger columns
-    (each shape (n_times,)): divergence (relative entropy to the reference
-    state, nan when no reference was given), epr, pepr, psi, psistar. eta
-    holds the conserved-quantity values, shape (n_times, n_conserved).
-    stats counts the integrator's work: accepted steps, rejected steps and
-    right-hand-side evaluations (nfev); it is written to no artifact.
-    Without a grid, times and states are the dense output's own,
-    read-only arrays.
+    states: one row per time, shape (n_times, n_species). schedule: the
+    RateSchedule the run was driven by, None under the network's constant
+    rates. stats counts the integrator's work: accepted steps, rejected
+    steps and right-hand-side evaluations (nfev); it is written to no
+    artifact. Without a grid, times and states are the dense output's
+    own, read-only arrays. The observables along the run are passes of
+    (net, traj, ...): ledger, lyapunov_monitor, energy_dissipation_balance.
     """
 
     times: np.ndarray
     states: np.ndarray
-    ledger: dict[str, np.ndarray]
-    eta: np.ndarray
     species: tuple[str, ...]
+    schedule: RateSchedule | None = None
     halted: bool = False
     halt_reason: str | None = None
     dense: object = field(default=None, repr=False)
@@ -167,9 +165,12 @@ class Trajectory:
         return self.dense(_times(t, what))
 
 
-def _ledger_rows(
-    net: ReactionNetwork, times, states, x_ref, schedule: RateSchedule | None
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def ledger(net: ReactionNetwork, traj: Trajectory, x_ref) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The ledger of a run: columns LEDGER_KEYS, each shape (n_times,), and eta, the conserved
+    quantities, shape (n_times, n_conserved). divergence is the relative entropy to x_ref (finite,
+    positive), NaN when x_ref is None; epr, pepr, psi and psistar are under the run's rates (its
+    schedule's at each sample time), NaN at samples map_blocks leaves out."""
+    x_ref = None if x_ref is None else _positive(x_ref, "x_ref", net.n_species, finite=True)
     kl = KLPotential(n=net.n_species)
 
     def block(x, live, pair):
@@ -180,10 +181,11 @@ def _ledger_rows(
             cols["divergence"] = kl.bregman(x, x_ref)
         return cols
 
-    cols = map_blocks(net, states, block, None if schedule is None else schedule._rows(times))
-    ledger = {key: cols[key] if key in cols else np.full(len(states), np.nan) for key in LEDGER_KEYS}
+    states, schedule = traj.states, traj.schedule
+    cols = map_blocks(net, states, block, None if schedule is None else schedule._rows(traj.times))
+    columns = {key: cols[key] if key in cols else np.full(len(states), np.nan) for key in LEDGER_KEYS}
     eta = states @ net.cons_f.T  # one matrix product: row-wise conserved() rounds some rows differently
-    return ledger, eta
+    return columns, eta
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,21 +216,11 @@ def _rhs(net: ReactionNetwork, schedule: RateSchedule | None):
     return rhs
 
 
-def _integrate(
-    net: ReactionNetwork,
-    x0,
-    t_span,
-    schedule: RateSchedule | None,
-    grid,
-    x_ref,
-    rtol: float,
-    atol: float,
-    positivity_floor: float,
-) -> Trajectory:
+def _integrate(net: ReactionNetwork, x0, t_span, schedule: RateSchedule | None, grid, rtol: float, atol: float,
+               positivity_floor: float) -> Trajectory:
     x0 = _positive(x0, "initial state", net.n_species)
     t0, t1 = _time_span(t_span)
     _tolerances(rtol, atol, positivity_floor)
-    x_ref = None if x_ref is None else _positive(x_ref, "x_ref", net.n_species, finite=True)
     grid = None if grid is None else _times(grid, "grid", finite=True)
 
     minimum = np.minimum.reduce  # x.min(), without its Python-level wrapper
@@ -252,21 +244,9 @@ def _integrate(
         states = sol.sol(times)
         states[accepted] = sol.y[step[accepted]]
 
-    ledger, eta = _ledger_rows(net, times, states, x_ref, schedule)
-    reason = None
-    if halted:
-        reason = f"state reached positivity floor {positivity_floor:g} at t={t_end:.9g}"
-    return Trajectory(
-        times=times,
-        states=states,
-        ledger=ledger,
-        eta=eta,
-        species=net.species,
-        halted=halted,
-        halt_reason=reason,
-        dense=sol.sol,
-        stats=sol.stats,
-    )
+    reason = f"state reached positivity floor {positivity_floor:g} at t={t_end:.9g}" if halted else None
+    return Trajectory(times=times, states=states, species=net.species, schedule=schedule, halted=halted,
+                      halt_reason=reason, dense=sol.sol, stats=sol.stats)
 
 
 def simulate(
@@ -274,7 +254,6 @@ def simulate(
     x0,
     t_span,
     grid=None,
-    x_ref=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
     positivity_floor: float = 1e-12,
@@ -284,15 +263,13 @@ def simulate(
     Args:
         t_span: final time, or a (t0, t1) pair.
         grid: optional extra sample times, finite, a number or a 1-d array; the
-            ledger is evaluated at the union of the accepted steps and this grid.
-        x_ref: optional reference state for the divergence column,
-            finite and strictly positive.
+            trajectory samples the union of the accepted steps and this grid.
         rtol, atol: integrator tolerances; rtol finite and positive,
             atol finite and non-negative.
         positivity_floor: integration halts (Trajectory.halted = True)
             when any component decays to this floor (finite, >= 0).
     """
-    return _integrate(net, x0, t_span, None, grid, x_ref, rtol, atol, positivity_floor)
+    return _integrate(net, x0, t_span, None, grid, rtol, atol, positivity_floor)
 
 
 def simulate_timedep(
@@ -301,14 +278,13 @@ def simulate_timedep(
     t_span,
     schedule: RateSchedule,
     grid=None,
-    x_ref=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
     positivity_floor: float = 1e-12,
 ) -> Trajectory:
     """Same as simulate, with rate constants driven by a RateSchedule."""
     schedule = _schedule_edges(schedule, net.n_edges)
-    return _integrate(net, x0, t_span, schedule, grid, x_ref, rtol, atol, positivity_floor)
+    return _integrate(net, x0, t_span, schedule, grid, rtol, atol, positivity_floor)
 
 
 def energy_dissipation_balance(
@@ -362,7 +338,7 @@ def lyapunov_monitor(
 ) -> dict:
     """Track d/dt of the relative entropy to a fixed reference state.
 
-    The derivative is evaluated analytically at each ledger time as
+    The derivative is evaluated analytically at each sample time as
     -<flux(x), stoich.T log(x / x_ref)> under the network's rates (also
     for a run under a schedule), NaN at samples that map_blocks leaves
     out (a component or a one-way flux at or below zero); x_ref must be

@@ -359,12 +359,12 @@ class ScenarioConfig:
 # The emit_* functions join the same chunks for callers that want one string.
 
 
-def trajectory_csv_chunks(traj: Trajectory):
-    """CSV lines: t, x_<name>..., D, epr, pepr, psi, psistar, eta_<i>..."""
+def trajectory_csv_chunks(traj: Trajectory, ledger: dict[str, np.ndarray], eta: np.ndarray):
+    """CSV lines of a run and its ledger, dynamics.ledger(net, traj, x_ref)'s columns
+    and eta: t, x_<name>..., D, epr, pepr, psi, psistar, eta_<i>..."""
     header = ["t"] + [f"x_{name}" for name in traj.species] + ["D", *LEDGER_KEYS[1:]]
-    header += [f"eta_{i}" for i in range(traj.eta.shape[1])]
-    ledger = [traj.ledger[k][:, None] for k in LEDGER_KEYS]
-    return _csv(header, traj.times[:, None], traj.states, *ledger, traj.eta)
+    header += [f"eta_{i}" for i in range(eta.shape[1])]
+    return _csv(header, traj.times[:, None], traj.states, *(ledger[k][:, None] for k in LEDGER_KEYS), eta)
 
 
 _CSV_BLOCK = 256  # rows formatted by one %
@@ -444,9 +444,9 @@ def schedule_csv_chunks(schedule: RateSchedule, edge_labels):
     return _csv(header, schedule.times[:, None], schedule.kplus, schedule.kminus)
 
 
-def emit_trajectory_csv(traj: Trajectory) -> str:
+def emit_trajectory_csv(traj: Trajectory, ledger: dict[str, np.ndarray], eta: np.ndarray) -> str:
     """trajectory_csv_chunks as one string."""
-    return "".join(trajectory_csv_chunks(traj))
+    return "".join(trajectory_csv_chunks(traj, ledger, eta))
 
 
 def emit_report_json(report: dict) -> str:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import _positive, _schedule_times, _vec
+from .checks import _count, _positive, _schedule_times, _vec
 from .convex import CoshDissipation, KLPotential, _sup
 from .dynamics import RateSchedule, Trajectory
 from .kinetics import ConvergenceError, EdgePair, KineticSplit, _all_live, _one_way, map_blocks, mass_action_flux
@@ -94,6 +94,7 @@ def _dual_projection(fn, a, b, y0, lam0, max_iter, what, strict=True):
     with strict=False the rows that fail return their last iterate and
     the iteration count at the failure instead.
     """
+    max_iter = _count(max_iter, "max_iter")
     b = np.asarray(b, dtype=float)
     one, b = b.ndim == 1, np.atleast_2d(b)
     lam = np.zeros(b.shape) if lam0 is None else np.array(lam0, dtype=float).reshape(b.shape)

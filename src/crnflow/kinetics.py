@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _owned, _positive, _vec
+from .checks import _count, _floats, _owned, _positive, _vec
 from .convex import _sup, _total
 from .network import ReactionNetwork
 
@@ -257,8 +257,10 @@ def classify_state(net: ReactionNetwork, x, tol: float = 1e-8) -> dict:
     steady: stoich @ flux = 0 but flux not complex balanced.
     transient: otherwise.
 
-    The three balance classes are nested (each implies the next).
+    The three balance classes are nested (each implies the next). tol must
+    be finite and > 0, as a scenario's.
     """
+    tol = float(_floats(tol, "tol", 0, positive=True))
     pair = mass_action_flux(net, x)
     j = pair.flux
     flux_residual = _sup(j)
@@ -301,6 +303,7 @@ def find_steady_state(
     x0); ConvergenceError when a line search stalls or max_iter steps end.
     """
     x = _positive(x0, "x0", net.n_species).copy()
+    max_iter = _count(max_iter, "max_iter")
     target = net.conserved(x)
 
     def residual(xv):

@@ -210,7 +210,8 @@ def schedule_rates(schedule, t: float) -> tuple[np.ndarray, np.ndarray]:
     return kp, km
 
 
-def _ledger_rows(net, times, states, x_ref, schedule):
+def ledger(net, traj, x_ref):
+    times, states, schedule = traj.times, traj.states, traj.schedule
     n = times.size
     cols = {k: np.full(n, np.nan) for k in LEDGER_KEYS}
     eta = states @ net.cons_basis.astype(float).T

@@ -13,6 +13,7 @@ from crnflow import (
     effective_equilibrium_rates,
     effective_steady_rates,
     emit_schedule_csv,
+    ledger,
     parse_network,
     simulate,
     simulate_timedep,
@@ -383,6 +384,19 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "out" / "effective-eq" / "effective_eq.json").exists()
+
+
+@pytest.mark.parametrize("command, passes", [("simulate", 1), ("ledger", 1), ("effective-eq", 0), ("effective-cycle", 0)])
+def test_only_simulate_and_ledger_run_the_ledger_pass(tmp_path, monkeypatch, command, passes):
+    """The effective schedules read a run's samples only, so their runs no
+    longer evaluate a ledger that nothing reads; simulate and ledger each
+    write one."""
+    calls = []
+    monkeypatch.setattr("crnflow.cli.ledger", lambda *args: calls.append(args) or ledger(*args))
+    scen = _scenario(tmp_path, network_text=BRUSS_TEXT, x0=[1.0, 4.0], x_ref=[1.0, 3.0], t_end=2.0,
+                     grid={"start": 0, "stop": 2, "num": 41})
+    assert _run(tmp_path, command, scen)[0] == 0
+    assert len(calls) == passes
 
 
 def test_coefficient_beyond_int64_is_an_invalid_scenario(tmp_path, capsys):

@@ -230,15 +230,15 @@ def _length_cases():
     KLPotential reference, and the three entry points that take a
     reference state: each call gets the wrong-length vector v, its other
     vector arguments the right length (3)."""
-    from crnflow import build_network, equilibrium_point, lyapunov_monitor, simulate
+    from crnflow import build_network, equilibrium_point, ledger, lyapunov_monitor, simulate
 
     ok = np.full(3, 0.5)
     pair = ["value", "dual_value", "grad", "dual_grad"]
-    readers = [  # QuadraticDissipation.hessian_diag ignores its argument
+    readers = [
         (KLPotential(n=3), pair + ["hessian_diag", "dual_hessian_diag"]),
-        (QuadraticPotential(np.array([1.0, 2.0, 3.0]), ok), pair),
+        (QuadraticPotential(np.array([1.0, 2.0, 3.0]), ok), pair + ["hessian", "dual_hessian"]),
         (CoshDissipation(np.ones(3)), pair + ["hessian_diag", "dual_hessian_diag"]),
-        (QuadraticDissipation(np.ones(3)), pair + ["dual_hessian_diag"]),
+        (QuadraticDissipation(np.ones(3)), pair + ["hessian_diag", "dual_hessian_diag"]),
     ]
     net = build_network(["A", "B", "C"], [(1, 1, 0), (0, 0, 1)], [(1, 0)], [1.0], [1.0])
     cases = [("KLPotential(ref, n)", lambda v: KLPotential(v, n=3))]
@@ -249,7 +249,7 @@ def _length_cases():
         cases.append((f"{name}.bregman(ok, v)", lambda v, fn=fn: fn.bregman(ok, v)))
     cases += [
         ("equilibrium_point x_ref", lambda v: equilibrium_point(net, [1.0, 2.0, 0.5], v)),
-        ("simulate x_ref", lambda v: simulate(net, [1.0, 2.0, 0.5], 0.1, x_ref=v)),
+        ("ledger x_ref", lambda v: ledger(net, simulate(net, [1.0, 2.0, 0.5], 0.1), v)),
         ("lyapunov_monitor x_ref", lambda v: lyapunov_monitor(net, simulate(net, [1.0, 2.0, 0.5], 0.1), v)),
     ]
     return cases

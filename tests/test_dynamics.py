@@ -15,6 +15,7 @@ from crnflow import (
     effective_equilibrium_rates,
     effective_steady_rates,
     energy_dissipation_balance,
+    ledger,
     lyapunov_monitor,
     parse_network,
     simulate,
@@ -49,15 +50,15 @@ def test_trajectory_counts_integrator_work(ab):
 def test_conservation_drift_is_tiny(abc):
     x0 = np.array([1.0, 2.0, 0.5])
     traj = simulate(abc, x0, 20.0)
-    eta0 = traj.eta[0]
-    drift = np.max(np.abs(traj.eta - eta0) / (1.0 + np.abs(eta0)))
+    eta = ledger(abc, traj, None)[1]
+    drift = np.max(np.abs(eta - eta[0]) / (1.0 + np.abs(eta[0])))
     assert drift < 1e-6
-    assert traj.eta.shape == (traj.times.size, 2)
+    assert eta.shape == (traj.times.size, 2)
 
 
 def test_ledger_identities(brusselator):
-    traj = simulate(brusselator, [1.0, 4.0], 5.0, x_ref=[1.0, 31.0 / 11.0])
-    led = traj.ledger
+    traj = simulate(brusselator, [1.0, 4.0], 5.0)
+    led = ledger(brusselator, traj, [1.0, 31.0 / 11.0])[0]
     assert np.all(np.isfinite(led["epr"]))
     # EPR = psi + psistar at the mass-action point (Fenchel-Young equality)
     gap = np.abs(led["epr"] - led["psi"] - led["psistar"])
@@ -68,9 +69,9 @@ def test_ledger_identities(brusselator):
 
 
 def test_divergence_column_nan_without_reference(ab):
-    traj = simulate(ab, [1.0, 1.0], 1.0)
-    assert np.all(np.isnan(traj.ledger["divergence"]))
-    assert np.all(np.isfinite(traj.ledger["epr"]))
+    columns = ledger(ab, simulate(ab, [1.0, 1.0], 1.0), None)[0]
+    assert np.all(np.isnan(columns["divergence"]))
+    assert np.all(np.isfinite(columns["epr"]))
 
 
 def test_interpolation_matches_states(ab):
@@ -179,7 +180,7 @@ def test_array_records_compare_by_identity(ab):
         (EdgePair(j, j), EdgePair(j, j)),
         (KineticSplit(j, j), KineticSplit(j, j)),
         (RateSchedule.constant([1.0], [2.0], 0.0, 1.0), RateSchedule.constant([1.0], [2.0], 0.0, 1.0)),
-        (traj, dynamics.Trajectory(traj.times, traj.states, traj.ledger, traj.eta, traj.species)),
+        (traj, dynamics.Trajectory(traj.times, traj.states, traj.species)),
         (ScenarioConfig.from_dict(scenario), ScenarioConfig.from_dict(scenario)),
         tuple(runs),
     ]
@@ -437,12 +438,14 @@ def test_constant_schedule_reproduces_autonomous_run(brusselator):
     sch = RateSchedule.constant(brusselator.kplus, brusselator.kminus, 0.0, 3.0)
     redo = simulate_timedep(brusselator, [1.0, 4.0], 3.0, sch, grid=grid)
     # one right-hand side: a constant schedule is the autonomous run, bit for bit
-    for got, want in [(redo.times, base.times), (redo.states, base.states), (redo.eta, base.eta)]:
+    (redo_columns, redo_eta), (base_columns, base_eta) = ledger(brusselator, redo, None), ledger(brusselator, base, None)
+    for got, want in [(redo.times, base.times), (redo.states, base.states), (redo_eta, base_eta)]:
         assert got.tobytes() == want.tobytes()
-    assert redo.ledger.keys() == base.ledger.keys()
-    for key in base.ledger:
-        assert redo.ledger[key].tobytes() == base.ledger[key].tobytes(), key
+    assert redo_columns.keys() == base_columns.keys()
+    for key in base_columns:
+        assert redo_columns[key].tobytes() == base_columns[key].tobytes(), key
     assert redo.stats == base.stats
+    assert redo.schedule is sch and base.schedule is None
     with pytest.raises(ValueError, match="edge count"):
         simulate_timedep(brusselator, [1.0, 4.0], 1.0, RateSchedule.constant([1.0], [1.0], 0, 1))
 
@@ -479,10 +482,11 @@ def test_underflowing_one_way_fluxes_leave_their_samples_out():
     one-way fluxes."""
     net = build_network(["A", "B"], [(1, 0), (0, 1)], [(0, 1)], [1.0], [1e-10])
     traj = simulate(net, [1.0, 1e-315], 3.0)
-    rest = dynamics._ledger_rows(net, traj.times[1:], traj.states[1:], None, None)[0]
+    columns = ledger(net, traj, None)[0]
+    rest = ledger(net, dynamics.Trajectory(traj.times[1:], traj.states[1:], traj.species), None)[0]
     for key in dynamics.LEDGER_KEYS[1:]:
-        assert np.isnan(traj.ledger[key][0]) and np.isfinite(traj.ledger[key][1:]).all()
-        assert traj.ledger[key][1:].tobytes() == rest[key].tobytes()
+        assert np.isnan(columns[key][0]) and np.isfinite(columns[key][1:]).all()
+        assert columns[key][1:].tobytes() == rest[key].tobytes()
     derivative = lyapunov_monitor(net, traj, [1.0, 1e-10])["derivative"]
     assert np.isnan(derivative[0]) and np.isfinite(derivative[1:]).all()
     for audit in (energy_dissipation_balance, effective_equilibrium_rates, effective_steady_rates):
@@ -533,18 +537,14 @@ def test_lyapunov_monitor_flags_bad_reference(ab):
 @pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0], [0.0, 1.0], [-1.0, 1.0]])
 def test_reference_state_is_checked_up_front(ab, bad):
     """A reference with an infinite, NaN, zero or negative component is
-    refused before any integration (an infinite one gave a NaN divergence
-    column, a zero one an error after the whole run), and by the monitor
-    (which called an infinite one nonincreasing)."""
+    refused by the ledger before any block is evaluated (an infinite one
+    gave a NaN divergence column, a zero one an error after the whole
+    pass), under constant and scheduled rates, and by the monitor (which
+    called an infinite one nonincreasing)."""
     schedule = RateSchedule.constant([2.0], [1.0], 0.0, 1.0)
-    runs = (
-        lambda: simulate(ab, [1.0, 1.0], 1.0, x_ref=bad),
-        lambda: simulate_timedep(ab, [1.0, 1.0], 1.0, schedule, x_ref=bad),
-    )
-    for run in runs:
-        with mock.patch.object(dynamics, "integrate") as stepper, pytest.raises(ValueError, match="x_ref must be"):
-            run()
-        assert stepper.call_count == 0
-    traj = simulate(ab, [1.0, 1.0], 1.0)
-    with pytest.raises(ValueError, match="reference state must be"):
-        lyapunov_monitor(ab, traj, bad)
+    for traj in (simulate(ab, [1.0, 1.0], 1.0), simulate_timedep(ab, [1.0, 1.0], 1.0, schedule)):
+        with mock.patch.object(dynamics, "map_blocks") as blocks, pytest.raises(ValueError, match="x_ref must be"):
+            ledger(ab, traj, bad)
+        assert blocks.call_count == 0
+        with pytest.raises(ValueError, match="reference state must be"):
+            lyapunov_monitor(ab, traj, bad)

@@ -17,6 +17,7 @@ from crnflow import (
     emit_report_json,
     emit_schedule_csv,
     emit_trajectory_csv,
+    ledger,
     networks_equal,
     parse_network,
     report_json_chunks,
@@ -235,9 +236,10 @@ def test_roundtrip_on_generated_two_species_networks(rows):
 
 
 def _tiny_trajectory():
+    """A two-row run, its ledger columns and eta."""
     times = np.array([0.0, 0.5])
     states = np.array([[1.0, 2.0], [0.75, 2.25]])
-    ledger = {
+    columns = {
         "divergence": np.array([0.25, np.nan]),
         "epr": np.array([1.0, 2.0]),
         "pepr": np.array([0.5, 1.5]),
@@ -245,11 +247,11 @@ def _tiny_trajectory():
         "psistar": np.array([0.875, 1.75]),
     }
     eta = np.array([[3.0], [3.0]])
-    return Trajectory(times=times, states=states, ledger=ledger, eta=eta, species=("A", "B"))
+    return Trajectory(times=times, states=states, species=("A", "B")), columns, eta
 
 
 def test_trajectory_csv_golden():
-    text = emit_trajectory_csv(_tiny_trajectory())
+    text = emit_trajectory_csv(*_tiny_trajectory())
     assert text == (
         "t,x_A,x_B,D,epr,pepr,psi,psistar,eta_0\n"
         "0,1,2,0.25,1,0.5,0.125,0.875,3\n"
@@ -258,21 +260,16 @@ def test_trajectory_csv_golden():
 
 
 def test_trajectory_csv_full_precision():
-    traj = _tiny_trajectory()
+    traj, columns, eta = _tiny_trajectory()
     traj.states[0, 0] = 1 / 3
-    line = emit_trajectory_csv(traj).splitlines()[1]
+    line = emit_trajectory_csv(traj, columns, eta).splitlines()[1]
     assert line.split(",")[1] == "0.33333333333333331"
 
 
 def test_trajectory_csv_empty_is_header_only():
-    traj = Trajectory(
-        times=np.empty(0),
-        states=np.empty((0, 2)),
-        ledger={k: np.empty(0) for k in ("divergence", "epr", "pepr", "psi", "psistar")},
-        eta=np.empty((0, 1)),
-        species=("A", "B"),
-    )
-    assert emit_trajectory_csv(traj) == "t,x_A,x_B,D,epr,pepr,psi,psistar,eta_0\n"
+    traj = Trajectory(times=np.empty(0), states=np.empty((0, 2)), species=("A", "B"))
+    columns = {k: np.empty(0) for k in ("divergence", "epr", "pepr", "psi", "psistar")}
+    assert emit_trajectory_csv(traj, columns, np.empty((0, 1))) == "t,x_A,x_B,D,epr,pepr,psi,psistar,eta_0\n"
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 3, 255, 256, 257, 513])
@@ -295,7 +292,7 @@ def test_simulated_trajectory_csv_parses_back(ab):
     from crnflow import simulate
 
     traj = simulate(ab, [1.0, 1.0], (0.0, 1.0), grid=np.linspace(0, 1, 5))
-    lines = emit_trajectory_csv(traj).splitlines()
+    lines = emit_trajectory_csv(traj, *ledger(ab, traj, None)).splitlines()
     header = lines[0].split(",")
     assert header[:3] == ["t", "x_A", "x_B"]
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
@@ -507,17 +504,14 @@ def _tables(draw, n_cols):
 def test_streamed_trajectory_csv_matches_the_whole_string_code(data, n_species, n_cons):
     table = data.draw(_tables(1 + n_species + 5 + n_cons))
     keys = ("divergence", "epr", "pepr", "psi", "psistar")
-    traj = Trajectory(
-        times=table[:, 0],
-        states=table[:, 1:1 + n_species],
-        ledger={k: table[:, 1 + n_species + i] for i, k in enumerate(keys)},
-        eta=table[:, 1 + n_species + 5:],
-        species=tuple(f"S{i}" for i in range(n_species)),
-    )
+    traj = Trajectory(times=table[:, 0], states=table[:, 1:1 + n_species],
+                      species=tuple(f"S{i}" for i in range(n_species)))
+    columns = {k: table[:, 1 + n_species + i] for i, k in enumerate(keys)}
+    eta = table[:, 1 + n_species + 5:]
     header = ["t", *(f"x_S{i}" for i in range(n_species)), "D", *keys[1:], *(f"eta_{i}" for i in range(n_cons))]
     want = _old_csv(header, table)
-    assert "".join(trajectory_csv_chunks(traj)) == want
-    assert emit_trajectory_csv(traj) == want
+    assert "".join(trajectory_csv_chunks(traj, columns, eta)) == want
+    assert emit_trajectory_csv(traj, columns, eta) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -447,7 +447,7 @@ def test_effective_schedules_check_samples_before_projecting(rates):
     net = build_network("AB", np.eye(2, dtype=int), [(0, 1)], [1.0], [1e-15])
     halted = simulate(net, [1e-12, 1.0], 1.0, positivity_floor=1e-12)
     assert halted.halted and halted.times.tolist() == [0.0, 0.0]  # the floor root repeats t0
-    zero = Trajectory(np.arange(2.0), np.array([[1.0, 1.0], [0.0, 2.0]]), {}, np.zeros((2, 1)), net.species)
+    zero = Trajectory(np.arange(2.0), np.array([[1.0, 1.0], [0.0, 2.0]]), net.species)
     for traj, match in ((halted, "strictly increasing"), (zero, "strictly positive")):
         with mock.patch.object(geometry, "_dual_projection", wraps=geometry._dual_projection) as kernel:
             with pytest.raises(ValueError, match=match):
@@ -461,7 +461,7 @@ def test_effective_rates_past_the_float_range_are_refused():
     it evaluates their kinetics, in whatever block the sample sits."""
     net = build_network("AB", np.eye(2, dtype=int), [(0, 1)], [1e10], [1e-10])
     xs = np.array([[1.0, 1.0], [1.0, 2.0], [1e-155, 1e155]])
-    traj = Trajectory(np.arange(3.0), xs, {}, np.zeros((3, 1)), net.species)
+    traj = Trajectory(np.arange(3.0), xs, net.species)
     for rows in (kinetics._BATCH_ROWS, 2):
         with mock.patch.object(kinetics, "_BATCH_ROWS", rows), np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="scheduled rates must be finite and strictly positive"):
@@ -503,6 +503,35 @@ def _projection_calls(brusselator, abc, bad):
 def test_non_finite_input_is_a_value_error(brusselator, abc, name, projection, bad):
     with pytest.raises(ValueError, match=f"^{projection}: input must be finite$"):
         _projection_calls(brusselator, abc, bad)[name]()
+
+
+def _iteration_limited_calls(brusselator, abc, max_iter):
+    """One call per entry point that takes max_iter, with max_iter passed on."""
+    diss = _mass_action_dissipation(brusselator, np.array([1.0, 4.0]))
+    traj = simulate(brusselator, [1.0, 4.0], 1.0)
+    return {
+        "equilibrium_point": lambda: equilibrium_point(abc, [1.0, 2.0, 1.0], [1.0, 1.0, 1.0], max_iter=max_iter),
+        "velocity_dual": lambda: velocity_dual(brusselator, diss, [1.0, 0.0], max_iter=max_iter),
+        "flux_split": lambda: flux_split(brusselator, diss, [1.0, 2.0, 0.0], max_iter=max_iter),
+        "force_split": lambda: force_split(brusselator, diss, [0.0, 2.0, 1.0], max_iter=max_iter),
+        "cycle_dual": lambda: cycle_dual(brusselator, diss, [1.0], max_iter=max_iter),
+        "effective_equilibrium_rates": lambda: effective_equilibrium_rates(brusselator, traj, max_iter=max_iter),
+        "effective_steady_rates": lambda: effective_steady_rates(brusselator, traj, max_iter=max_iter),
+        "find_steady_state": lambda: find_steady_state(abc, [1.0, 2.0, 0.5], max_iter=max_iter),
+    }
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True, "3"])
+@pytest.mark.parametrize("name", [
+    "equilibrium_point", "velocity_dual", "flux_split", "force_split", "cycle_dual",
+    "effective_equilibrium_rates", "effective_steady_rates", "find_steady_state",
+])
+def test_iteration_limit_is_a_nonnegative_integer(brusselator, abc, name, max_iter):
+    """max_iter = -1 raised UnboundLocalError in the projection kernel (a
+    ConvergenceError with iterations=-1 in find_steady_state), and 2.5 a
+    TypeError from range: each is refused naming max_iter."""
+    with pytest.raises(ValueError, match="^max_iter must be an integer >= 0"):
+        _iteration_limited_calls(brusselator, abc, max_iter)[name]()
 
 
 def test_solver_failure_reports_the_last_iterate(brusselator, abc):

@@ -239,6 +239,15 @@ def test_classification_is_nested(brusselator):
     ) + 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_classify_refuses_a_tolerance_not_finite_and_positive(ab, tol):
+    """tol = -1 or NaN labelled a detailed-balance state transient: the
+    scenario's rule refuses them, as the CLI does."""
+    assert classify_state(ab, [1.0, 2.0])["label"] == "detailed_balance"
+    with pytest.raises(ValueError, match="^tol must be"):
+        classify_state(ab, [1.0, 2.0], tol=tol)
+
+
 def test_steady_state_respects_conserved_leaf(abc):
     x0 = np.array([1.0, 2.0, 0.5])
     x = find_steady_state(abc, x0)

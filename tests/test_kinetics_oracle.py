@@ -50,7 +50,7 @@ from crnflow import (
 )
 from crnflow import geometry, kinetics
 from crnflow.geometry import _dual_projection
-from crnflow.dynamics import LEDGER_KEYS, _ledger_rows, _rhs
+from crnflow.dynamics import LEDGER_KEYS, _rhs, ledger
 from crnflow.kinetics import _BATCH_ROWS, _one_way, one_way_kernel
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -92,9 +92,9 @@ def schedules(draw, times, n_edges):
     return RateSchedule(knots, kp, rng.uniform(0.1, 5.0, shape))
 
 
-def _trajectory(net, xs, times=None):
+def _trajectory(net, xs, times=None, schedule=None):
     times = np.arange(len(xs), dtype=float) if times is None else times
-    return Trajectory(times, xs, {}, np.zeros((len(xs), 0)), net.species)
+    return Trajectory(times, xs, net.species, schedule)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,8 +199,8 @@ def _drawn_ledger_rows_match_oracle(net, data):
     times = np.cumsum(np.random.default_rng(data.draw(SEEDS)).uniform(0.01, 1.0, len(xs)))
     x_ref = data.draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=net.n_species, max_size=net.n_species))
     schedule = data.draw(st.none() | schedules(times, net.n_edges))
-    got = _ledger_rows(net, times, xs, x_ref, schedule)
-    _same_ledger(got, oracle._ledger_rows(net, times, xs, x_ref, schedule))
+    traj = _trajectory(net, xs, times, schedule)
+    _same_ledger(ledger(net, traj, x_ref), oracle.ledger(net, traj, x_ref))
 
 
 def test_ledger_rows_match_oracle(brusselator):
@@ -215,9 +215,10 @@ def test_ledger_rows_match_oracle(brusselator):
     times = np.cumsum(rng.uniform(0.01, 1.0, len(xs)))
     knots = times[::50]
     schedule = RateSchedule(knots, rng.uniform(0.1, 5.0, (knots.size, 3)), rng.uniform(0.1, 5.0, (knots.size, 3)))
-    got = _ledger_rows(brusselator, times, xs, [1.0, 3.0], schedule)
+    traj = _trajectory(brusselator, xs, times, schedule)
+    got = ledger(brusselator, traj, [1.0, 3.0])
     assert np.isnan(got[0]["epr"][skipped]).all() and np.isfinite(got[0]["epr"][b - 3]) and np.isfinite(got[0]["epr"][b + 1])
-    _same_ledger(got, oracle._ledger_rows(brusselator, times, xs, [1.0, 3.0], schedule))
+    _same_ledger(got, oracle.ledger(brusselator, traj, [1.0, 3.0]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,15 +289,15 @@ def test_sample_passes_keep_their_bits_in_any_block_size(brusselator, brusselato
 
     def passes():
         return (
-            _ledger_rows(brusselator, times, xs, [1.0, 3.0], schedule),
-            _ledger_rows(brusselator, times, xs, None, None),
+            ledger(brusselator, _trajectory(brusselator, xs, times, schedule), [1.0, 3.0]),
+            ledger(brusselator, _trajectory(brusselator, xs, times), None),
             lyapunov_monitor(brusselator, _trajectory(brusselator, xs, times), [1.0, 3.0]),
             energy_dissipation_balance(brusselator_eq, traj),
         )
 
     want = passes()
-    for ledger, _ in want[:2]:
-        assert all(np.isnan(ledger[key][skipped]).all() for key in LEDGER_KEYS)
+    for columns, _ in want[:2]:
+        assert all(np.isnan(columns[key][skipped]).all() for key in LEDGER_KEYS)
     assert np.isnan(want[2]["derivative"][skipped]).all() and np.isfinite(want[2]["derivative"][[1, 2, 5]]).all()
     for rows in BLOCKS[1:]:
         with _blocks_of(rows):
@@ -393,9 +394,8 @@ def test_long_runs_match_oracle(brusselator, brusselator_eq):
         _assert_effective_match(brusselator, traj, grid[:num])
     schedule, _ = effective_equilibrium_rates(brusselator, traj, grid)
     fine = np.linspace(0.0, 8.0, 4001)
-    redo = simulate_timedep(brusselator, [1.0, 4.0], (0.0, 8.0), schedule, grid=fine, x_ref=[1.0, 3.0])
-    want = oracle._ledger_rows(brusselator, redo.times, redo.states, [1.0, 3.0], schedule)
-    _same_ledger((redo.ledger, redo.eta), want)
+    redo = simulate_timedep(brusselator, [1.0, 4.0], (0.0, 8.0), schedule, grid=fine)
+    _same_ledger(ledger(brusselator, redo, [1.0, 3.0]), oracle.ledger(brusselator, redo, [1.0, 3.0]))
     got, want = lyapunov_monitor(brusselator, redo, [1.0, 3.0]), oracle.lyapunov_monitor(brusselator, redo, [1.0, 3.0])
     _same(got["derivative"], want["derivative"])
     eq = simulate(brusselator_eq, [1.0, 4.0], 5.0)
@@ -833,8 +833,8 @@ def test_square_on_one_species_one_edge_matches_oracle():
     xs = np.exp(np.random.default_rng(0).normal(0.0, 2.0, (6000, 1)))
     for x in xs[:500]:
         _same(mass_action_flux(net, x).jplus, oracle.mass_action_flux(net, x).jplus)
-    times = np.arange(len(xs), dtype=float)
-    _same_ledger(_ledger_rows(net, times, xs, None, None), oracle._ledger_rows(net, times, xs, None, None))
+    traj = _trajectory(net, xs)
+    _same_ledger(ledger(net, traj, None), oracle.ledger(net, traj, None))
 
 
 def test_structure_is_stored_and_flux_is_fast():

@@ -238,5 +238,5 @@ def test_rates_are_one_table_of_both_directions(brusselator):
 def test_public_names_are_the_imported_api():
     """__all__ is read off the package's imports: every public name, no submodule."""
     assert not any(isinstance(getattr(crnflow, name), types.ModuleType) for name in crnflow.__all__)
-    assert {"simulate", "ReactionNetwork", "emit_report_json"} <= set(crnflow.__all__)
-    assert len(crnflow.__all__) == len(set(crnflow.__all__)) == 51
+    assert {"simulate", "ledger", "ReactionNetwork", "emit_report_json"} <= set(crnflow.__all__)
+    assert len(crnflow.__all__) == len(set(crnflow.__all__)) == 52

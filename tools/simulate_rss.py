@@ -6,8 +6,9 @@ Each repeat runs one child interpreter with the package imported from
 --src. The child parses the robertson-stiff network of
 perfbench/workloads.py, reads its ru_maxrss, runs `simulate(net,
 [1, 1e-6, 1e-6], t_end)` with the default tolerances and reads
-ru_maxrss and the wall time again. One JSON line per repeat: accepted
-steps, ledger rows, RSS before and at the peak, their difference
+ru_maxrss and the wall time again; `simulate` evaluates no ledger, which
+is a separate pass (crnflow.ledger). One JSON line per repeat: accepted
+steps, sample rows, RSS before and at the peak, their difference
 (growth_mb) and wall_s. Standard library only; numpy is the child's.
 """
 
