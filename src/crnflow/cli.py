@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import geometry
-from .checks import _floats
+from .checks import _floats, _positive
 from .convex import CoshDissipation, _sup
 from .dynamics import Trajectory, energy_dissipation_balance, ledger, lyapunov_monitor, simulate, simulate_timedep
 from .fileio import (
@@ -142,8 +142,9 @@ def _cmd_info(scenario: ScenarioConfig, outdir, suffix) -> int:
 
 
 def _cmd_simulate(scenario: ScenarioConfig, outdir, suffix) -> int:
+    x_ref = None if scenario.x_ref is None else _positive(scenario.x_ref, "x_ref", finite=True)  # before the run
     traj = _run_simulation(scenario)
-    rows = ledger(scenario.network, traj, scenario.x_ref)
+    rows = ledger(scenario.network, traj, x_ref)
     path = _write(outdir, f"trajectory{suffix}.csv", trajectory_csv_chunks(traj, *rows))
     print(f"wrote {path} ({traj.times.size} rows)")
     print(f"final state: {_fmt_vec(traj.final_state)}")
@@ -249,7 +250,7 @@ _UNDERFLOW = "a one-way flux underflows to 0 at a sample, where psi + psistar (t
 def _cmd_ledger(scenario: ScenarioConfig, outdir, suffix) -> int:
     net = scenario.network
     wc = wegscheider_check(net)
-    x_ref = _reference(scenario, wc, "ledger")
+    x_ref = _positive(_reference(scenario, wc, "ledger"), "x_ref", finite=True)  # before the run
     traj = _run_simulation(scenario)
     rows = ledger(net, traj, x_ref)
     monitor = lyapunov_monitor(net, traj, x_ref)

@@ -12,8 +12,9 @@ and force_split (reduced_stoich, 0, f), the last two built in one place each
 (_velocity_problem, _force_problem) for the solver and its schedule.
 velocity_dual, flux_split and force_split also take (T, n) batches of
 independent rows: every entry per row, bit for bit that row's one-row call,
-and the earliest failing row's ConvergenceError. Only the effective
-schedules read their samples as a path (_streamed_schedule).
+and the earliest failing row's ConvergenceError. The effective schedules
+make the same kernel calls on their samples, a block of rows at a time
+(_streamed_schedule): nothing in this module reads samples as a path.
 
   * equilibrium_point: Bregman projection of a reference state onto the
     stoichiometric leaf through x0 (the unique equilibrium sharing x0's
@@ -34,10 +35,10 @@ schedules read their samples as a path (_streamed_schedule).
     along a trajectory, rate constants that reproduce the instantaneous
     velocity with an equilibrium (curl-free force) model, or the
     instantaneous cycle affinities with a steady (divergence-free flux)
-    model, by velocity_dual's or force_split's own (a, b, y0), in one
+    model, by velocity_dual's or force_split's own kernel call, in one
     per-block function of kinetics.map_blocks: per block of samples the
-    projection, the rates and their certificates, the path carried from
-    block to block.
+    projection, the rates and their certificates. A sample's row is the
+    solver's one-row call there, whatever its neighbours.
   * pseudo_hilbert_split: symmetric/antisymmetric force splitting about
     an iso-dissipation reference, with non-negative pairings.
 """
@@ -62,44 +63,41 @@ DUAL_STEP = 64.0
 TOL = 1e-10
 
 
-def _dual_projection(fn, a, b, y0, lam0, max_iter, what, strict=True):
+def _dual_projection(fn, a, b, y0, max_iter, what):
     """Bregman projections onto an affine subspace, in dual coordinates.
 
     Minimizes fn.dual_value(y) - <b, lam> over lam, y = y0 + a.T @ lam
-    (a.T @ lam when y0 is None), by damped Newton from lam0 (zeros when
-    None); the gradient a @ fn.dual_grad(y) - b is the constraint
-    mismatch. Stops when its max norm falls below TOL, or when a full
-    Newton step fails to contract it while it is below 64 eps s, s its
-    rounding scale at the iterate: max|b| or max(|a| @ (|dual_grad(y)| +
-    |H| @ r)), H the dual Hessian and r = |y0| + |a.T| @ |lam|, which
-    bounds y's own rounding. A full step that contracts the gradient norm
-    is accepted outright (near the optimum the objective's decrease
-    underflows); otherwise the step is Armijo backtracked (halving,
-    c = 1e-4, 47 trials) with an eps-level slack on the value, from the
-    largest power-of-two fraction that moves y by at most DUAL_STEP.
-    Trial steps that overflow are rejected without a warning. Returns
-    (lam, y, iterations).
+    (a.T @ lam when y0 is None), by damped Newton from lam = 0; the
+    gradient a @ fn.dual_grad(y) - b is the constraint mismatch. Stops
+    when its max norm falls below TOL, or when a full Newton step fails to
+    contract it while it is below 64 eps s, s its rounding scale at the
+    iterate: max|b| or max(|a| @ (|dual_grad(y)| + |H| @ r)), H the dual
+    Hessian and r = |y0| + |a.T| @ |lam|, which bounds y's own rounding. A
+    full step that contracts the gradient norm is accepted outright (near
+    the optimum the objective's decrease underflows); otherwise the step
+    is Armijo backtracked (halving, c = 1e-4, 47 trials) with an eps-level
+    slack on the value, from the largest power-of-two fraction that moves
+    y by at most DUAL_STEP. Trial steps that overflow are rejected without
+    a warning. Returns (lam, y, iterations).
 
-    Batch-first: b, lam0 and y0 hold one problem per row, (T, r), (T, r)
-    and (T, E), and so may fn's parameters (CoshDissipation weights of
-    shape (T, E)); a full dual Hessian (QuadraticPotential) is one matrix
-    for all rows. 1-d inputs are one row and come back 1-d. The rows
-    iterate in lock-step on full-size arrays, boolean masks marking the
-    rows still in play; fn sees the whole batch, each row at its own y
-    (a row that has stopped stays where it stopped), and each row goes
-    through the arithmetic of a one-row call, bit for bit: stacked
-    matrix-vector products, solves and dots round as the 1-d ones do. A
-    failing row raises ConvergenceError with its last iterate (best),
-    residual and iterations, the earliest such row when several fail;
-    with strict=False the rows that fail return their last iterate and
-    the iteration count at the failure instead.
+    Batch-first: b and y0 hold one problem per row, (T, r) and (T, E), and
+    so may fn's parameters (CoshDissipation weights of shape (T, E)); a
+    full dual Hessian (QuadraticPotential) is one matrix for all rows. 1-d
+    inputs are one row and come back 1-d. The rows iterate in lock-step on
+    full-size arrays, boolean masks marking the rows still in play; fn
+    sees the whole batch, each row at its own y (a row that has stopped
+    stays where it stopped), and each row goes through the arithmetic of a
+    one-row call, bit for bit: stacked matrix-vector products, solves and
+    dots round as the 1-d ones do. A failing row raises ConvergenceError
+    with its last iterate (best), residual and iterations, the earliest
+    such row when several fail.
     """
     max_iter = _count(max_iter, "max_iter")
     b = np.asarray(b, dtype=float)
     one, b = b.ndim == 1, np.atleast_2d(b)
-    lam = np.zeros(b.shape) if lam0 is None else np.array(lam0, dtype=float).reshape(b.shape)
+    lam = np.zeros(b.shape)
     y0 = None if y0 is None else np.atleast_2d(np.asarray(y0, dtype=float))
-    if not (np.isfinite(b).all() and np.isfinite(lam).all() and (y0 is None or np.isfinite(y0).all())):
+    if not (np.isfinite(b).all() and (y0 is None or np.isfinite(y0).all())):
         raise ValueError(f"{what}: input must be finite")
 
     eps = np.finfo(float).eps
@@ -168,7 +166,7 @@ def _dual_projection(fn, a, b, y0, lam0, max_iter, what, strict=True):
         stuck |= todo
         live &= ~todo
         g, dual = grad(y)
-    if strict and (stuck | live).any():
+    if (stuck | live).any():
         row = np.argmax(stuck | live)
         message = "line search stalled" if stuck[row] else f"no convergence in {max_iter} iterations"
         raise ConvergenceError(
@@ -217,9 +215,7 @@ def equilibrium_point(
     """
     x_ref = np.asarray(x_ref, dtype=float)
     pot = KLPotential(n=net.n_species) if potential is None else potential
-    _, y, _ = _dual_projection(
-        pot, net.cons_f, net.conserved(x0), pot.grad(x_ref), None, max_iter, "equilibrium_point"
-    )
+    _, y, _ = _dual_projection(pot, net.cons_f, net.conserved(x0), pot.grad(x_ref), max_iter, "equilibrium_point")
     return pot.dual_grad(y)
 
 
@@ -306,7 +302,7 @@ def _velocity_dual(net, dissip, v, max_iter) -> dict:
     """velocity_dual past its realizability test, for v = -div(j), in the image of
     stoich by construction: the test's bound does not follow the rounding of large
     fluxes."""
-    mu, _, iters = _dual_projection(dissip, *_velocity_problem(net, v), None, max_iter, "velocity_dual")
+    mu, _, iters = _dual_projection(dissip, *_velocity_problem(net, v), max_iter, "velocity_dual")
     u = matvec_rows(net.stoich_image, mu)
     force = -net.grad(u)
     flux = dissip.dual_grad(force)
@@ -360,7 +356,7 @@ def force_split(
     divergence_residual; per row for a (T, n_edges) batch of independent rows.
     """
     f = np.asarray(f, dtype=float)
-    mu, force, iters = _dual_projection(dissip, *_force_problem(net, f), None, max_iter, "force_split")
+    mu, force, iters = _dual_projection(dissip, *_force_problem(net, f), max_iter, "force_split")
     flux = dissip.dual_grad(force)
     return {
         "force": force,
@@ -484,29 +480,20 @@ def complex_balance_force_split(
 
 
 def _streamed_schedule(net, traj, times, max_iter, what, problem, force_of, certify) -> tuple[RateSchedule, dict]:
-    """The effective schedules through map_blocks. Per block of samples, with EdgePair base:
-    the projection problem(base) -> (a, b, y0) under CoshDissipation(base.activity), as a path
-    of two _dual_projection passes: a predictor from lam = 0 (a failing row hands over its last
-    iterate), then a pass reporting iterations and the earliest failure that starts row i from
-    the predictor's answer for row i - 1, row 0 from the carry (the previous block's last
-    predictor row; near the optimum a start near row i's answer serves as well as row i - 1's).
-    Then rates with the network's kappa giving the forces force_of(lam, y), and the certificates
-    certify(base, their EdgePair) and iterations. Returns the schedule, holding the (T, 2 n_edges)
-    rate table (not a copy), and (T,) certificates: rows keep their bits in any block size,
-    errors (in block order) the earliest."""
+    """The effective schedules through map_blocks. Per block of samples, with EdgePair base: the
+    one _dual_projection call of the solver it mirrors, on problem(base) -> (a, b, y0) under
+    CoshDissipation(base.activity), so each row is that solver's one-row call at its sample, bit
+    for bit; then rates with the network's kappa giving the forces force_of(lam, y), and the
+    certificates certify(base, their EdgePair) and iterations. Returns the schedule, holding the
+    (T, 2 n_edges) rate table (not a copy), and (T,) certificates; errors are the earliest row's."""
     ts = _schedule_times(traj.times if times is None else times)
     xs = _positive(traj.states if times is None else traj.interpolate(ts, "schedule sample times"),
                    "trajectory samples", batch=True)
     kappa = KineticSplit.from_rates(net.kplus, net.kminus).kappa
-    start = np.zeros(len(net.reduced_stoich))
 
     def block(x, live, base):
-        nonlocal start
         _all_live(live)
-        dissip, (a, b, y0) = CoshDissipation(base.activity), problem(base)
-        cold, _, _ = _dual_projection(dissip, a, b, y0, None, max_iter, what, strict=False)
-        starts, start = np.concatenate([start[None], cold[:-1]]), cold[-1].copy()
-        lam, y, iters = _dual_projection(dissip, a, b, y0, starts, max_iter, what)
+        lam, y, iters = _dual_projection(CoshDissipation(base.activity), *problem(base), max_iter, what)
         rates = np.hstack(KineticSplit(kappa, np.exp(force_of(lam, y) - net.grad(np.log(x)))).rates())
         _positive(rates, "scheduled rates", batch=True, finite=True)
         return {"rates": rates, **certify(base, EdgePair(*_one_way(net, x, rates))), "iterations": iters}

@@ -9,10 +9,9 @@ runs velocity_dual, realizability test included, as the package once
 did. Products with stoich.T use a float copy of stoich, as the package's
 grad does. The effective loops return their (times, kplus, kminus)
 tables instead of a schedule. They chain each sample's solve from the
-previous sample's final answer; effective_*_two_pass instead run the
-package's two passes (every sample from a cold start, then each from
-that pass's answer for the sample before) through the same per-sample
-solvers.
+previous sample's final answer; effective_*_one_pass instead solve every
+sample on its own from a cold start, as the package does, through the
+same per-sample solvers.
 
 The geometry solvers keep their own generic Newton loop (_newton_minimize)
 with per-solver closures. KLPotential here is the ledger's subset, so
@@ -585,24 +584,10 @@ def effective_steady_rates(net, traj, times=None, tol: float = 1e-10, max_iter: 
     return (ts, kp_tab, km_tab), certificates
 
 
-# -- two-pass schedules ---------------------------------------------------
+# -- one-pass schedules ---------------------------------------------------
 
 
-def _two_pass(solve, problems, tol, max_iter):
-    """Each row's solve, started from a predictor pass's answer for the row
-    before (row 0 from zeros). The predictor starts every row cold, and a
-    row that fails there hands over its best iterate."""
-    cold = []
-    for args in problems:
-        try:
-            cold.append(solve(*args, tol=tol, max_iter=max_iter)["mu"])
-        except ConvergenceError as err:
-            cold.append(err.best)
-    starts = [None] + cold[:-1]
-    return [solve(*args, mu0=mu0, tol=tol, max_iter=max_iter) for args, mu0 in zip(problems, starts)]
-
-
-def _two_pass_tables(net, xs, forces):
+def _one_pass_tables(net, xs, forces):
     """Rate tables with the network's kappa whose force at each x is its
     force row, and the mass-action pairs they give."""
     split = KineticSplit.from_rates(net.kplus, net.kminus)
@@ -618,17 +603,18 @@ def _two_pass_tables(net, xs, forces):
     return kp_tab, km_tab, pairs
 
 
-def effective_equilibrium_rates_two_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
-    """effective_equilibrium_rates with its warm starts from a cold predictor
-    pass instead of from the previous sample's final answer."""
+def effective_equilibrium_rates_one_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
+    """effective_equilibrium_rates with every sample solved from a cold start
+    instead of from the previous sample's final answer; the earliest failing
+    sample raises."""
     ts, xs = trajectory_samples(traj, times)
     st = net.stoich.T.astype(float)
     vt = net.cycle_basis.T.astype(float)
     base = [mass_action_flux(net, x) for x in xs]
     velocities = [-net.stoich.astype(float) @ pair.flux for pair in base]
     problems = [(net, CoshDissipation(pair.activity), v) for pair, v in zip(base, velocities)]
-    outs = _two_pass(velocity_dual, problems, tol, max_iter)
-    kp_tab, km_tab, pairs = _two_pass_tables(net, xs, [-st @ out["u"] for out in outs])
+    outs = [velocity_dual(*args, tol=tol, max_iter=max_iter) for args in problems]
+    kp_tab, km_tab, pairs = _one_pass_tables(net, xs, [-st @ out["u"] for out in outs])
     zeta_res = np.array([float(np.max(np.abs(vt @ p.force), initial=0.0)) for p in pairs])
     vel_res = np.array([
         float(np.max(np.abs(-net.stoich.astype(float) @ p.flux - v), initial=0.0) / (1.0 + np.max(np.abs(v), initial=0.0)))
@@ -638,15 +624,16 @@ def effective_equilibrium_rates_two_pass(net, traj, times=None, tol: float = 1e-
     return (ts, kp_tab, km_tab), {"zeta_residual": zeta_res, "velocity_residual": vel_res, "iterations": iters}
 
 
-def effective_steady_rates_two_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
-    """effective_steady_rates with its warm starts from a cold predictor pass
-    instead of from the previous sample's final answer."""
+def effective_steady_rates_one_pass(net, traj, times=None, tol: float = 1e-10, max_iter: int = 100):
+    """effective_steady_rates with every sample solved from a cold start
+    instead of from the previous sample's final answer; the earliest failing
+    sample raises."""
     ts, xs = trajectory_samples(traj, times)
     vt = net.cycle_basis.T.astype(float)
     base = [mass_action_flux(net, x) for x in xs]
     problems = [(net, CoshDissipation(pair.activity), pair.force) for pair in base]
-    outs = _two_pass(force_split, problems, tol, max_iter)
-    kp_tab, km_tab, pairs = _two_pass_tables(net, xs, [out["force"] for out in outs])
+    outs = [force_split(*args, tol=tol, max_iter=max_iter) for args in problems]
+    kp_tab, km_tab, pairs = _one_pass_tables(net, xs, [out["force"] for out in outs])
     steady_res = np.array([float(np.max(np.abs(net.stoich @ p.flux), initial=0.0)) for p in pairs])
     affinity_res = np.array([
         float(np.max(np.abs(vt @ p.force - vt @ b.force), initial=0.0)) for p, b in zip(pairs, base)

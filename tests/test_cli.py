@@ -18,6 +18,7 @@ from crnflow import (
     simulate,
     simulate_timedep,
 )
+from crnflow import cli
 from crnflow.cli import _write, main
 
 AB_TEXT = "species A B\nreaction r1: A <-> B ; kf=2 kr=1\n"
@@ -397,6 +398,20 @@ def test_only_simulate_and_ledger_run_the_ledger_pass(tmp_path, monkeypatch, com
                      grid={"start": 0, "stop": 2, "num": 41})
     assert _run(tmp_path, command, scen)[0] == 0
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 1), ("ledger", 1), ("info", 0), ("decompose", 0), ("classify", 0)])
+def test_nonpositive_x_ref_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, code):
+    """simulate and ledger refuse an x_ref that is not positive with the
+    ledger pass's message before they integrate, and write nothing; info,
+    decompose and classify, which read no x_ref, still accept the scenario."""
+    runs = []
+    run = cli._run_simulation
+    monkeypatch.setattr(cli, "_run_simulation", lambda sc: runs.append(sc) or run(sc))
+    assert _run(tmp_path, command, _scenario(tmp_path, x_ref=[0.0, 1.0]))[0] == code
+    if code:
+        assert capsys.readouterr().err == "error: x_ref must be finite and strictly positive\n"
+        assert runs == [] and not (tmp_path / "out").exists()
 
 
 def test_coefficient_beyond_int64_is_an_invalid_scenario(tmp_path, capsys):
